@@ -19,7 +19,6 @@ from .matrices import (
     DenseSignMatrix,
     MonomialMatrix,
     lambda_of_pair,
-    star,
     supports_disjoint,
     sylvester,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "radical_dimension",
     "rho",
     "solve",
-    "star",
     "supports_disjoint",
     "sylvester",
     "table_entry",

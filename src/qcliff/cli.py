@@ -132,7 +132,7 @@ def cmd_represent(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     lam = lambda_from_dict(_load_json(args.pattern))
-    result = solve(lam, max_n=args.max_n, parallel=args.parallel)
+    result = solve(lam, max_n=args.max_n)
     if args.format == "json":
         _emit_json(solve_result_to_dict(lam, result))
     else:
@@ -188,7 +188,6 @@ def cmd_hadamard(args: argparse.Namespace) -> int:
         args.depth,
         spec,
         solve_cap=args.max_n,
-        parallel=args.parallel,
         max_order=args.max_order,
     )
     if args.output:
@@ -226,9 +225,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="qcliff", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized sweeps (reserved; current "
-                             "subcommands are deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
@@ -254,7 +250,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="minimal monomial family for a lambda pattern file")
     p.add_argument("pattern")
     p.add_argument("--max-n", type=int, default=_env_int("QCLIFF_MAX_N", 16))
-    p.add_argument("--parallel", type=int, default=0, metavar="WORKERS")
     common(p)
     p.set_defaults(func=cmd_solve)
 
@@ -270,7 +265,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-n", type=int, default=_env_int("QCLIFF_MAX_N", 16))
     p.add_argument("--max-m", type=int, default=_env_int("QCLIFF_MAX_M", 8))
     p.add_argument("--max-order", type=int, default=_env_int("QCLIFF_MAX_ORDER", 1 << 20))
-    p.add_argument("--parallel", type=int, default=0, metavar="WORKERS")
     common(p)
     p.set_defaults(func=cmd_hadamard)
 

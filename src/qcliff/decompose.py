@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .gf2 import Gf2Matrix
+from .gf2 import Gf2Matrix, bilinear_parity
 from .presentation import AlgebraPresentation, SignedMonomial, _unmask
 
 
@@ -129,16 +129,6 @@ def radical_dimension(P: AlgebraPresentation) -> int:
     return form_matrix(P).nullity()
 
 
-def _bform(frows: tuple[int, ...], u: int, v: int) -> int:
-    par = 0
-    t = u
-    while t:
-        i = (t & -t).bit_length() - 1
-        par ^= (frows[i] & v).bit_count()
-        t &= t - 1
-    return par & 1
-
-
 def symplectic_reduce(frows: tuple[int, ...], m: int) -> tuple[list[int], list[tuple[int, int]]]:
     """Core Gram-Schmidt pass over exponent-vector bitmasks.
 
@@ -155,7 +145,7 @@ def symplectic_reduce(frows: tuple[int, ...], m: int) -> tuple[list[int], list[t
         u = remaining.pop(0)
         partner = None
         for idx, v in enumerate(remaining):
-            if _bform(frows, u, v):
+            if bilinear_parity(frows, u, v):
                 partner = idx
                 break
         if partner is None:
@@ -165,9 +155,9 @@ def symplectic_reduce(frows: tuple[int, ...], m: int) -> tuple[list[int], list[t
         pairs.append((u, v))
         fixed = []
         for w in remaining:
-            if _bform(frows, w, v):
+            if bilinear_parity(frows, w, v):
                 w ^= u
-            if _bform(frows, w, u):
+            if bilinear_parity(frows, w, u):
                 w ^= v
             fixed.append(w)
         remaining = fixed

@@ -11,6 +11,22 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
+def bilinear_parity(rows: Sequence[int], u: int, v: int) -> int:
+    """Parity bit of ``u^T R v`` over GF(2), ``R`` given by its row bitmasks.
+
+    Walks the set bits ``i`` of ``u`` and adds ``popcount(R[i] & v)``.
+    Every monomial sign in the package (products, squares, commutation)
+    and the symplectic form are this one sum over a different ``R``.
+    """
+    par = 0
+    t = u
+    while t:
+        i = (t & -t).bit_length() - 1
+        par ^= (rows[i] & v).bit_count()
+        t &= t - 1
+    return par & 1
+
+
 @dataclass(frozen=True)
 class Gf2Matrix:
     rows: int
@@ -68,13 +84,6 @@ class Gf2Matrix:
             cols.append(mask)
         return Gf2Matrix(self.cols, self.rows, tuple(cols))
 
-    def mul_vector(self, v: int) -> int:
-        """Matrix times column vector, both over GF(2); vectors are bitmasks."""
-        out = 0
-        for i, r in enumerate(self.bits):
-            out |= ((r & v).bit_count() & 1) << i
-        return out
-
     def rank(self) -> int:
         rows = [r for r in self.bits if r]
         rank = 0
@@ -113,12 +122,6 @@ class Gf2Matrix:
                     work[r] ^= work[col]
                     aug[r] ^= aug[col]
         return Gf2Matrix(n, n, tuple(aug))
-
-    def solve(self, v: int) -> int:
-        """One solution ``x`` of ``self @ x = v``; raises if inconsistent."""
-        if self.rows != self.cols:
-            raise ValueError("solve is implemented for square systems")
-        return self.inverse().mul_vector(v)
 
     def __str__(self) -> str:
         return "\n".join(

@@ -256,7 +256,6 @@ def complete(
     m: int,
     spec: Optional[TransversalSpec] = None,
     solve_cap: int = 16,
-    parallel: int = 0,
     max_order: int = 1 << 20,
 ) -> HadamardBundle:
     """Run the full pipeline for tensor depth ``m``.
@@ -275,7 +274,7 @@ def complete(
         raise ValueError(f"spec has depth {spec.m}, requested m={m}")
     A = transversal(spec)
     lam = lambda_of_transversal(A)
-    sol: SolveResult = solve(lam, max_n=solve_cap, parallel=parallel)
+    sol: SolveResult = solve(lam, max_n=solve_cap)
     if len(A) * sol.b > max_order:
         raise CapExceeded(
             f"assembled order {len(A) * sol.b} exceeds the cap {max_order}"

@@ -18,8 +18,6 @@ from typing import Literal, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import VerificationError
-
 
 class MonomialMatrix:
     """Signed permutation matrix: row ``i`` has ``signs[i]`` at ``perm[i]``."""
@@ -184,14 +182,6 @@ def as_dense(x: MatrixLike) -> np.ndarray:
     return np.asarray(x, dtype=np.int64)
 
 
-def star(x: MatrixLike, y: MatrixLike) -> np.ndarray:
-    """Entrywise (Hadamard) product; zero exactly where supports miss."""
-    a, b = as_dense(x), as_dense(y)
-    if a.shape != b.shape:
-        raise ValueError(f"order mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
-
 def supports_disjoint(x: MonomialMatrix, y: MonomialMatrix) -> bool:
     if x.order != y.order:
         raise ValueError(f"order mismatch: {x.order} vs {y.order}")
@@ -236,14 +226,6 @@ def sylvester(b: int) -> DenseSignMatrix:
     while s.shape[0] < b:
         s = np.block([[s, s], [s, -s]])
     return DenseSignMatrix(s)
-
-
-def check_orthogonal(mat: DenseSignMatrix) -> None:
-    """Exact check that ``mat @ mat.T`` is ``order * I``."""
-    g = mat.array @ mat.array.T
-    n = mat.order
-    if not np.array_equal(g, n * np.eye(n, dtype=np.int64)):
-        raise VerificationError(f"matrix of order {n} is not Hadamard")
 
 
 # Fixed order-2 building blocks.  Z and X are symmetric with squares +I

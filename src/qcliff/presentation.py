@@ -11,9 +11,10 @@ integer arithmetic on those pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapExceeded
+from .gf2 import bilinear_parity
 
 DEFAULT_BASIS_CAP = 20
 
@@ -52,10 +53,6 @@ class SignedMonomial:
     @property
     def mask(self) -> int:
         return _mask(self.exps)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exps)
 
     def __neg__(self) -> "SignedMonomial":
         return SignedMonomial(-self.sign, self.exps)
@@ -154,7 +151,7 @@ class AlgebraPresentation:
                 f"monomial has {len(x.exps)} exponent bits, presentation has m={self.m}"
             )
 
-    # -- mask-level sign kernels (shared with the solver hot path) -----------
+    # -- mask-level sign kernels ----------------------------------------------
 
     def mul_sign_masks(self, xm: int, ym: int) -> int:
         """Reordering-and-squaring sign of ``(+1, xm) * (+1, ym)``.
@@ -163,46 +160,17 @@ class AlgebraPresentation:
         generators of ``xm`` contributes one anticommutation bit per
         crossing; coinciding generators then square to ``kappa``.
         """
-        swaps = 0
-        rows = self._delta_gt
-        t = ym
-        while t:
-            i = (t & -t).bit_length() - 1
-            swaps ^= (rows[i] & xm).bit_count()
-            t &= t - 1
-        sign = -1 if swaps & 1 else 1
-        if (xm & ym & self._kneg).bit_count() & 1:
-            sign = -sign
-        return sign
+        neg = bilinear_parity(self._delta_gt, ym, xm) ^ (xm & ym & self._kneg).bit_count()
+        return -1 if neg & 1 else 1
 
     def square_sign_mask(self, xm: int) -> int:
-        swaps = 0
-        rows = self._delta_gt
-        t = xm
-        while t:
-            i = (t & -t).bit_length() - 1
-            swaps ^= (rows[i] & xm).bit_count()
-            t &= t - 1
-        sign = -1 if swaps & 1 else 1
-        if (xm & self._kneg).bit_count() & 1:
-            sign = -sign
-        return sign
+        return self.mul_sign_masks(xm, xm)
 
     def commute_sign_masks(self, xm: int, ym: int) -> int:
         """+1 if the monomials commute, -1 if they anticommute."""
-        par = 0
         rows = self._delta_gt
-        t = ym
-        while t:
-            i = (t & -t).bit_length() - 1
-            par ^= (rows[i] & xm).bit_count()
-            t &= t - 1
-        t = xm
-        while t:
-            i = (t & -t).bit_length() - 1
-            par ^= (rows[i] & ym).bit_count()
-            t &= t - 1
-        return -1 if par & 1 else 1
+        par = bilinear_parity(rows, ym, xm) ^ bilinear_parity(rows, xm, ym)
+        return -1 if par else 1
 
     # -- monomial arithmetic --------------------------------------------------
 
@@ -248,9 +216,6 @@ class AlgebraPresentation:
         return [
             SignedMonomial(1, _unmask(bits, self.m)) for bits in range(1 << self.m)
         ]
-
-    def iter_exponent_masks(self) -> Iterator[int]:
-        return iter(range(1 << self.m))
 
 
 def quaternion_presentation() -> AlgebraPresentation:

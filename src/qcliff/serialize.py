@@ -34,10 +34,23 @@ def _require_keys(obj: dict, required: Sequence[str], optional: Sequence[str] = 
         raise ValueError(f"unknown fields: {sorted(unknown)}")
 
 
+def _is_int(v: Any) -> bool:
+    """JSON integers only: ``bool`` is an ``int`` subclass and is refused."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _sign(v: Any, what: str) -> int:
-    if v not in (-1, 1):
+    if not _is_int(v) or v not in (-1, 1):
         raise ValueError(f"{what} must be +1 or -1, got {v!r}")
-    return int(v)
+    return v
+
+
+def _int_array(values: Any, what: str) -> np.ndarray:
+    """``values`` as an integer array; floats, bools and other kinds are refused."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind != "i":
+        raise ValueError(f"{what} must hold integers only, got {arr.dtype} entries")
+    return arr
 
 
 # -- presentations ----------------------------------------------------------
@@ -54,7 +67,7 @@ def presentation_to_dict(P: AlgebraPresentation) -> dict:
 def presentation_from_dict(obj: dict) -> AlgebraPresentation:
     _require_keys(obj, ["m", "kappa"], ["delta"])
     m = obj["m"]
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
     kappa = obj["kappa"]
     if not isinstance(kappa, list) or len(kappa) != m:
@@ -66,9 +79,9 @@ def presentation_from_dict(obj: dict) -> AlgebraPresentation:
         if not isinstance(triple, list) or len(triple) != 3:
             raise ValueError(f"delta entries must be [i, j, bit] triples, got {triple!r}")
         i, j, bit = triple
-        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= m):
+        if not (_is_int(i) and _is_int(j) and 1 <= i < j <= m):
             raise ValueError(f"delta pair ({i}, {j}) must satisfy 1 <= i < j <= m")
-        if bit not in (0, 1):
+        if not _is_int(bit) or bit not in (0, 1):
             raise ValueError(f"delta bit must be 0 or 1, got {bit!r}")
         if (i, j) in seen and seen[(i, j)] != bit:
             raise ValueError(f"conflicting delta entries for pair ({i}, {j})")
@@ -91,7 +104,9 @@ def monomial_to_dict(mat: MonomialMatrix) -> dict:
 
 def monomial_from_dict(obj: dict) -> MonomialMatrix:
     _require_keys(obj, ["order", "perm", "signs"])
-    mat = MonomialMatrix(obj["perm"], obj["signs"])
+    if not _is_int(obj["order"]):
+        raise ValueError(f"order must be an integer, got {obj['order']!r}")
+    mat = MonomialMatrix(_int_array(obj["perm"], "perm"), _int_array(obj["signs"], "signs"))
     if mat.order != obj["order"]:
         raise ValueError(f"recorded order {obj['order']} does not match perm length")
     return mat
@@ -102,7 +117,7 @@ def dense_to_rows(mat: DenseSignMatrix) -> list[list[int]]:
 
 
 def dense_from_rows(rows: Any) -> DenseSignMatrix:
-    return DenseSignMatrix(np.asarray(rows, dtype=np.int64))
+    return DenseSignMatrix(_int_array(rows, "sign matrix"))
 
 
 def sign_text_rows(mat: DenseSignMatrix) -> list[str]:
@@ -184,14 +199,14 @@ def lambda_to_dict(lam: LambdaPattern) -> dict:
 def lambda_from_dict(obj: dict) -> LambdaPattern:
     _require_keys(obj, ["n", "entries"])
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     pairs: dict[tuple[int, int], int] = {}
     for triple in obj["entries"]:
         if not isinstance(triple, list) or len(triple) != 3:
             raise ValueError(f"entries must be [j, k, value] triples, got {triple!r}")
         j, k, v = triple
-        if not (isinstance(j, int) and isinstance(k, int) and 1 <= j <= n and 1 <= k <= n and j != k):
+        if not (_is_int(j) and _is_int(k) and 1 <= j <= n and 1 <= k <= n and j != k):
             raise ValueError(f"bad pair indices ({j}, {k}) for n={n}")
         lo, hi = (j, k) if j < k else (k, j)
         v = _sign(v, f"lambda[{j}][{k}]")

@@ -13,16 +13,16 @@ representation builder and are re-verified pair by pair before returning.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .decompose import symplectic_reduce
 from .errors import CapExceeded, VerificationError
+from .gf2 import bilinear_parity
 from .matrices import MonomialMatrix, lambda_of_pair
 from .presentation import AlgebraPresentation
 from .represent import minimal_images
-from .structure import WedderburnType, classify_presentation
+from .structure import WedderburnType, classify_presentation, wedderburn_case
 
 DEFAULT_SOLVE_CAP = 16
 
@@ -124,9 +124,12 @@ def presentation_from(lam: LambdaPattern, kappa: Sequence[int]) -> AlgebraPresen
 def _irrep_order_masks(neg_rows: Sequence[int], n: int, kappa_mask: int) -> int:
     """Irreducible order for one sign assignment, all in bitmask arithmetic.
 
-    ``kappa_mask`` has bit j set when ``kappa_j == -1``.  Mirrors
-    ``classify(decompose(presentation_from(...)))`` without building any
-    intermediate objects; the agreement is pinned by tests.
+    ``kappa_mask`` has bit j set when ``kappa_j == -1``.  Builds the
+    commutation form of ``presentation_from(lam, kappa)`` as a rank-2
+    update of the anti-amicable rows, reduces it, and hands the square
+    signs of the new generators to :func:`wedderburn_case`.  Agrees with
+    ``classify_presentation(presentation_from(...)).irrep_order`` on every
+    candidate; ``tests/test_solve.py`` checks this exhaustively for small n.
     """
     full = (1 << n) - 1
     frows = []
@@ -136,27 +139,32 @@ def _irrep_order_masks(neg_rows: Sequence[int], n: int, kappa_mask: int) -> int:
     centrals, pairs = symplectic_reduce(tuple(frows), n)
     dgt = [frows[i] & (full << (i + 1)) for i in range(n)]
 
-    def square_sign(e: int) -> int:
-        swaps = 0
-        t = e
-        while t:
-            i = (t & -t).bit_length() - 1
-            swaps ^= (dgt[i] & e).bit_count()
-            t &= t - 1
-        neg = (swaps & 1) ^ ((e & kappa_mask).bit_count() & 1)
-        return -1 if neg else 1
+    def square(e: int) -> int:
+        neg = bilinear_parity(dgt, e, e) ^ (e & kappa_mask).bit_count()
+        return -1 if neg & 1 else 1
 
-    r, s = len(centrals), len(pairs)
-    if any(square_sign(c) == -1 for c in centrals):
-        return 1 << (s + 1)
-    quat = sum(1 for g, d in pairs if square_sign(g) == -1 and square_sign(d) == -1)
-    return 1 << (s + 1) if quat & 1 else 1 << s
+    case = wedderburn_case(
+        (square(c) for c in centrals), ((square(g), square(d)) for g, d in pairs)
+    )
+    return case.irrep_order(len(pairs))
 
 
-def _sweep_chunk(neg_rows: tuple[int, ...], n: int, start: int, stop: int) -> tuple[int, int]:
-    """Best (order, candidate) over kappa candidates [start, stop)."""
-    best_order, best_c = None, -1
-    for c in range(start, stop):
+def solve(lam: LambdaPattern, max_n: int = DEFAULT_SOLVE_CAP) -> SolveResult:
+    """Minimal-order monomial realization of an amicability pattern.
+
+    Exhausts sign assignments with ``kappa_1 = +1`` in lexicographic
+    order (+1 before -1), keeps the first assignment reaching the
+    minimal irreducible order, builds the generator images for it and
+    re-verifies every pairwise condition by exact multiplication.
+    """
+    n = lam.n
+    if n < 2:
+        raise ValueError("need at least two matrices")
+    if n > max_n:
+        raise CapExceeded(f"kappa sweep for n={n} exceeds the cap {max_n}")
+    neg_rows = lam.neg_masks()
+    best_order, best_mask = None, 0
+    for c in range(1 << (n - 1)):
         # candidate bits map big-endian onto positions 1..n-1; position 0
         # stays +1, quotienting out the global sign flip
         kappa_mask = 0
@@ -165,47 +173,9 @@ def _sweep_chunk(neg_rows: tuple[int, ...], n: int, start: int, stop: int) -> tu
                 kappa_mask |= 1 << i
         order = _irrep_order_masks(neg_rows, n, kappa_mask)
         if best_order is None or order < best_order:
-            best_order, best_c = order, c
-    return best_order, best_c
+            best_order, best_mask = order, kappa_mask
 
-
-def _kappa_from_candidate(c: int, n: int) -> tuple[int, ...]:
-    return (1,) + tuple(-1 if (c >> (n - 1 - i)) & 1 else 1 for i in range(1, n))
-
-
-def solve(
-    lam: LambdaPattern,
-    max_n: int = DEFAULT_SOLVE_CAP,
-    parallel: int = 0,
-) -> SolveResult:
-    """Minimal-order monomial realization of an amicability pattern.
-
-    Exhausts sign assignments with ``kappa_1 = +1`` in lexicographic
-    order (+1 before -1), keeps the first assignment reaching the
-    minimal irreducible order, builds the generator images for it and
-    re-verifies every pairwise condition by exact multiplication.
-    ``parallel`` > 0 fans the sweep out over that many worker processes;
-    the reduction picks the same winner regardless of scheduling.
-    """
-    n = lam.n
-    if n < 2:
-        raise ValueError("need at least two matrices")
-    if n > max_n:
-        raise CapExceeded(f"kappa sweep for n={n} exceeds the cap {max_n}")
-    neg_rows = lam.neg_masks()
-    total = 1 << (n - 1)
-    if parallel > 1 and total >= 4096:
-        chunk = -(-total // parallel)
-        ranges = [(i, min(i + chunk, total)) for i in range(0, total, chunk)]
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            results = list(
-                pool.map(_sweep_chunk, *zip(*[(neg_rows, n, a, b) for a, b in ranges]))
-            )
-        best_order, best_c = min(results, key=lambda t: (t[0], t[1]))
-    else:
-        best_order, best_c = _sweep_chunk(neg_rows, n, 0, total)
-
-    kappa = _kappa_from_candidate(best_c, n)
+    kappa = tuple(-1 if (best_mask >> i) & 1 else 1 for i in range(n))
     pres = presentation_from(lam, kappa)
     wt = classify_presentation(pres)
     if wt.irrep_order != best_order:

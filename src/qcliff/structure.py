@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterable
 
 from .decompose import Decomposition, decompose
 from .presentation import AlgebraPresentation
@@ -29,6 +30,26 @@ class StructureCase(enum.Enum):
     @property
     def letter(self) -> str:
         return {"real": "R", "complex": "C", "quaternion": "H"}[self.value]
+
+    def irrep_order(self, s: int) -> int:
+        """Real order of one irreducible representation with ``s`` pairs."""
+        return 2**s if self is StructureCase.REAL else 2 ** (s + 1)
+
+
+def wedderburn_case(
+    central_squares: Iterable[int], pair_squares: Iterable[tuple[int, int]]
+) -> StructureCase:
+    """The R/C/H rule on the squares of a decomposition's new generators.
+
+    A central generator squaring to -1 forces the complex case; otherwise
+    an odd number of quaternionic pairs (both squares -1) leaves one
+    quaternion factor standing and an even number cancels to the real
+    case.
+    """
+    if any(q == -1 for q in central_squares):
+        return StructureCase.COMPLEX
+    quat_pairs = sum(1 for a, b in pair_squares if a == -1 and b == -1)
+    return StructureCase.QUATERNION if quat_pairs % 2 else StructureCase.REAL
 
 
 @dataclass(frozen=True)
@@ -81,32 +102,20 @@ def compact_label(label: str) -> str:
 
 
 def classify(D: Decomposition) -> WedderburnType:
-    """Wedderburn type of a decomposed algebra.
-
-    A central generator squaring to -1 forces the complex case; otherwise
-    an odd number of quaternionic pairs (both squares -1) leaves one
-    quaternion factor standing and an even number cancels to the real
-    case.
-    """
+    """Wedderburn type of a decomposed algebra (see :func:`wedderburn_case`)."""
     r, s = D.r, D.s
-    quat_pairs = sum(
-        1 for p in D.pairs if p.first_square == -1 and p.second_square == -1
+    case = wedderburn_case(
+        (c.square for c in D.centrals),
+        ((p.first_square, p.second_square) for p in D.pairs),
     )
-    if any(c.square == -1 for c in D.centrals):
-        case = StructureCase.COMPLEX
-        num, order, size = 2 ** (r - 1), 2 ** (s + 1), 2**s
-    elif quat_pairs % 2 == 1:
-        case = StructureCase.QUATERNION
-        num, order, size = 2**r, 2 ** (s + 1), 2 ** (s - 1)
-    else:
-        case = StructureCase.REAL
-        num, order, size = 2**r, 2**s, 2**s
+    num = 2 ** (r - 1) if case is StructureCase.COMPLEX else 2**r
+    size = 2 ** (s - 1) if case is StructureCase.QUATERNION else 2**s
     wt = WedderburnType(
         case=case,
         r=r,
         s=s,
         num_irreps=num,
-        irrep_order=order,
+        irrep_order=case.irrep_order(s),
         label=f"^{num} {case.letter}({size})",
     )
     if wt.total_dimension() != 2**wt.m:

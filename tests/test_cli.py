@@ -39,6 +39,11 @@ class TestClassify:
         path = write_json(tmp_path, "bad.json", {"m": 1, "kappa": [2]})
         assert main(["classify", path]) == 1
 
+    def test_boolean_numbers_fail_with_code_1(self, tmp_path, capsys):
+        path = write_json(tmp_path, "bool.json", {"m": True, "kappa": [True]})
+        assert main(["classify", path]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["classify", "/nonexistent.json"]) == 1
 

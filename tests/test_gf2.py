@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qcliff import Gf2Matrix
+from qcliff.gf2 import bilinear_parity
 
 
 def random_gf2(rng, rows, cols):
@@ -69,18 +70,16 @@ def test_singular_inverse_rejected():
         mat.inverse()
 
 
-def test_solve():
-    rng = np.random.default_rng(7)
-    solved = 0
-    while solved < 30:
-        n = int(rng.integers(1, 8))
-        mat = random_gf2(rng, n, n)
-        if not mat.is_invertible():
-            continue
-        solved += 1
-        v = int(rng.integers(0, 1 << n))
-        x = mat.solve(v)
-        assert mat.mul_vector(x) == v
+def test_bilinear_parity_against_dense_product():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        R = rng.integers(0, 2, size=(n, n))
+        u, v = rng.integers(0, 2, size=n), rng.integers(0, 2, size=n)
+        rows = Gf2Matrix.from_rows(R.tolist()).bits
+        um = sum(int(b) << i for i, b in enumerate(u))
+        vm = sum(int(b) << i for i, b in enumerate(v))
+        assert bilinear_parity(rows, um, vm) == int(u @ R @ v) % 2
 
 
 def test_transpose():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcliff import DenseSignMatrix, MonomialMatrix, lambda_of_pair, star, supports_disjoint, sylvester
+from qcliff import DenseSignMatrix, MonomialMatrix, lambda_of_pair, supports_disjoint, sylvester
 from qcliff.matrices import ident2, j2, x2, y2, z2
 
 from helpers import random_monomial_matrix
@@ -14,6 +14,7 @@ class TestBasics:
         assert j2().to_dense().tolist() == [[0, -1], [1, 0]]
         assert y2().to_dense().tolist() == [[0, 1], [-1, 0]]
         assert (z2() @ x2()) == y2()
+        assert supports_disjoint(ident2(), x2())
 
     def test_rotation_squares_to_minus_identity(self):
         assert (j2() @ j2()) == -ident2()
@@ -88,24 +89,6 @@ class TestDenseAgreement:
             x = random_monomial_matrix(rng, n)
             dense = rng.integers(-5, 6, size=(n, n))
             assert np.array_equal(x.mul_dense(dense), x.to_dense() @ dense)
-
-
-class TestStar:
-    def test_disjoint_supports_vanish(self):
-        assert np.all(star(ident2(), x2()) == 0)
-        assert supports_disjoint(ident2(), x2())
-
-    def test_entrywise_squares_give_the_support_pattern(self):
-        assert np.array_equal(star(z2(), z2()), np.eye(2, dtype=np.int64))
-        assert np.array_equal(star(j2(), j2()), np.abs(j2().to_dense()))
-
-    def test_dense_elementwise_oracle(self):
-        total = ident2().to_dense() + x2().to_dense()
-        assert np.array_equal(star(total, ident2()), np.eye(2, dtype=np.int64))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            star(ident2(), MonomialMatrix.identity(3))
 
 
 class TestLambdaOfPair:

@@ -113,6 +113,52 @@ class TestLambdaFormat:
             lambda_from_dict({"n": 2, "entries": [[1, 2, 1]], "note": "hi"})
 
 
+class TestStrictNumbers:
+    # JSON floats and booleans are never read as integers
+    def test_sign_rejects_floats_and_bools(self):
+        for kappa in ([1.0], [True], [-1.0]):
+            with pytest.raises(ValueError):
+                presentation_from_dict({"m": 1, "kappa": kappa})
+        with pytest.raises(ValueError):
+            lambda_from_dict({"n": 2, "entries": [[1, 2, -1.0]]})
+
+    def test_sizes_and_indices_reject_floats_and_bools(self):
+        with pytest.raises(ValueError):
+            presentation_from_dict({"m": True, "kappa": [1]})
+        with pytest.raises(ValueError):
+            presentation_from_dict({"m": 2.0, "kappa": [1, 1]})
+        with pytest.raises(ValueError):
+            presentation_from_dict({"m": 2, "kappa": [1, 1], "delta": [[True, 2, 1]]})
+        with pytest.raises(ValueError):
+            presentation_from_dict({"m": 2, "kappa": [1, 1], "delta": [[1, 2, True]]})
+        with pytest.raises(ValueError):
+            lambda_from_dict({"n": True, "entries": []})
+        with pytest.raises(ValueError):
+            lambda_from_dict({"n": 2, "entries": [[1.0, 2, 1]]})
+
+    def test_monomial_rejects_floats_and_bools(self):
+        good = {"order": 2, "perm": [1, 0], "signs": [1, -1]}
+        assert monomial_from_dict(good) == MonomialMatrix([1, 0], [1, -1])
+        for key, bad in (
+            ("perm", [0.9, 1.2]),
+            ("perm", [1.0, 0.0]),
+            ("signs", [1.0, -1.4]),
+            ("signs", [True, True]),
+            ("order", 2.0),
+            ("order", True),
+        ):
+            with pytest.raises(ValueError):
+                monomial_from_dict({**good, key: bad})
+
+    def test_dense_rejects_floats_and_bools(self):
+        with pytest.raises(ValueError):
+            dense_from_rows([[1.0, 1.0], [1.0, -1.0]])
+        with pytest.raises(ValueError):
+            dense_from_rows([[1, 1], [1, -1.5]])
+        with pytest.raises(ValueError):
+            dense_from_rows([[True, True], [True, True]])
+
+
 class TestBundleFormat:
     def test_round_trip_and_reverify(self):
         bundle = complete(2)

@@ -15,6 +15,7 @@ from qcliff import (
     verify_solution,
 )
 from qcliff.matrices import ident2, j2, z2
+from qcliff.solve import _irrep_order_masks
 
 from helpers import random_monomial_matrix
 
@@ -112,6 +113,22 @@ class TestPresentationFrom:
                 assert gmin == hmin
 
 
+class TestCandidateOrder:
+    def test_matches_full_classification_for_every_kappa(self):
+        # the sweep's per-candidate order against the object-level
+        # classify(decompose(...)) reference, over all of {+-1}^n
+        rng = np.random.default_rng(89)
+        for n in range(2, 7):
+            patterns = [LambdaPattern.constant(n, -1), LambdaPattern.constant(n, 1)]
+            patterns += [random_pattern(rng, n) for _ in range(3)]
+            for lam in patterns:
+                neg_rows = lam.neg_masks()
+                for bits in range(1 << n):
+                    kappa = tuple(-1 if (bits >> i) & 1 else 1 for i in range(n))
+                    want = classify_presentation(presentation_from(lam, kappa)).irrep_order
+                    assert _irrep_order_masks(neg_rows, n, bits) == want, (lam, kappa)
+
+
 class TestSolve:
     def test_all_anti_n4(self):
         result = solve(LambdaPattern.constant(4, -1))
@@ -149,13 +166,6 @@ class TestSolve:
         a, b = solve(lam), solve(lam)
         assert a.kappa == b.kappa and a.b == b.b
         assert all(x == y for x, y in zip(a.D, b.D))
-
-    def test_parallel_matches_serial(self):
-        # n=13 crosses the chunking threshold, so the pool really runs
-        lam = LambdaPattern.constant(13, -1)
-        serial = solve(lam)
-        fanned = solve(lam, parallel=2)
-        assert serial.kappa == fanned.kappa and serial.b == fanned.b
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
