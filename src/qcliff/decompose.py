@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .gf2 import Gf2Matrix, bilinear_parity
+from .gf2 import Gf2Matrix, xor_rows
 from .presentation import AlgebraPresentation, SignedMonomial, _unmask
 
 
@@ -98,14 +98,20 @@ class Decomposition:
                 raise ValueError("new generators must carry sign +1")
             if P.square_sign(g) != squares[row]:
                 raise ValueError(f"recorded square of generator {row} is wrong")
-        normal = self.normal_presentation()
+        # pair (i, j) anticommutes iff g_i^T D g_j + g_j^T D g_i is odd,
+        # D the presentation's own upper-triangle table; c_i = g_i^T D.
+        # The rows of basis_change were just checked to be the g_i.
+        masks = self.basis_change.bits
+        c = [xor_rows(P._delta_gt, g) for g in masks]
         for i in range(len(gens)):
+            ci, gi = c[i], masks[i]
+            partner = i + 1 if i >= self.r and (i - self.r) % 2 == 0 else -1
             for j in range(i + 1, len(gens)):
-                want = -1 if normal.delta(i, j) else 1
-                if P.commutation_sign(gens[i], gens[j]) != want:
+                anti = ((ci & masks[j]).bit_count() + (c[j] & gi).bit_count()) & 1
+                if anti != (j == partner):
                     raise ValueError(
                         f"generators {i}, {j} have commutation sign "
-                        f"{P.commutation_sign(gens[i], gens[j])}, expected {want}"
+                        f"{-1 if anti else 1}, expected {-1 if j == partner else 1}"
                     )
 
 
@@ -132,20 +138,24 @@ def radical_dimension(P: AlgebraPresentation) -> int:
 def symplectic_reduce(frows: tuple[int, ...], m: int) -> tuple[list[int], list[tuple[int, int]]]:
     """Core Gram-Schmidt pass over exponent-vector bitmasks.
 
-    Pivots are always the lowest-index remaining vector, and its partner
-    the lowest-index remaining vector pairing with it, so the output is
-    deterministic.  After extracting a pair ``(u, v)`` every remaining
-    ``w`` is replaced by ``w + B(w,v)u + B(w,u)v``, which removes its
-    components against the pair and keeps the span intact.
+    ``frows`` are the row bitmasks of a symmetric GF(2) matrix, as
+    :func:`form_matrix` and the solver's rank-2 update both give; the
+    symmetry lets ``B(w, v)`` be read as ``(v^T F) w``, one row sum per
+    pivot vector.  Pivots are always the lowest-index remaining vector,
+    and its partner the lowest-index remaining vector pairing with it, so
+    the output is deterministic.  After extracting a pair ``(u, v)`` every
+    remaining ``w`` is replaced by ``w + B(w,v)u + B(w,u)v``, which
+    removes its components against the pair and keeps the span intact.
     """
     remaining = [1 << i for i in range(m)]
     centrals: list[int] = []
     pairs: list[tuple[int, int]] = []
     while remaining:
         u = remaining.pop(0)
+        fu = xor_rows(frows, u)
         partner = None
         for idx, v in enumerate(remaining):
-            if bilinear_parity(frows, u, v):
+            if (fu & v).bit_count() & 1:
                 partner = idx
                 break
         if partner is None:
@@ -153,11 +163,12 @@ def symplectic_reduce(frows: tuple[int, ...], m: int) -> tuple[list[int], list[t
             continue
         v = remaining.pop(partner)
         pairs.append((u, v))
+        fv = xor_rows(frows, v)
         fixed = []
         for w in remaining:
-            if bilinear_parity(frows, w, v):
+            if (fv & w).bit_count() & 1:
                 w ^= u
-            if bilinear_parity(frows, w, u):
+            if (fu & w).bit_count() & 1:
                 w ^= v
             fixed.append(w)
         remaining = fixed

@@ -3,6 +3,11 @@
 Row ``i`` is a python int whose bit ``j`` is the entry ``(i, j)``.  That
 keeps elimination down to word operations, which matters in the solver's
 sign-assignment sweep where thousands of small matrices are reduced.
+
+:func:`xor_rows` is the one set-bit walk in the package: ``u^T R`` as a
+row mask, the xor of the rows ``R[i]`` picked by the bits of ``u``.  A
+bilinear form ``u^T R v`` is that mask ANDed with ``v``, and a caller
+that pairs one ``u`` with many ``v`` computes the mask once.
 """
 
 from __future__ import annotations
@@ -11,20 +16,24 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
+def xor_rows(rows: Sequence[int], u: int) -> int:
+    """Row mask of ``u^T R`` over GF(2), ``R`` given by its row bitmasks."""
+    acc = 0
+    t = u
+    while t:
+        low = t & -t
+        acc ^= rows[low.bit_length() - 1]
+        t ^= low
+    return acc
+
+
 def bilinear_parity(rows: Sequence[int], u: int, v: int) -> int:
     """Parity bit of ``u^T R v`` over GF(2), ``R`` given by its row bitmasks.
 
-    Walks the set bits ``i`` of ``u`` and adds ``popcount(R[i] & v)``.
     Every monomial sign in the package (products, squares, commutation)
-    and the symplectic form are this one sum over a different ``R``.
+    is this one sum over a different ``R``.
     """
-    par = 0
-    t = u
-    while t:
-        i = (t & -t).bit_length() - 1
-        par ^= (rows[i] & v).bit_count()
-        t &= t - 1
-    return par & 1
+    return (xor_rows(rows, u) & v).bit_count() & 1
 
 
 @dataclass(frozen=True)

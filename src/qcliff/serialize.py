@@ -9,6 +9,7 @@ Hadamard matrices additionally support a compact text form with one
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Sequence
 
 import numpy as np
@@ -46,11 +47,26 @@ def _sign(v: Any, what: str) -> int:
 
 
 def _int_array(values: Any, what: str) -> np.ndarray:
-    """``values`` as an integer array; floats, bools and other kinds are refused."""
+    """``values`` as an integer array; floats, bools and other kinds are refused.
+
+    NumPy reads a list mixing booleans with integers as int64, so the
+    entries' types are also scanned, by ``map`` in C and not per entry in
+    Python: the bundle reader passes every dense row through here.
+    """
     arr = np.asarray(values)
     if arr.size and arr.dtype.kind != "i":
         raise ValueError(f"{what} must hold integers only, got {arr.dtype} entries")
+    if arr.ndim in (1, 2):
+        flat = values if arr.ndim == 1 else chain.from_iterable(values)
+        if bool in map(type, flat):
+            raise ValueError(f"{what} must hold integers only, got a boolean entry")
     return arr
+
+
+def _check_ints(obj: dict, names: Sequence[str], what: str) -> None:
+    for name in names:
+        if not _is_int(obj[name]):
+            raise ValueError(f"{what} {name} must be an integer, got {obj[name]!r}")
 
 
 # -- presentations ----------------------------------------------------------
@@ -130,7 +146,7 @@ def sign_matrix_from_text_rows(rows: Sequence[str]) -> DenseSignMatrix:
         if set(line) - {"+", "-"}:
             raise ValueError(f"sign row may only contain '+' and '-': {line!r}")
         parsed.append([1 if ch == "+" else -1 for ch in line])
-    return dense_from_rows(parsed)
+    return DenseSignMatrix(parsed)
 
 
 # -- monomials, decompositions, classifications -----------------------------
@@ -263,11 +279,15 @@ _REPORT_CHECKS = (
 
 def report_from_dict(obj: dict) -> VerificationReport:
     _require_keys(obj, ["n", "b", "order", "checks", "passed"])
+    _check_ints(obj, ("n", "b", "order"), "report")
     checks = obj["checks"]
     _require_keys(checks, list(_REPORT_CHECKS))
+    for name, value in [*checks.items(), ("passed", obj["passed"])]:
+        if not isinstance(value, bool):
+            raise ValueError(f"report {name} must be true or false, got {value!r}")
     return VerificationReport(
         n=obj["n"], b=obj["b"], order=obj["order"],
-        **{name: bool(checks[name]) for name in _REPORT_CHECKS},
+        **{name: checks[name] for name in _REPORT_CHECKS},
     )
 
 
@@ -287,6 +307,7 @@ def bundle_to_dict(bundle: HadamardBundle) -> dict:
 
 def bundle_from_dict(obj: dict) -> HadamardBundle:
     _require_keys(obj, ["n", "b", "A", "lambda", "D", "S", "B", "H", "report"])
+    _check_ints(obj, ("n", "b"), "bundle")
     A = tuple(monomial_from_dict(a) for a in obj["A"])
     lam = lambda_from_dict(obj["lambda"])
     D = tuple(monomial_from_dict(d) for d in obj["D"])

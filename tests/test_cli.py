@@ -179,6 +179,19 @@ class TestHadamard:
         path = write_json(tmp_path, "broken.json", d)
         assert main(["verify", str(path)]) == 3
 
+    def test_malformed_bundle_header_fails_with_code_1(self, tmp_path, capsys):
+        d = bundle_to_dict(complete(1))
+        for name, bad in (
+            ("n", {**d, "n": float(d["n"])}),
+            ("check", {**d, "report": {
+                **d["report"], "checks": {**d["report"]["checks"], "hadamard": "no"},
+            }}),
+            ("passed", {**d, "report": {**d["report"], "passed": "yes"}}),
+        ):
+            path = write_json(tmp_path, f"{name}.json", bad)
+            assert main(["verify", path]) == 1
+            assert "error:" in capsys.readouterr().err
+
     def test_text_output_file(self, tmp_path, capsys):
         text_path = tmp_path / "h.txt"
         rc = main(["hadamard", "1", "--text-output", str(text_path)])

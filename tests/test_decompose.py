@@ -1,15 +1,124 @@
+import numpy as np
 import pytest
 
 from qcliff import (
     AlgebraPresentation,
+    Gf2Matrix,
+    SignedMonomial,
     clifford_presentation,
     decompose,
     form_matrix,
     quaternion_presentation,
     radical_dimension,
 )
+from qcliff.decompose import Central, Decomposition, HyperbolicPair, symplectic_reduce
 
-from helpers import all_presentations, word_mul, word_of
+from helpers import all_presentations, random_presentation, word_mul, word_of
+
+
+def reference_validate(D):
+    """The pairwise ``commutation_sign`` form of ``Decomposition.validate``."""
+    P = D.presentation
+    if D.r + 2 * D.s != P.m:
+        raise ValueError(f"r + 2s = {D.r + 2 * D.s} differs from m = {P.m}")
+    if D.basis_change.rows != P.m or D.basis_change.cols != P.m:
+        raise ValueError("basis_change has the wrong shape")
+    if not D.basis_change.is_invertible():
+        raise ValueError("basis_change is singular over GF(2)")
+    gens = D.new_generators
+    squares = D.new_generator_squares
+    for row, g in enumerate(gens):
+        if D.basis_change.row_mask(row) != g.mask:
+            raise ValueError(f"basis_change row {row} does not match generator")
+        if g.sign != 1:
+            raise ValueError("new generators must carry sign +1")
+        if P.square_sign(g) != squares[row]:
+            raise ValueError(f"recorded square of generator {row} is wrong")
+    normal = D.normal_presentation()
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            want = -1 if normal.delta(i, j) else 1
+            got = P.commutation_sign(gens[i], gens[j])
+            if got != want:
+                raise ValueError(
+                    f"generators {i}, {j} have commutation sign {got}, expected {want}"
+                )
+
+
+def reference_reduce(frows, m):
+    """Set-bit copy of ``symplectic_reduce``: one bilinear sum per test."""
+
+    def form(u, v):
+        return sum((frows[i] & v).bit_count() for i in range(m) if (u >> i) & 1) & 1
+
+    remaining = [1 << i for i in range(m)]
+    centrals, pairs = [], []
+    while remaining:
+        u = remaining.pop(0)
+        partner = next((k for k, v in enumerate(remaining) if form(u, v)), None)
+        if partner is None:
+            centrals.append(u)
+            continue
+        v = remaining.pop(partner)
+        pairs.append((u, v))
+        fixed = []
+        for w in remaining:
+            if form(w, v):
+                w ^= u
+            if form(w, u):
+                w ^= v
+            fixed.append(w)
+        remaining = fixed
+    return centrals, pairs
+
+
+def rebuild(D, masks, squares):
+    """``D`` with its generators (in basis_change row order) replaced."""
+    P, r = D.presentation, D.r
+    mono = [SignedMonomial(1, tuple((g >> i) & 1 for i in range(P.m))) for g in masks]
+    centrals = tuple(Central(mono[i], squares[i]) for i in range(r))
+    pairs = tuple(
+        HyperbolicPair(mono[k], squares[k], mono[k + 1], squares[k + 1])
+        for k in range(r, P.m, 2)
+    )
+    return Decomposition(P, centrals, pairs, Gf2Matrix.from_row_masks(masks, P.m))
+
+
+def mutants(rng, D):
+    """Seeded corruptions: a flipped basis bit with its square recomputed,
+    two swapped generators, a swapped pair, and a wrong recorded square."""
+    P, m = D.presentation, D.presentation.m
+    masks, squares = list(D.basis_change.bits), list(D.new_generator_squares)
+    for _ in range(4):
+        k, bit = int(rng.integers(m)), int(rng.integers(m))
+        g = list(masks)
+        g[k] ^= 1 << bit
+        sq = list(squares)
+        sq[k] = P.square_sign_mask(g[k])
+        yield rebuild(D, g, sq)
+    if m > 1:
+        for _ in range(3):
+            i, j = (int(x) for x in rng.choice(m, size=2, replace=False))
+            g, sq = list(masks), list(squares)
+            g[i], g[j], sq[i], sq[j] = g[j], g[i], sq[j], sq[i]
+            yield rebuild(D, g, sq)
+    for t in range(D.s):
+        k = D.r + 2 * t
+        g, sq = list(masks), list(squares)
+        g[k], g[k + 1], sq[k], sq[k + 1] = g[k + 1], g[k], sq[k + 1], sq[k]
+        yield rebuild(D, g, sq)
+    k = int(rng.integers(m))
+    sq = list(squares)
+    sq[k] = -sq[k]
+    yield rebuild(D, masks, sq)
+
+
+def verdict(check, D):
+    try:
+        check(D)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 class TestFormMatrix:
@@ -90,6 +199,47 @@ class TestDecompose:
                         assert normal.delta(i, j) == expected
                         got = P.commutation_sign(gens[i], gens[j])
                         assert got == (-1 if expected else 1)
+
+
+class TestValidate:
+    def test_corrupted_decompositions_match_the_pairwise_reference(self):
+        rng = np.random.default_rng(41)
+        outcomes = []
+        for m in [*range(1, 13), 20, 40]:
+            for _ in range(6 if m < 20 else 2):
+                P = random_presentation(rng, m)
+                D = decompose(P)
+                assert verdict(Decomposition.validate, D) is None
+                for bad in mutants(rng, D):
+                    got = verdict(Decomposition.validate, bad)
+                    assert got == verdict(reference_validate, bad)
+                    outcomes.append(got)
+        # every stage of the check is reached, including the pairwise one
+        assert any(o is None for o in outcomes)
+        assert any(o and o.startswith("basis_change is singular") for o in outcomes)
+        assert any(o and o.startswith("recorded square") for o in outcomes)
+        assert sum(bool(o and o.startswith("generators")) for o in outcomes) > 50
+
+    def test_wrong_pair_is_named(self):
+        D = decompose(clifford_presentation(2, 2))
+        masks, squares = list(D.basis_change.bits), list(D.new_generator_squares)
+        masks[1], masks[2], squares[1], squares[2] = masks[2], masks[1], squares[2], squares[1]
+        message = "generators 0, 1 have commutation sign 1, expected -1"
+        with pytest.raises(ValueError, match=message):
+            rebuild(D, masks, squares).validate()
+
+
+class TestSymplecticReduce:
+    def test_matches_the_set_bit_reference_on_symmetric_forms(self):
+        rng = np.random.default_rng(43)
+        for m in range(1, 41):
+            for alternating in (True, False):
+                upper = np.triu(rng.integers(0, 2, size=(m, m)), 1 if alternating else 0)
+                F = upper | upper.T
+                frows = Gf2Matrix.from_rows(F.tolist()).bits
+                assert symplectic_reduce(frows, m) == reference_reduce(frows, m)
+            frows = form_matrix(random_presentation(rng, m)).bits
+            assert symplectic_reduce(frows, m) == reference_reduce(frows, m)
 
 
 class TestRadicalDimension:

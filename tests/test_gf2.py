@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qcliff import Gf2Matrix
-from qcliff.gf2 import bilinear_parity
+from qcliff.gf2 import bilinear_parity, xor_rows
 
 
 def random_gf2(rng, rows, cols):
@@ -80,6 +80,18 @@ def test_bilinear_parity_against_dense_product():
         um = sum(int(b) << i for i, b in enumerate(u))
         vm = sum(int(b) << i for i, b in enumerate(v))
         assert bilinear_parity(rows, um, vm) == int(u @ R @ v) % 2
+
+
+def test_xor_rows_against_dense_product():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        n, cols = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        R = rng.integers(0, 2, size=(n, cols))
+        u = rng.integers(0, 2, size=n)
+        rows = Gf2Matrix.from_rows(R.tolist()).bits
+        um = sum(int(b) << i for i, b in enumerate(u))
+        want = sum((int(b) % 2) << j for j, b in enumerate(u @ R))
+        assert xor_rows(rows, um) == want
 
 
 def test_transpose():

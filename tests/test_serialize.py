@@ -158,6 +158,36 @@ class TestStrictNumbers:
         with pytest.raises(ValueError):
             dense_from_rows([[True, True], [True, True]])
 
+    def test_booleans_mixed_with_integers_rejected(self):
+        # NumPy reads such a list as int64, so the dtype alone misses it
+        good = {"order": 2, "perm": [1, 0], "signs": [1, -1]}
+        for key, bad in (("perm", [True, 0]), ("perm", [1, False]), ("signs", [1, True])):
+            with pytest.raises(ValueError, match="boolean"):
+                monomial_from_dict({**good, key: bad})
+        with pytest.raises(ValueError, match="boolean"):
+            dense_from_rows([[1, 1], [True, -1]])
+
+    def test_bundle_header_rejects_floats_and_bools(self):
+        d = bundle_to_dict(complete(1))
+        assert bundle_from_dict(d).n == 2
+        for key in ("n", "b"):
+            for bad in (float(d[key]), True):
+                with pytest.raises(ValueError):
+                    bundle_from_dict({**d, key: bad})
+
+    def test_report_rejects_non_integer_sizes_and_non_boolean_checks(self):
+        d = bundle_to_dict(complete(1))
+        report = d["report"]
+        for key in ("n", "b", "order"):
+            with pytest.raises(ValueError, match=key):
+                bundle_from_dict({**d, "report": {**report, key: float(report[key])}})
+        for bad in ("no", 1, 0, None):
+            checks = {**report["checks"], "hadamard": bad}
+            with pytest.raises(ValueError, match="hadamard"):
+                bundle_from_dict({**d, "report": {**report, "checks": checks}})
+            with pytest.raises(ValueError, match="passed"):
+                bundle_from_dict({**d, "report": {**report, "passed": bad}})
+
 
 class TestBundleFormat:
     def test_round_trip_and_reverify(self):
