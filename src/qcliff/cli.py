@@ -10,7 +10,8 @@ error, 2 resource cap exceeded, 3 verification failure.
 
 Resource caps can be overridden by flags or environment variables:
 ``QCLIFF_MAX_N`` (sign-sweep size cap), ``QCLIFF_MAX_M`` (tensor depth
-cap) and ``QCLIFF_MAX_ORDER`` (assembled matrix order cap).
+cap) and ``QCLIFF_MAX_ORDER`` (order cap of an assembled Hadamard matrix
+or of a represented irreducible).
 """
 
 from __future__ import annotations
@@ -115,11 +116,14 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_represent(args: argparse.Namespace) -> int:
     P = presentation_from_dict(_load_json(args.presentation))
     D = decompose(P)
+    wt = classify(D)
+    if wt.irrep_order > args.max_order:
+        raise CapExceeded(f"irreducible order {wt.irrep_order} exceeds the cap {args.max_order}")
     character = _parse_character(args.character, character_length(D))
     rep = pushforward(build_irrep(D, character))
     if args.format == "json":
         out = representation_to_dict(rep)
-        out["wedderburn"] = wedderburn_to_dict(classify(D))
+        out["wedderburn"] = wedderburn_to_dict(wt)
         _emit_json(out)
     else:
         sys.stdout.write(f"order: {rep.order}\ncharacter: {''.join(map(str, rep.character))}\n")
@@ -244,6 +248,7 @@ def build_parser() -> _Parser:
     p.add_argument("presentation")
     p.add_argument("--character", default=None,
                    help="0/1 bits choosing central signs (default: all zero)")
+    p.add_argument("--max-order", type=int, default=_env_int("QCLIFF_MAX_ORDER", 1 << 20))
     common(p)
     p.set_defaults(func=cmd_represent)
 

@@ -20,7 +20,7 @@ returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -247,8 +247,28 @@ def run_checks(
 
 
 def verify_bundle(bundle: HadamardBundle) -> HadamardBundle:
-    """Recompute the verification report of a stored bundle."""
+    """Recompute the verification report of a stored bundle.
+
+    Also checks what the report does not cover: ``S S^T == b I``, every
+    stored ``B_k == D_k @ S``, and, when the recomputed report passes, a
+    stored report equal to it (a failing report is returned as is, since
+    it already fails the bundle).  Raises ``VerificationError`` naming the
+    first bad ``k`` or the first differing report field.
+    """
+    b, S = bundle.b, bundle.S.array
+    if not np.array_equal(S @ S.T, b * np.eye(b, dtype=np.int64)):
+        raise VerificationError("stored S is not a Hadamard matrix: S S^T != b I")
+    for k, (d, bk) in enumerate(zip(bundle.D, bundle.B, strict=True)):
+        if d.order != b or not np.array_equal(d.mul_dense(S), bk.array):
+            raise VerificationError(f"stored B_{k} differs from D_{k} @ S")
     report = run_checks(bundle.A, bundle.lam, bundle.B, bundle.H)
+    if report.passed and bundle.report != report:
+        field = next(
+            f.name
+            for f in fields(report)
+            if getattr(report, f.name) != getattr(bundle.report, f.name)
+        )
+        raise VerificationError(f"stored report differs from the recomputed one at {field}")
     return replace(bundle, report=report)
 
 

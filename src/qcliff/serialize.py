@@ -285,6 +285,8 @@ def report_from_dict(obj: dict) -> VerificationReport:
     for name, value in [*checks.items(), ("passed", obj["passed"])]:
         if not isinstance(value, bool):
             raise ValueError(f"report {name} must be true or false, got {value!r}")
+    if obj["passed"] != all(checks[name] for name in _REPORT_CHECKS):
+        raise ValueError("report passed contradicts its checks")
     return VerificationReport(
         n=obj["n"], b=obj["b"], order=obj["order"],
         **{name: checks[name] for name in _REPORT_CHECKS},
@@ -315,7 +317,7 @@ def bundle_from_dict(obj: dict) -> HadamardBundle:
     B = tuple(dense_from_rows(rows) for rows in obj["B"])
     H = sign_matrix_from_text_rows(obj["H"])
     report = report_from_dict(obj["report"])
-    if len(A) != obj["n"] or len(B) != obj["n"]:
+    if any(len(family) != obj["n"] for family in (A, D, B)):
         raise ValueError("bundle family sizes do not match n")
     if S.order != obj["b"] or any(x.order != obj["b"] for x in B):
         raise ValueError("bundle inner orders do not match b")

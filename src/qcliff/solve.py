@@ -4,10 +4,11 @@ Given a symmetric table ``lam`` of +1 (amicable) / -1 (anti-amicable)
 requirements ``D_j @ D_k.T == lam[j,k] * D_k @ D_j.T``, any family of
 orthogonal monomial matrices with ``D_j @ D_j == kappa_j * I`` realizes
 ``lam`` precisely when generator ``j`` and ``k`` anticommute iff
-``lam[j,k] * kappa_j * kappa_k == -1``.  The solver sweeps all sign
-assignments ``kappa`` (modulo the global flip, which changes nothing),
-classifies each induced presentation, and keeps the assignment with the
-smallest irreducible order.  The matrices themselves come from the
+``lam[j,k] * kappa_j * kappa_k == -1``.  The solver first computes the
+minimal irreducible order exactly from two classifications (see
+:func:`_order_floor`), then sweeps the sign assignments ``kappa`` with the
+first square +1 in lexicographic order and stops at the first one whose
+order meets that floor.  The matrices themselves come from the
 representation builder and are re-verified pair by pair before returning.
 """
 
@@ -149,13 +150,56 @@ def _irrep_order_masks(neg_rows: Sequence[int], n: int, kappa_mask: int) -> int:
     return case.irrep_order(len(pairs))
 
 
+def _order_floor(lam: LambdaPattern) -> int:
+    """Minimal irreducible order over all sign assignments, from two classifications.
+
+    Write L for the anti-amicable (``lam == -1``) adjacency matrix, k for
+    the bit vector of ``kappa == -1`` and q_k(x) for the square sign bit of
+    the monomial with exponent vector x in ``presentation_from(lam, kappa)``.
+
+    - q_k(x) = q_L(x) + (1.x)(k.x) over GF(2), where q_L is q at
+      ``kappa = +1``.
+    - The R/C/H rule is equivalent to irrep order ``2**(n - d)``, with d
+      the largest dimension of a subspace on which q vanishes.
+    - On the even-weight hyperplane E, q_k equals q_L.  A q_k-null
+      subspace meets E in a q_L-null one of codimension at most 1, so
+      d_k <= d_L + 1 for every k, and k = 0 gives d_L.
+    - d_L + 1 is reached iff E holds a q_L-null subspace W0 of dimension
+      d_L, that is iff the presentation on the basis x_i = e_0 + e_i of E
+      (x_i squares to ``lam[0][i]``; x_i, x_j anticommute iff
+      ``lam[0][i] * lam[0][j] * lam[i][j] == -1``) has half the order of
+      the ``kappa = +1`` one.
+    - W0 + <e_0> is then null for the k with k.e_0 = q_L(e_0) = 0 and
+      k.y = B_L(y, e_0) on W0; that k has ``kappa_0 = +1``, so the floor
+      is reached on the half sweep too.
+    """
+    n = lam.n
+    order_l = classify_presentation(presentation_from(lam, (1,) * n)).irrep_order
+    rows = lam.rows
+    even = AlgebraPresentation(
+        [rows[0][i] for i in range(1, n)],
+        [
+            (i - 1, j - 1)
+            for i in range(1, n)
+            for j in range(i + 1, n)
+            if rows[0][i] * rows[0][j] * rows[i][j] == -1
+        ],
+    )
+    order_e = classify_presentation(even).irrep_order
+    return order_l // 2 if order_e == order_l // 2 else order_l
+
+
 def solve(lam: LambdaPattern, max_n: int = DEFAULT_SOLVE_CAP) -> SolveResult:
     """Minimal-order monomial realization of an amicability pattern.
 
-    Exhausts sign assignments with ``kappa_1 = +1`` in lexicographic
-    order (+1 before -1), keeps the first assignment reaching the
-    minimal irreducible order, builds the generator images for it and
-    re-verifies every pairwise condition by exact multiplication.
+    Computes the minimal irreducible order with :func:`_order_floor`,
+    then walks sign assignments with ``kappa_1 = +1`` in lexicographic
+    order (+1 before -1) and stops at the first one whose order equals
+    that floor.  The floor is a lower bound, so this is the first
+    minimiser the full sweep would keep; a candidate below the floor, or
+    a sweep that never reaches it, raises ``VerificationError``.  Builds
+    the generator images for the chosen assignment and re-verifies every
+    pairwise condition by exact multiplication.
     """
     n = lam.n
     if n < 2:
@@ -163,7 +207,7 @@ def solve(lam: LambdaPattern, max_n: int = DEFAULT_SOLVE_CAP) -> SolveResult:
     if n > max_n:
         raise CapExceeded(f"kappa sweep for n={n} exceeds the cap {max_n}")
     neg_rows = lam.neg_masks()
-    best_order, best_mask = None, 0
+    floor = _order_floor(lam)
     for c in range(1 << (n - 1)):
         # candidate bits map big-endian onto positions 1..n-1; position 0
         # stays +1, quotienting out the global sign flip
@@ -172,16 +216,22 @@ def solve(lam: LambdaPattern, max_n: int = DEFAULT_SOLVE_CAP) -> SolveResult:
             if (c >> (n - 1 - i)) & 1:
                 kappa_mask |= 1 << i
         order = _irrep_order_masks(neg_rows, n, kappa_mask)
-        if best_order is None or order < best_order:
-            best_order, best_mask = order, kappa_mask
+        if order < floor:
+            raise VerificationError(
+                f"candidate {c} has order {order} below the floor {floor}"
+            )
+        if order == floor:
+            break
+    else:
+        raise VerificationError(f"no candidate reaches the order floor {floor}")
 
-    kappa = tuple(-1 if (best_mask >> i) & 1 else 1 for i in range(n))
+    kappa = tuple(-1 if (kappa_mask >> i) & 1 else 1 for i in range(n))
     pres = presentation_from(lam, kappa)
     wt = classify_presentation(pres)
-    if wt.irrep_order != best_order:
+    if wt.irrep_order != floor:
         raise VerificationError("sweep fast path disagrees with full classification")
     rep = minimal_images(pres)
-    result = SolveResult(kappa, pres, wt, best_order, rep.generator_images)
+    result = SolveResult(kappa, pres, wt, floor, rep.generator_images)
     verify_solution(lam, result)
     return result
 

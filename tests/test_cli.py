@@ -79,6 +79,18 @@ class TestDecomposeAndRepresent:
         rc = main(["represent", quaternion_file(tmp_path), "--character", "01"])
         assert rc == 1
 
+    def test_represent_order_cap_exits_2_before_building(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_irrep called above the order cap")
+
+        monkeypatch.setattr("qcliff.cli.build_irrep", refuse)
+        path = quaternion_file(tmp_path)
+        assert main(["represent", path, "--max-order", "2"]) == 2
+        assert "exceeds the cap 2" in capsys.readouterr().err
+        monkeypatch.setenv("QCLIFF_MAX_ORDER", "3")
+        assert main(["represent", path, "--format", "json"]) == 2
+        assert "irreducible order 4" in capsys.readouterr().err
+
 
 class TestSolve:
     def test_all_anti_n8(self, tmp_path, capsys):
@@ -178,6 +190,25 @@ class TestHadamard:
         d["H"][0] = ("-" if row[0] == "+" else "+") + row[1:]
         path = write_json(tmp_path, "broken.json", d)
         assert main(["verify", str(path)]) == 3
+
+    def test_flipped_d_sign_fails_with_code_3(self, tmp_path, capsys):
+        d = bundle_to_dict(complete(1))
+        d["D"][1]["signs"][0] *= -1
+        path = write_json(tmp_path, "flipped.json", d)
+        assert main(["verify", path]) == 3
+        assert "B_1 differs from D_1" in capsys.readouterr().err
+
+    def test_edited_stored_report_fails(self, tmp_path, capsys):
+        d = bundle_to_dict(complete(1))
+        report = d["report"]
+        failed = {**report, "checks": {**report["checks"], "hadamard": False}, "passed": False}
+        path = write_json(tmp_path, "failed.json", {**d, "report": failed})
+        assert main(["verify", path]) == 3
+        assert "at hadamard" in capsys.readouterr().err
+        # passed: false beside all-true checks contradicts itself: a format error
+        path = write_json(tmp_path, "passed.json", {**d, "report": {**report, "passed": False}})
+        assert main(["verify", path]) == 1
+        assert "contradicts" in capsys.readouterr().err
 
     def test_malformed_bundle_header_fails_with_code_1(self, tmp_path, capsys):
         d = bundle_to_dict(complete(1))

@@ -8,6 +8,7 @@ from qcliff import (
     DenseSignMatrix,
     MonomialMatrix,
     TransversalSpec,
+    VerificationError,
     complete,
     lambda_of_pair,
     lambda_of_transversal,
@@ -161,3 +162,28 @@ class TestComplete:
     def test_verify_bundle_passes_on_good_data(self):
         bundle = complete(2)
         assert verify_bundle(bundle).report.passed
+
+    def test_verify_bundle_checks_d_and_s_against_b(self):
+        import dataclasses
+
+        bundle = complete(2)
+        d = bundle.D[1]
+        signs = d.signs.copy()
+        signs[0] = -signs[0]
+        D = bundle.D[:1] + (MonomialMatrix(d.perm, signs),) + bundle.D[2:]
+        with pytest.raises(VerificationError, match="B_1"):
+            verify_bundle(dataclasses.replace(bundle, D=D))
+        ones = DenseSignMatrix(np.ones((bundle.b, bundle.b), dtype=np.int64))
+        with pytest.raises(VerificationError, match="S S"):
+            verify_bundle(dataclasses.replace(bundle, S=ones))
+        with pytest.raises(ValueError):
+            verify_bundle(dataclasses.replace(bundle, D=bundle.D[:2]))
+
+    def test_verify_bundle_compares_the_stored_report(self):
+        import dataclasses
+
+        bundle = complete(2)
+        for field, value in (("hadamard", False), ("b_lambda", False), ("order", 7)):
+            stored = dataclasses.replace(bundle.report, **{field: value})
+            with pytest.raises(VerificationError, match=field):
+                verify_bundle(dataclasses.replace(bundle, report=stored))

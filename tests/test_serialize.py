@@ -203,6 +203,7 @@ class TestBundleFormat:
     def test_inconsistent_sizes_rejected(self):
         bundle = complete(1)
         d = bundle_to_dict(bundle)
-        d["n"] = 3
         with pytest.raises(ValueError):
-            bundle_from_dict(d)
+            bundle_from_dict({**d, "n": 3})
+        with pytest.raises(ValueError, match="family sizes"):
+            bundle_from_dict({**d, "D": d["D"][:1]})

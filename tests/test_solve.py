@@ -1,21 +1,26 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from qcliff import (
     CapExceeded,
     LambdaPattern,
+    TransversalSpec,
     check_hr_bound,
     classify_presentation,
     lambda_of_pair,
+    lambda_of_transversal,
     minimal_images,
     presentation_from,
     rho,
     solve,
     tensor_presentation,
+    transversal,
     verify_solution,
 )
 from qcliff.matrices import ident2, j2, z2
-from qcliff.solve import _irrep_order_masks
+from qcliff.solve import _irrep_order_masks, _order_floor
 
 from helpers import random_monomial_matrix
 
@@ -127,6 +132,57 @@ class TestCandidateOrder:
                     kappa = tuple(-1 if (bits >> i) & 1 else 1 for i in range(n))
                     want = classify_presentation(presentation_from(lam, kappa)).irrep_order
                     assert _irrep_order_masks(neg_rows, n, bits) == want, (lam, kappa)
+
+
+def full_sweep_reference(lam):
+    """The sweep without a floor: every kappa with kappa_0 = +1, first minimiser kept."""
+    n = lam.n
+    neg_rows = lam.neg_masks()
+    best_order, best_mask = None, 0
+    for c in range(1 << (n - 1)):
+        kappa_mask = sum(1 << i for i in range(1, n) if (c >> (n - 1 - i)) & 1)
+        order = _irrep_order_masks(neg_rows, n, kappa_mask)
+        if best_order is None or order < best_order:
+            best_order, best_mask = order, kappa_mask
+    return tuple(-1 if (best_mask >> i) & 1 else 1 for i in range(n)), best_order
+
+
+def all_patterns(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for values in itertools.product((1, -1), repeat=len(pairs)):
+        yield LambdaPattern.from_pairs(n, dict(zip(pairs, values)))
+
+
+class TestOrderFloor:
+    @staticmethod
+    def assert_floor_is_the_minimum(lam):
+        neg_rows = lam.neg_masks()
+        orders = [_irrep_order_masks(neg_rows, lam.n, bits) for bits in range(1 << lam.n)]
+        # bit 0 clear is kappa_0 = +1, the half the solver sweeps
+        assert _order_floor(lam) == min(orders) == min(orders[0::2]), lam
+
+    def test_floor_is_the_minimum_for_every_pattern_up_to_n5(self):
+        for n in range(2, 6):
+            for lam in all_patterns(n):
+                self.assert_floor_is_the_minimum(lam)
+
+    def test_floor_is_the_minimum_on_seeded_patterns(self):
+        rng = np.random.default_rng(101)
+        for n in range(6, 11):
+            for _ in range(6):
+                self.assert_floor_is_the_minimum(random_pattern(rng, n))
+
+    def test_solve_matches_the_full_sweep_reference(self):
+        rng = np.random.default_rng(103)
+        patterns = [random_pattern(rng, n) for n in range(2, 13) for _ in range(3)]
+        patterns += [LambdaPattern.constant(n, v) for n in (2, 5, 9, 12) for v in (1, -1)]
+        patterns += [
+            lambda_of_transversal(transversal(TransversalSpec.default(m))) for m in (1, 2, 3)
+        ]
+        for lam in patterns:
+            kappa, order = full_sweep_reference(lam)
+            result = solve(lam)
+            assert (result.kappa, result.b) == (kappa, order), lam
 
 
 class TestSolve:
