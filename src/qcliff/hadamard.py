@@ -201,10 +201,9 @@ def run_checks(
     disjoint = all(
         supports_disjoint(A[j], A[k]) for j in range(n) for k in range(j + 1, n)
     )
-    total = np.zeros((n, n), dtype=np.int64)
-    for a in A:
-        total += a.to_dense()
-    tsum = bool(np.all(np.abs(total) == 1))
+    # n matrices of order n: each cell covered once <=> |sum A_k| == 1.
+    cells = [np.arange(n) * n + a.perm for a in A if a.order == n]
+    tsum = len(cells) == n and np.unique(np.concatenate(cells)).size == n * n
 
     ident_n = MonomialMatrix.identity(n)
     a_orth = all(a @ a.transpose() == ident_n for a in A)

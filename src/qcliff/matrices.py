@@ -7,6 +7,11 @@ are exact at any order.  Dense {-1,+1} matrices are thin wrappers over
 int64 numpy arrays; products of verified objects have entries bounded by
 the order, far inside int64 range.
 
+Only the public constructor validates and copies its input (parsers,
+callers, ``identity``, ``scalar``); ``@``, ``transpose``, negation and
+``tensor`` yield signed permutations by construction and skip the check.
+Amicability signs are decided on ``perm`` / ``signs`` in O(N).
+
 The Kronecker convention is row-major blocks throughout the package:
 ``(X.tensor(Y))[i1*Ny + i2, j1*Ny + j2] == X[i1,j1] * Y[i2,j2]``,
 matching ``numpy.kron``.
@@ -25,25 +30,31 @@ class MonomialMatrix:
     __slots__ = ("perm", "signs")
 
     def __init__(self, perm: Sequence[int], signs: Sequence[int]):
-        perm_arr = np.asarray(perm, dtype=np.int64)
-        signs_arr = np.asarray(signs, dtype=np.int64)
+        perm_arr = np.array(perm, dtype=np.int64)
+        signs_arr = np.array(signs, dtype=np.int64)
         if perm_arr.ndim != 1 or signs_arr.shape != perm_arr.shape:
             raise ValueError("perm and signs must be 1-d arrays of equal length")
         n = perm_arr.shape[0]
         if n == 0:
             raise ValueError("empty matrix")
-        counts = np.zeros(n, dtype=np.int64)
         if perm_arr.min() < 0 or perm_arr.max() >= n:
             raise ValueError("perm entries out of range")
-        np.add.at(counts, perm_arr, 1)
-        if not np.all(counts == 1):
+        if np.any(np.bincount(perm_arr, minlength=n) != 1):
             raise ValueError("perm is not a permutation")
         if not np.all(np.abs(signs_arr) == 1):
             raise ValueError("signs must be +1 or -1")
-        perm_arr.setflags(write=False)
-        signs_arr.setflags(write=False)
-        self.perm = perm_arr
-        self.signs = signs_arr
+        self._store(perm_arr, signs_arr)
+
+    def _store(self, perm: np.ndarray, signs: np.ndarray) -> "MonomialMatrix":
+        perm.setflags(write=False)
+        signs.setflags(write=False)
+        self.perm, self.signs = perm, signs
+        return self
+
+    @classmethod
+    def _closed(cls, perm: np.ndarray, signs: np.ndarray) -> "MonomialMatrix":
+        """Store int64 arrays that form a signed permutation by construction."""
+        return cls.__new__(cls)._store(perm, signs)
 
     @property
     def order(self) -> int:
@@ -62,19 +73,19 @@ class MonomialMatrix:
             return NotImplemented
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-        return MonomialMatrix(other.perm[self.perm], self.signs * other.signs[self.perm])
+        return self._closed(other.perm[self.perm], self.signs * other.signs[self.perm])
 
     def transpose(self) -> "MonomialMatrix":
         inv = np.empty(self.order, dtype=np.int64)
         inv[self.perm] = np.arange(self.order)
-        return MonomialMatrix(inv, self.signs[inv])
+        return self._closed(inv, self.signs[inv])
 
     @property
     def T(self) -> "MonomialMatrix":
         return self.transpose()
 
     def __neg__(self) -> "MonomialMatrix":
-        return MonomialMatrix(self.perm, -self.signs)
+        return self._closed(self.perm, -self.signs)
 
     def __mul__(self, scalar: int) -> "MonomialMatrix":
         if scalar == 1:
@@ -89,7 +100,7 @@ class MonomialMatrix:
         n2 = other.order
         perm = (self.perm[:, None] * n2 + other.perm[None, :]).reshape(-1)
         signs = (self.signs[:, None] * other.signs[None, :]).reshape(-1)
-        return MonomialMatrix(perm, signs)
+        return self._closed(perm, signs)
 
     def mul_dense(self, dense: np.ndarray) -> np.ndarray:
         """Exact product self @ dense without forming the dense self."""
@@ -171,17 +182,6 @@ class DenseSignMatrix:
         return f"DenseSignMatrix(order={self.order})"
 
 
-MatrixLike = Union[MonomialMatrix, DenseSignMatrix, np.ndarray]
-
-
-def as_dense(x: MatrixLike) -> np.ndarray:
-    if isinstance(x, MonomialMatrix):
-        return x.to_dense()
-    if isinstance(x, DenseSignMatrix):
-        return x.array
-    return np.asarray(x, dtype=np.int64)
-
-
 def supports_disjoint(x: MonomialMatrix, y: MonomialMatrix) -> bool:
     if x.order != y.order:
         raise ValueError(f"order mismatch: {x.order} vs {y.order}")
@@ -191,29 +191,27 @@ def supports_disjoint(x: MonomialMatrix, y: MonomialMatrix) -> bool:
 Side = Literal["A", "B"]
 
 
-def lambda_of_pair(x: MatrixLike, y: MatrixLike, side: Side) -> Optional[int]:
-    """Amicability sign of a matrix pair, or None when neither sign fits.
+def lambda_of_pair(x: MonomialMatrix, y: MonomialMatrix, side: Side) -> Optional[int]:
+    """Amicability sign of a monomial matrix pair, or None when neither sign fits.
 
     Side "B" returns lam with ``x @ y.T == lam * (y @ x.T)``.  Side "A"
     returns lam with ``x @ y.T + lam * (y @ x.T) == 0``, i.e. the
     negative of the "B" value.  The two conventions exist because the
     plug-in conditions carry opposite signs on the two matrix families;
     callers must say which side they are on.
+
+    Exact and O(N) on ``perm`` / ``signs``: ``y @ x.T`` is the transpose
+    of ``p = x @ y.T``, so side "B" gives +1 when ``p`` is symmetric and
+    -1 when it is skew.  Dense arguments raise ``TypeError``.
     """
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    if isinstance(x, MonomialMatrix) and isinstance(y, MonomialMatrix):
-        p = (x @ y.transpose()).to_dense()
-        q = (y @ x.transpose()).to_dense()
-    else:
-        a, b = as_dense(x), as_dense(y)
-        if a.shape != b.shape:
-            raise ValueError(f"order mismatch: {a.shape} vs {b.shape}")
-        p = a @ b.T
-        q = b @ a.T
-    if np.array_equal(p, q):
+    if not (isinstance(x, MonomialMatrix) and isinstance(y, MonomialMatrix)):
+        raise TypeError(f"expected MonomialMatrix, got {type(x).__name__}, {type(y).__name__}")
+    p = x @ y.transpose()
+    if p.is_symmetric():
         return -1 if side == "A" else 1
-    if np.array_equal(p, -q):
+    if p.is_skew():
         return 1 if side == "A" else -1
     return None
 

@@ -319,6 +319,8 @@ def bundle_from_dict(obj: dict) -> HadamardBundle:
     report = report_from_dict(obj["report"])
     if any(len(family) != obj["n"] for family in (A, D, B)):
         raise ValueError("bundle family sizes do not match n")
+    if any(a.order != obj["n"] for a in A):
+        raise ValueError(f"bundle outer orders {[a.order for a in A]} do not match n")
     if S.order != obj["b"] or any(x.order != obj["b"] for x in B):
         raise ValueError("bundle inner orders do not match b")
     if H.order != obj["n"] * obj["b"]:

@@ -126,6 +126,22 @@ def random_block_word(rng: np.random.Generator, n: int) -> MonomialMatrix:
     return acc if acc is not None else MonomialMatrix([0], [int(rng.choice([-1, 1]))])
 
 
+def dense_lambda(a, b, side: str):
+    """Reference amicability sign from dense integer products.
+
+    Side "B": lam with ``a @ b.T == lam * (b @ a.T)``; side "A" is its
+    negative; None when neither sign fits.  Shares no code with
+    ``qcliff.lambda_of_pair``.
+    """
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    p, q = a @ b.T, b @ a.T
+    if np.array_equal(p, q):
+        return -1 if side == "A" else 1
+    if np.array_equal(p, -q):
+        return 1 if side == "A" else -1
+    return None
+
+
 def grow_anti_amicable_family(rng: np.random.Generator, n: int, sampler, patience: int = 40):
     """Greedy growth: keep sampling, add when anti-amicable with all members."""
     from qcliff import lambda_of_pair

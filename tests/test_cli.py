@@ -210,6 +210,13 @@ class TestHadamard:
         assert main(["verify", path]) == 1
         assert "contradicts" in capsys.readouterr().err
 
+    def test_outer_member_of_wrong_order_fails_with_code_1(self, tmp_path, capsys):
+        d = bundle_to_dict(complete(1))
+        identity3 = {"order": 3, "perm": [0, 1, 2], "signs": [1, 1, 1]}
+        path = write_json(tmp_path, "outer.json", {**d, "A": [identity3, identity3]})
+        assert main(["verify", path]) == 1
+        assert "outer orders [3, 3]" in capsys.readouterr().err
+
     def test_malformed_bundle_header_fails_with_code_1(self, tmp_path, capsys):
         d = bundle_to_dict(complete(1))
         for name, bad in (

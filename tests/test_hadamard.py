@@ -17,7 +17,10 @@ from qcliff import (
     transversal,
     verify_bundle,
 )
+from qcliff.hadamard import run_checks
 from qcliff.matrices import ident2, x2, y2, z2
+
+from helpers import dense_lambda, random_monomial_matrix
 
 
 class TestTransversal:
@@ -134,8 +137,30 @@ class TestComplete:
         for j in range(bundle.n):
             for k in range(j + 1, bundle.n):
                 lam_mono = lambda_of_pair(bundle.D[j], bundle.D[k], side="B")
-                lam_dense = lambda_of_pair(bundle.B[j].array, bundle.B[k].array, side="B")
+                lam_dense = dense_lambda(bundle.B[j].array, bundle.B[k].array, side="B")
                 assert lam_mono == lam_dense == bundle.lam.get(j, k)
+
+    def test_transversal_sum_matches_the_dense_sum(self):
+        bundle = complete(2)
+        n = bundle.n
+        rng = np.random.default_rng(71)
+        seen = set()
+        for _ in range(120):
+            # a Latin-square family covers every cell once; then maybe
+            # swap in random members, which usually breaks the cover
+            shift, cols = rng.permutation(n), rng.permutation(n)
+            A = [
+                MonomialMatrix(cols[(shift + k) % n], rng.choice([-1, 1], size=n))
+                for k in range(n)
+            ]
+            for _ in range(int(rng.integers(0, 3))):
+                A[int(rng.integers(n))] = random_monomial_matrix(rng, n)
+            total = sum(a.to_dense() for a in A)
+            expected = bool(np.all(np.abs(total) == 1))
+            got = run_checks(A, bundle.lam, bundle.B, bundle.H).transversal_sum
+            assert got is expected
+            seen.add(got)
+        assert seen == {True, False}
 
     def test_b_gram_sum(self):
         bundle = complete(2)

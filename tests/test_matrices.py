@@ -1,10 +1,30 @@
 import numpy as np
 import pytest
 
-from qcliff import DenseSignMatrix, MonomialMatrix, lambda_of_pair, supports_disjoint, sylvester
+from qcliff import (
+    DenseSignMatrix,
+    MonomialMatrix,
+    TransversalSpec,
+    check_hr_bound,
+    complete,
+    lambda_of_pair,
+    lambda_of_transversal,
+    solve,
+    supports_disjoint,
+    sylvester,
+    transversal,
+    verify_solution,
+)
+from qcliff.hadamard import run_checks
 from qcliff.matrices import ident2, j2, x2, y2, z2
 
-from helpers import random_monomial_matrix
+from helpers import (
+    dense_lambda,
+    grow_anti_amicable_family,
+    random_block_word,
+    random_monomial_matrix,
+    random_sym_or_skew_monomial,
+)
 
 
 class TestBasics:
@@ -32,6 +52,18 @@ class TestBasics:
     def test_order_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ident2() @ MonomialMatrix.identity(3)
+
+    def test_constructor_copies_the_callers_buffer(self):
+        base = np.array([[0, 1, 2, 3]])
+        m = MonomialMatrix(base[0], [1] * 4)
+        base[0, 0] = 3
+        assert m.perm.tolist() == [0, 1, 2, 3]
+
+    def test_constructor_leaves_the_callers_arrays_writeable(self):
+        p, s = np.arange(4, dtype=np.int64), np.ones(4, dtype=np.int64)
+        m = MonomialMatrix(p, s)
+        assert p.flags.writeable and s.flags.writeable
+        assert not m.perm.flags.writeable and not m.signs.flags.writeable
 
 
 class TestDenseAgreement:
@@ -137,12 +169,61 @@ class TestLambdaOfPair:
         for _ in range(50):
             n = int(rng.integers(1, 9))
             x, y = random_monomial_matrix(rng, n), random_monomial_matrix(rng, n)
-            via_dense = lambda_of_pair(x.to_dense(), y.to_dense(), side="B")
+            via_dense = dense_lambda(x.to_dense(), y.to_dense(), side="B")
             assert lambda_of_pair(x, y, side="B") == via_dense
+        # seeded pairs from each sampler, both sides; every outcome occurs
+        seen = set()
+        samplers = [random_monomial_matrix, random_sym_or_skew_monomial, random_block_word]
+        for sampler in samplers:
+            for _ in range(60):
+                n = 1 << int(rng.integers(0, 5))
+                x, y = sampler(rng, n), sampler(rng, n)
+                for side in ("A", "B"):
+                    lam = lambda_of_pair(x, y, side=side)
+                    assert lam == dense_lambda(x.to_dense(), y.to_dense(), side=side)
+                    seen.add((side, lam))
+        assert seen == {(side, lam) for side in ("A", "B") for lam in (1, -1, None)}
+
+    def test_dense_arguments_raise_type_error(self):
+        with pytest.raises(TypeError):
+            lambda_of_pair(ident2().to_dense(), x2().to_dense(), side="B")
+        with pytest.raises(TypeError):
+            lambda_of_pair(ident2(), sylvester(2), side="A")
+
+    def test_order_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            lambda_of_pair(ident2(), MonomialMatrix.identity(3), side="B")
 
     def test_bad_side_rejected(self):
         with pytest.raises(ValueError):
             lambda_of_pair(ident2(), x2(), side="C")
+
+
+class TestMonomialCore:
+    def test_closed_operations_yield_valid_signed_permutations(self):
+        rng = np.random.default_rng(61)
+        for _ in range(60):
+            x = random_monomial_matrix(rng, int(rng.integers(1, 65)))
+            y = random_monomial_matrix(rng, x.order)
+            z = random_monomial_matrix(rng, int(rng.integers(1, 65)))
+            for r in (x @ y, x.T, -x, x.tensor(z)):
+                assert MonomialMatrix(r.perm, r.signs) == r
+                assert r.perm.dtype == r.signs.dtype == np.int64
+                assert not r.perm.flags.writeable and not r.signs.flags.writeable
+
+    def test_no_dense_detour(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("to_dense called")
+
+        monkeypatch.setattr(MonomialMatrix, "to_dense", refuse)
+        assert lambda_of_pair(z2(), x2(), side="B") == -1
+        lam = lambda_of_transversal(transversal(TransversalSpec.default(3)))
+        verify_solution(lam, solve(lam))
+        rng = np.random.default_rng(67)
+        family = grow_anti_amicable_family(rng, 16, random_block_word)
+        assert check_hr_bound(family).passed
+        bundle = complete(2)
+        assert run_checks(bundle.A, bundle.lam, bundle.B, bundle.H).passed
 
 
 class TestSylvester:

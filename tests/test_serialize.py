@@ -207,3 +207,6 @@ class TestBundleFormat:
             bundle_from_dict({**d, "n": 3})
         with pytest.raises(ValueError, match="family sizes"):
             bundle_from_dict({**d, "D": d["D"][:1]})
+        wrong_order = {"order": 3, "perm": [0, 1, 2], "signs": [1, 1, 1]}
+        with pytest.raises(ValueError, match=r"outer orders \[2, 3\]"):
+            bundle_from_dict({**d, "A": [d["A"][0], wrong_order]})
