@@ -9,9 +9,10 @@ Exit codes: 0 success (all verifications passing), 1 usage or parse
 error, 2 resource cap exceeded, 3 verification failure.
 
 Resource caps can be overridden by flags or environment variables:
-``QCLIFF_MAX_N`` (sign-sweep size cap), ``QCLIFF_MAX_M`` (tensor depth
-cap) and ``QCLIFF_MAX_ORDER`` (order cap of an assembled Hadamard matrix
-or of a represented irreducible).
+``QCLIFF_MAX_N`` (sign-sweep size cap; for ``hadamard`` it caps the
+``2**M`` outer matrices) and ``QCLIFF_MAX_ORDER`` (order cap of a
+represented irreducible, or, with a smaller default, of an assembled
+dense Hadamard matrix).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional, Sequence
 
 from .decompose import decompose
 from .errors import CapExceeded, VerificationError
-from .hadamard import TransversalSpec, complete, verify_bundle
+from .hadamard import DENSE_ORDER_CAP, TransversalSpec, complete, verify_bundle
 from .represent import build_irrep, character_length, pushforward
 from .serialize import (
     bundle_from_dict,
@@ -38,10 +39,12 @@ from .serialize import (
     solve_result_to_dict,
     wedderburn_to_dict,
 )
-from .solve import rho, solve
+from .solve import DEFAULT_SOLVE_CAP, rho, solve
 from .structure import classification_grid, classify, irrep_dimension_rows
 
 MAX_PQ_CAP = 16
+# Default order cap of ``represent``: images are O(order) perm/sign arrays.
+REPRESENT_ORDER_CAP = 1 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -175,19 +178,13 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_hadamard(args: argparse.Namespace) -> int:
-    if args.verify_only is not None:
-        bundle = verify_bundle(bundle_from_dict(_load_json(args.verify_only)))
-        return _emit_report(args, bundle)
-    if args.depth < 1:
-        raise ValueError("tensor depth must be >= 1")
-    if args.depth > args.max_m:
-        raise CapExceeded(f"tensor depth {args.depth} exceeds the cap {args.max_m}")
+    spec = None
     if args.diag or args.offdiag:
-        diag = args.diag or "I" * args.depth
-        offdiag = args.offdiag or "X" * args.depth
+        # the missing string defaults to the given one's length; complete
+        # checks that length against M after its caps
+        diag = args.diag or "I" * len(args.offdiag)
+        offdiag = args.offdiag or "X" * len(args.diag)
         spec = TransversalSpec.from_strings(diag, offdiag)
-    else:
-        spec = TransversalSpec.default(args.depth)
     bundle = complete(
         args.depth,
         spec,
@@ -201,13 +198,13 @@ def cmd_hadamard(args: argparse.Namespace) -> int:
     if args.text_output:
         with open(args.text_output, "w", encoding="utf-8") as fh:
             fh.write("\n".join(sign_text_rows(bundle.H)) + "\n")
-    return _emit_report(args, bundle, wrote=args.output)
+    return _emit_report(args, bundle, report_only=bool(args.output))
 
 
-def _emit_report(args: argparse.Namespace, bundle, wrote: Optional[str] = None) -> int:
+def _emit_report(args: argparse.Namespace, bundle, report_only: bool) -> int:
     report = bundle.report
     if args.format == "json":
-        if args.verify_only is not None or wrote:
+        if report_only:
             _emit_json(report_to_dict(report))
         else:
             _emit_json(bundle_to_dict(bundle))
@@ -222,8 +219,7 @@ def _emit_report(args: argparse.Namespace, bundle, wrote: Optional[str] = None) 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     bundle = verify_bundle(bundle_from_dict(_load_json(args.bundle)))
-    args.verify_only = args.bundle
-    return _emit_report(args, bundle)
+    return _emit_report(args, bundle, report_only=True)
 
 
 def build_parser() -> _Parser:
@@ -248,13 +244,14 @@ def build_parser() -> _Parser:
     p.add_argument("presentation")
     p.add_argument("--character", default=None,
                    help="0/1 bits choosing central signs (default: all zero)")
-    p.add_argument("--max-order", type=int, default=_env_int("QCLIFF_MAX_ORDER", 1 << 20))
+    p.add_argument("--max-order", type=int,
+                   default=_env_int("QCLIFF_MAX_ORDER", REPRESENT_ORDER_CAP))
     common(p)
     p.set_defaults(func=cmd_represent)
 
     p = sub.add_parser("solve", help="minimal monomial family for a lambda pattern file")
     p.add_argument("pattern")
-    p.add_argument("--max-n", type=int, default=_env_int("QCLIFF_MAX_N", 16))
+    p.add_argument("--max-n", type=int, default=_env_int("QCLIFF_MAX_N", DEFAULT_SOLVE_CAP))
     common(p)
     p.set_defaults(func=cmd_solve)
 
@@ -265,11 +262,9 @@ def build_parser() -> _Parser:
     p.add_argument("--output", default=None, help="write the full bundle JSON here")
     p.add_argument("--text-output", default=None,
                    help="write the +/- text rows of the result here")
-    p.add_argument("--verify-only", default=None, metavar="BUNDLE",
-                   help="re-check a stored bundle instead of constructing")
-    p.add_argument("--max-n", type=int, default=_env_int("QCLIFF_MAX_N", 16))
-    p.add_argument("--max-m", type=int, default=_env_int("QCLIFF_MAX_M", 8))
-    p.add_argument("--max-order", type=int, default=_env_int("QCLIFF_MAX_ORDER", 1 << 20))
+    p.add_argument("--max-n", type=int, default=_env_int("QCLIFF_MAX_N", DEFAULT_SOLVE_CAP))
+    p.add_argument("--max-order", type=int,
+                   default=_env_int("QCLIFF_MAX_ORDER", DENSE_ORDER_CAP))
     common(p)
     p.set_defaults(func=cmd_hadamard)
 

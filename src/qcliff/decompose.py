@@ -7,6 +7,10 @@ the radical of the form, hence the centre of the algebra) plus ``s``
 pairs that anticommute within the pair and commute with all the rest,
 with ``r + 2s = m``.  The tensor factorization of the algebra into
 single-generator and pair subalgebras reads off directly.
+
+The reduction runs on exponent-vector bitmasks, and its output keeps
+them: each new generator is a :class:`SignedMonomial` holding its mask,
+and the basis change is those masks stacked as rows.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .gf2 import Gf2Matrix, xor_rows
-from .presentation import AlgebraPresentation, SignedMonomial, _unmask
+from .presentation import AlgebraPresentation, SignedMonomial
 
 
 class Central(NamedTuple):
@@ -34,16 +38,16 @@ class HyperbolicPair(NamedTuple):
 class Decomposition:
     """Result of the symplectic reduction of a presentation.
 
-    ``basis_change`` stacks the exponent vectors of the new generators as
-    rows, centrals first, then the pairs interleaved
-    ``(first_1, second_1, first_2, ...)``.  It is invertible over GF(2),
-    so the new monomials generate the whole algebra.
+    The new generators are ordered centrals first, then the pairs
+    interleaved ``(first_1, second_1, first_2, ...)``;
+    :attr:`basis_change` stacks their exponent masks as rows in that
+    order.  It is invertible over GF(2), so the new monomials generate
+    the whole algebra.
     """
 
     presentation: AlgebraPresentation
     centrals: tuple[Central, ...]
     pairs: tuple[HyperbolicPair, ...]
-    basis_change: Gf2Matrix
 
     @property
     def r(self) -> int:
@@ -61,6 +65,12 @@ class Decomposition:
             out.append(p.first)
             out.append(p.second)
         return tuple(out)
+
+    @property
+    def basis_change(self) -> Gf2Matrix:
+        """The new generators' exponent masks as the rows of an m x m matrix."""
+        masks = tuple(g.mask for g in self.new_generators)
+        return Gf2Matrix(len(masks), self.presentation.m, masks)
 
     @property
     def new_generator_squares(self) -> tuple[int, ...]:
@@ -85,23 +95,19 @@ class Decomposition:
         P = self.presentation
         if self.r + 2 * self.s != P.m:
             raise ValueError(f"r + 2s = {self.r + 2 * self.s} differs from m = {P.m}")
-        if self.basis_change.rows != P.m or self.basis_change.cols != P.m:
-            raise ValueError("basis_change has the wrong shape")
-        if not self.basis_change.is_invertible():
+        basis_change = self.basis_change
+        if not basis_change.is_invertible():
             raise ValueError("basis_change is singular over GF(2)")
         gens = self.new_generators
         squares = self.new_generator_squares
         for row, g in enumerate(gens):
-            if self.basis_change.row_mask(row) != g.mask:
-                raise ValueError(f"basis_change row {row} does not match generator")
             if g.sign != 1:
                 raise ValueError("new generators must carry sign +1")
             if P.square_sign(g) != squares[row]:
                 raise ValueError(f"recorded square of generator {row} is wrong")
         # pair (i, j) anticommutes iff g_i^T D g_j + g_j^T D g_i is odd,
         # D the presentation's own upper-triangle table; c_i = g_i^T D.
-        # The rows of basis_change were just checked to be the g_i.
-        masks = self.basis_change.bits
+        masks = basis_change.bits
         c = [xor_rows(P._delta_gt, g) for g in masks]
         for i in range(len(gens)):
             ci, gi = c[i], masks[i]
@@ -183,23 +189,19 @@ def decompose(P: AlgebraPresentation) -> Decomposition:
     """
     frows = tuple(form_matrix(P).bits)
     central_masks, pair_masks = symplectic_reduce(frows, P.m)
+    m = P.m
     centrals = tuple(
-        Central(SignedMonomial(1, _unmask(c, P.m)), P.square_sign_mask(c))
-        for c in central_masks
+        Central(SignedMonomial(1, c, m), P.square_sign_mask(c)) for c in central_masks
     )
     pairs = tuple(
         HyperbolicPair(
-            SignedMonomial(1, _unmask(g, P.m)),
+            SignedMonomial(1, g, m),
             P.square_sign_mask(g),
-            SignedMonomial(1, _unmask(d, P.m)),
+            SignedMonomial(1, d, m),
             P.square_sign_mask(d),
         )
         for g, d in pair_masks
     )
-    row_masks = list(central_masks)
-    for g, d in pair_masks:
-        row_masks.append(g)
-        row_masks.append(d)
-    out = Decomposition(P, centrals, pairs, Gf2Matrix.from_row_masks(row_masks, P.m))
+    out = Decomposition(P, centrals, pairs)
     out.validate()
     return out

@@ -1,8 +1,8 @@
 """Dense GF(2) matrices stored as per-row bitmasks.
 
-Row ``i`` is a python int whose bit ``j`` is the entry ``(i, j)``.  That
-keeps elimination down to word operations, which matters in the solver's
-sign-assignment sweep where thousands of small matrices are reduced.
+Row ``i`` is a python int whose bit ``j`` is the entry ``(i, j)``, the
+same bitmask that stores a monomial's exponent vector, so elimination is
+word operations on the vectors themselves.
 
 :func:`xor_rows` is the one set-bit walk in the package: ``u^T R`` as a
 row mask, the xor of the rows ``R[i]`` picked by the bits of ``u``.  A
@@ -13,7 +13,7 @@ that pairs one ``u`` with many ``v`` computes the mask once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def xor_rows(rows: Sequence[int], u: int) -> int:
@@ -61,11 +61,6 @@ class Gf2Matrix:
                 raise ValueError("ragged rows")
             masks.append(sum((1 & int(v)) << j for j, v in enumerate(r)))
         return cls(nrows, ncols, tuple(masks))
-
-    @classmethod
-    def from_row_masks(cls, masks: Iterable[int], cols: int) -> "Gf2Matrix":
-        masks = tuple(masks)
-        return cls(len(masks), cols, masks)
 
     @classmethod
     def identity(cls, n: int) -> "Gf2Matrix":

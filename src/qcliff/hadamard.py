@@ -37,7 +37,11 @@ from .matrices import (
     y2,
     z2,
 )
-from .solve import LambdaPattern, SolveResult, solve
+from .solve import DEFAULT_SOLVE_CAP, LambdaPattern, SolveResult, solve
+
+# Default cap on the order n*b of the dense H: every m <= 4 transversal
+# assembles to order <= 2048; one int64 matrix of order 2^14 is 2 GiB.
+DENSE_ORDER_CAP = 1 << 12
 
 DIAG_CHOICES = {"I": ident2, "Z": z2}
 OFFDIAG_CHOICES = {"X": x2, "Y": y2}
@@ -131,6 +135,19 @@ def plug_in(A: Sequence[MonomialMatrix], B: Sequence[DenseSignMatrix]) -> DenseS
     return DenseSignMatrix(out)
 
 
+# The pass/fail conditions of a report, in report and file order.
+REPORT_CHECKS = (
+    "disjoint_supports",
+    "transversal_sum",
+    "a_orthogonal",
+    "a_lambda",
+    "b_lambda",
+    "b_gram_sum",
+    "h_matches_terms",
+    "hadamard",
+)
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     n: int
@@ -147,31 +164,10 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(
-            (
-                self.disjoint_supports,
-                self.transversal_sum,
-                self.a_orthogonal,
-                self.a_lambda,
-                self.b_lambda,
-                self.b_gram_sum,
-                self.h_matches_terms,
-                self.hadamard,
-            )
-        )
+        return not self.failures()
 
     def failures(self) -> list[str]:
-        names = (
-            "disjoint_supports",
-            "transversal_sum",
-            "a_orthogonal",
-            "a_lambda",
-            "b_lambda",
-            "b_gram_sum",
-            "h_matches_terms",
-            "hadamard",
-        )
-        return [name for name in names if not getattr(self, name)]
+        return [name for name in REPORT_CHECKS if not getattr(self, name)]
 
 
 @dataclass(frozen=True)
@@ -213,13 +209,14 @@ def run_checks(
         for k in range(j + 1, n)
     )
 
-    grams = [[bj.array @ bk.array.T for bk in B] for bj in B]
+    # B_k B_j^T is the transpose of B_j B_k^T: form the Grams with j <= k only
+    grams = {(j, k): B[j].array @ B[k].array.T for j in range(n) for k in range(j, n)}
     b_lam = all(
-        np.array_equal(grams[j][k], lam.get(j, k) * grams[k][j])
+        np.array_equal(grams[j, k], lam.get(j, k) * grams[j, k].T)
         for j in range(n)
         for k in range(j + 1, n)
     )
-    gram_sum = sum(grams[k][k] for k in range(n))
+    gram_sum = sum(grams[k, k] for k in range(n))
     b_gram = bool(np.array_equal(gram_sum, order * np.eye(b, dtype=np.int64)))
 
     try:
@@ -274,8 +271,8 @@ def verify_bundle(bundle: HadamardBundle) -> HadamardBundle:
 def complete(
     m: int,
     spec: Optional[TransversalSpec] = None,
-    solve_cap: int = 16,
-    max_order: int = 1 << 20,
+    solve_cap: int = DEFAULT_SOLVE_CAP,
+    max_order: int = DENSE_ORDER_CAP,
 ) -> HadamardBundle:
     """Run the full pipeline for tensor depth ``m``.
 
@@ -284,9 +281,16 @@ def complete(
     order-``b`` doubling Hadamard matrix, assemble the order ``n*b``
     plug-in sum and verify everything exactly.  Any failed check raises
     ``VerificationError`` naming the failing conditions.
+    ``CapExceeded`` comes before the transversal if ``2**m > solve_cap``
+    and before any dense matrix if ``n*b > max_order``.
     """
     if m < 1:
         raise ValueError("tensor depth m must be >= 1")
+    # 2**m > solve_cap, decided without forming 2**m for a huge m
+    if m >= max(solve_cap, 1).bit_length():
+        raise CapExceeded(
+            f"tensor depth {m} needs n = 2^{m} matrices, above the cap {solve_cap}"
+        )
     if spec is None:
         spec = TransversalSpec.default(m)
     if spec.m != m:

@@ -4,8 +4,11 @@ An :class:`AlgebraPresentation` fixes ``m`` generators ``a1 .. am`` with
 ``ai^2 = kappa_i`` (``kappa_i = +1`` or ``-1``) and a commute/anticommute
 bit for every unordered pair of generators.  Products of generators reduce
 to *signed monomials*: a sign together with a GF(2) exponent vector, the
-generators kept in increasing index order.  All arithmetic here is exact
-integer arithmetic on those pairs.
+generators kept in increasing index order.  The exponent vector is stored
+as a bitmask (bit ``i`` for ``a(i+1)``) from construction on, so every
+product, square and commutation sign is exact integer arithmetic on
+masks; :meth:`AlgebraPresentation.monomial` is the one entry point that
+reads a 0/1 exponent tuple.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .gf2 import bilinear_parity
 DEFAULT_BASIS_CAP = 20
 
 
-def _mask(exps: Sequence[int]) -> int:
+def _mask(exps: Iterable[int]) -> int:
     bits = 0
     for i, e in enumerate(exps):
         if e:
@@ -27,35 +30,32 @@ def _mask(exps: Sequence[int]) -> int:
     return bits
 
 
-def _unmask(bits: int, m: int) -> tuple[int, ...]:
-    return tuple((bits >> i) & 1 for i in range(m))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedMonomial:
     """A sign in {-1,+1} and a GF(2) exponent vector of length ``m``.
 
-    ``SignedMonomial(1, (1, 0, 1))`` stands for the product ``a1*a3``;
-    the identity element is ``SignedMonomial(1, (0,)*m)``.
+    The vector is the bitmask ``mask``, bit ``i`` standing for generator
+    ``a(i+1)``: ``SignedMonomial(1, 0b101, 3)`` is the product ``a1*a3``
+    and the identity element is ``SignedMonomial(1, 0, m)``.
     """
 
     sign: int
-    exps: tuple[int, ...]
+    mask: int
+    m: int
 
     def __post_init__(self) -> None:
         if self.sign not in (-1, 1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
-        if not isinstance(self.exps, tuple):
-            object.__setattr__(self, "exps", tuple(self.exps))
-        if any(e not in (0, 1) for e in self.exps):
-            raise ValueError(f"exponents must be 0/1 bits, got {self.exps!r}")
+        if not 0 <= self.mask < 1 << self.m:
+            raise ValueError(f"exponent mask {self.mask!r} out of range for m={self.m}")
 
     @property
-    def mask(self) -> int:
-        return _mask(self.exps)
+    def exps(self) -> tuple[int, ...]:
+        """The exponent vector as 0/1 bits, ``a1`` first."""
+        return tuple((self.mask >> i) & 1 for i in range(self.m))
 
     def __neg__(self) -> "SignedMonomial":
-        return SignedMonomial(-self.sign, self.exps)
+        return SignedMonomial(-self.sign, self.mask, self.m)
 
     def __str__(self) -> str:
         word = "".join(f"a{i + 1}" for i, e in enumerate(self.exps) if e) or "1"
@@ -133,22 +133,28 @@ class AlgebraPresentation:
     # -- element construction ------------------------------------------------
 
     def identity(self) -> SignedMonomial:
-        return SignedMonomial(1, (0,) * self.m)
+        return SignedMonomial(1, 0, self.m)
 
     def generator(self, i: int) -> SignedMonomial:
         if not 0 <= i < self.m:
             raise ValueError(f"generator index {i} out of range for m={self.m}")
-        return SignedMonomial(1, tuple(1 if k == i else 0 for k in range(self.m)))
+        return SignedMonomial(1, 1 << i, self.m)
 
     def monomial(self, exps: Sequence[int], sign: int = 1) -> SignedMonomial:
-        x = SignedMonomial(sign, tuple(exps))
-        self._check(x)
-        return x
+        """The signed monomial with 0/1 exponent vector ``exps``, ``a1`` first."""
+        exps = tuple(exps)
+        if len(exps) != self.m:
+            raise ValueError(
+                f"monomial has {len(exps)} exponent bits, presentation has m={self.m}"
+            )
+        if any(e not in (0, 1) for e in exps):
+            raise ValueError(f"exponents must be 0/1 bits, got {exps!r}")
+        return SignedMonomial(sign, _mask(exps), self.m)
 
     def _check(self, x: SignedMonomial) -> None:
-        if len(x.exps) != self.m:
+        if x.m != self.m:
             raise ValueError(
-                f"monomial has {len(x.exps)} exponent bits, presentation has m={self.m}"
+                f"monomial has {x.m} exponent bits, presentation has m={self.m}"
             )
 
     # -- mask-level sign kernels ----------------------------------------------
@@ -179,8 +185,7 @@ class AlgebraPresentation:
         self._check(x)
         self._check(y)
         xm, ym = x.mask, y.mask
-        sign = x.sign * y.sign * self.mul_sign_masks(xm, ym)
-        return SignedMonomial(sign, _unmask(xm ^ ym, self.m))
+        return SignedMonomial(x.sign * y.sign * self.mul_sign_masks(xm, ym), xm ^ ym, self.m)
 
     def square_sign(self, x: SignedMonomial) -> int:
         """Sign of ``x * x``; independent of the sign of ``x``."""
@@ -213,9 +218,7 @@ class AlgebraPresentation:
             raise CapExceeded(
                 f"basis enumeration needs 2^{self.m} elements, cap is m <= {cap}"
             )
-        return [
-            SignedMonomial(1, _unmask(bits, self.m)) for bits in range(1 << self.m)
-        ]
+        return [SignedMonomial(1, bits, self.m) for bits in range(1 << self.m)]
 
 
 def quaternion_presentation() -> AlgebraPresentation:

@@ -15,7 +15,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .decompose import Decomposition
-from .hadamard import HadamardBundle, VerificationReport
+from .hadamard import REPORT_CHECKS, HadamardBundle, VerificationReport
 from .matrices import DenseSignMatrix, MonomialMatrix
 from .presentation import AlgebraPresentation, SignedMonomial
 from .represent import Representation
@@ -251,45 +251,24 @@ def report_to_dict(report: VerificationReport) -> dict:
         "n": report.n,
         "b": report.b,
         "order": report.order,
-        "checks": {
-            "disjoint_supports": report.disjoint_supports,
-            "transversal_sum": report.transversal_sum,
-            "a_orthogonal": report.a_orthogonal,
-            "a_lambda": report.a_lambda,
-            "b_lambda": report.b_lambda,
-            "b_gram_sum": report.b_gram_sum,
-            "h_matches_terms": report.h_matches_terms,
-            "hadamard": report.hadamard,
-        },
+        "checks": {name: getattr(report, name) for name in REPORT_CHECKS},
         "passed": report.passed,
     }
-
-
-_REPORT_CHECKS = (
-    "disjoint_supports",
-    "transversal_sum",
-    "a_orthogonal",
-    "a_lambda",
-    "b_lambda",
-    "b_gram_sum",
-    "h_matches_terms",
-    "hadamard",
-)
 
 
 def report_from_dict(obj: dict) -> VerificationReport:
     _require_keys(obj, ["n", "b", "order", "checks", "passed"])
     _check_ints(obj, ("n", "b", "order"), "report")
     checks = obj["checks"]
-    _require_keys(checks, list(_REPORT_CHECKS))
+    _require_keys(checks, list(REPORT_CHECKS))
     for name, value in [*checks.items(), ("passed", obj["passed"])]:
         if not isinstance(value, bool):
             raise ValueError(f"report {name} must be true or false, got {value!r}")
-    if obj["passed"] != all(checks[name] for name in _REPORT_CHECKS):
+    if obj["passed"] != all(checks[name] for name in REPORT_CHECKS):
         raise ValueError("report passed contradicts its checks")
     return VerificationReport(
         n=obj["n"], b=obj["b"], order=obj["order"],
-        **{name: checks[name] for name in _REPORT_CHECKS},
+        **{name: checks[name] for name in REPORT_CHECKS},
     )
 
 
@@ -321,6 +300,8 @@ def bundle_from_dict(obj: dict) -> HadamardBundle:
         raise ValueError("bundle family sizes do not match n")
     if any(a.order != obj["n"] for a in A):
         raise ValueError(f"bundle outer orders {[a.order for a in A]} do not match n")
+    if any(d.order != obj["b"] for d in D):
+        raise ValueError(f"bundle D orders {[d.order for d in D]} do not match b")
     if S.order != obj["b"] or any(x.order != obj["b"] for x in B):
         raise ValueError("bundle inner orders do not match b")
     if H.order != obj["n"] * obj["b"]:

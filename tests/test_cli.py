@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from qcliff.cli import main
 from qcliff.serialize import bundle_to_dict
 from qcliff import complete
@@ -60,6 +62,23 @@ class TestDecomposeAndRepresent:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["r"] == 0 and out["s"] == 1
+
+    @pytest.mark.parametrize("name, presentation", [
+        ("quaternion", {"m": 2, "kappa": [-1, -1], "delta": [[1, 2, 1]]}),
+        # helpers.random_presentation(np.random.default_rng(2), 5): r = 1,
+        # s = 2, three new generators that are not original generators
+        ("random5", {"m": 5, "kappa": [1, -1, -1, -1, -1], "delta": [
+            [1, 2, 1], [2, 3, 1], [2, 4, 1], [2, 5, 1], [3, 4, 1], [4, 5, 1],
+        ]}),
+        ("clifford_2_3", {"m": 5, "kappa": [1, 1, -1, -1, -1], "delta": [
+            [i, j, 1] for i in range(1, 6) for j in range(i + 1, 6)
+        ]}),
+    ])
+    def test_decompose_json_bytes_are_pinned(self, tmp_path, capsys, name, presentation):
+        path = write_json(tmp_path, f"{name}.json", presentation)
+        assert main(["decompose", path, "--format", "json"]) == 0
+        want = (FIXTURES / f"decompose_{name}.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == want
 
     def test_represent_default_character(self, tmp_path, capsys):
         rc = main(["represent", quaternion_file(tmp_path), "--format", "json"])
@@ -176,13 +195,6 @@ class TestHadamard:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
 
-    def test_verify_only_flag(self, tmp_path, capsys):
-        out_path = tmp_path / "bundle.json"
-        main(["hadamard", "1", "--output", str(out_path)])
-        capsys.readouterr()
-        rc = main(["hadamard", "--verify-only", str(out_path)])
-        assert rc == 0
-
     def test_corrupted_bundle_fails_with_code_3(self, tmp_path, capsys):
         bundle = complete(1)
         d = bundle_to_dict(bundle)
@@ -217,6 +229,13 @@ class TestHadamard:
         assert main(["verify", path]) == 1
         assert "outer orders [3, 3]" in capsys.readouterr().err
 
+    def test_inner_member_of_wrong_order_fails_with_code_1(self, tmp_path, capsys):
+        d = bundle_to_dict(complete(1))
+        identity3 = {"order": 3, "perm": [0, 1, 2], "signs": [1, 1, 1]}
+        path = write_json(tmp_path, "inner.json", {**d, "D": [d["D"][0], identity3]})
+        assert main(["verify", path]) == 1
+        assert "D orders [2, 3]" in capsys.readouterr().err
+
     def test_malformed_bundle_header_fails_with_code_1(self, tmp_path, capsys):
         d = bundle_to_dict(complete(1))
         for name, bad in (
@@ -242,8 +261,19 @@ class TestHadamard:
         rc = main(["hadamard", "2", "--diag", "IZ", "--offdiag", "XY"])
         assert rc == 0
 
-    def test_depth_cap(self, capsys):
-        assert main(["hadamard", "9"]) == 2
+    def test_depth_cap(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("transversal built above the cap")
+
+        monkeypatch.setattr("qcliff.hadamard.transversal", refuse)
+        for depth in ("9", "5"):
+            assert main(["hadamard", depth]) == 2
+            assert f"2^{depth} matrices, above the cap 16" in capsys.readouterr().err
+
+    def test_dense_order_cap_exits_2(self, capsys):
+        # m = 5 needs b = 2^15, so the dense H would have order 2^20
+        assert main(["hadamard", "5", "--max-n", "32"]) == 2
+        assert "assembled order 1048576 exceeds the cap 4096" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["hadamard", "--diag"]) == 1

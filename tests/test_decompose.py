@@ -75,13 +75,13 @@ def reference_reduce(frows, m):
 def rebuild(D, masks, squares):
     """``D`` with its generators (in basis_change row order) replaced."""
     P, r = D.presentation, D.r
-    mono = [SignedMonomial(1, tuple((g >> i) & 1 for i in range(P.m))) for g in masks]
+    mono = [SignedMonomial(1, g, P.m) for g in masks]
     centrals = tuple(Central(mono[i], squares[i]) for i in range(r))
     pairs = tuple(
         HyperbolicPair(mono[k], squares[k], mono[k + 1], squares[k + 1])
         for k in range(r, P.m, 2)
     )
-    return Decomposition(P, centrals, pairs, Gf2Matrix.from_row_masks(masks, P.m))
+    return Decomposition(P, centrals, pairs)
 
 
 def mutants(rng, D):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from qcliff import AlgebraPresentation, CapExceeded, quaternion_presentation, clifford_presentation
+from qcliff import (
+    AlgebraPresentation,
+    CapExceeded,
+    SignedMonomial,
+    clifford_presentation,
+    quaternion_presentation,
+)
 
 from helpers import random_monomial, random_presentation, word_mul, word_of
 
@@ -29,8 +35,10 @@ class TestMul:
     def test_length_mismatch_rejected(self):
         Q = quaternion_presentation()
         P3 = clifford_presentation(3, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="presentation has m=2"):
             Q.mul(Q.generator(0), P3.generator(0))
+        with pytest.raises(ValueError, match="presentation has m=3"):
+            P3.mul(P3.generator(2), Q.generator(1))
 
     def test_agrees_with_word_rewriting_oracle(self):
         rng = np.random.default_rng(7)
@@ -146,6 +154,26 @@ class TestBasis:
         P = AlgebraPresentation((1,) * 5)
         with pytest.raises(CapExceeded):
             P.basis(cap=4)
+
+
+class TestSignedMonomial:
+    def test_mask_is_the_exponent_vector(self):
+        x = SignedMonomial(-1, 0b101, 3)
+        assert x.exps == (1, 0, 1) and str(x) == "-a1a3"
+        assert -x == SignedMonomial(1, 0b101, 3)
+        assert clifford_presentation(3, 0).monomial((1, 0, 1), -1) == x
+
+    @pytest.mark.parametrize("sign, mask, m", [(1, 8, 3), (1, 1 << 70, 70), (1, -1, 3), (0, 1, 3)])
+    def test_constructor_refusals(self, sign, mask, m):
+        with pytest.raises(ValueError):
+            SignedMonomial(sign, mask, m)
+
+    def test_monomial_refuses_bad_tuples(self):
+        Q = quaternion_presentation()
+        with pytest.raises(ValueError, match="3 exponent bits"):
+            Q.monomial((1, 0, 1))
+        with pytest.raises(ValueError, match="0/1 bits"):
+            Q.monomial((1, 2))
 
 
 class TestPresentationValidation:

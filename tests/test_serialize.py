@@ -210,3 +210,5 @@ class TestBundleFormat:
         wrong_order = {"order": 3, "perm": [0, 1, 2], "signs": [1, 1, 1]}
         with pytest.raises(ValueError, match=r"outer orders \[2, 3\]"):
             bundle_from_dict({**d, "A": [d["A"][0], wrong_order]})
+        with pytest.raises(ValueError, match=r"D orders \[2, 3\]"):
+            bundle_from_dict({**d, "D": [d["D"][0], wrong_order]})
