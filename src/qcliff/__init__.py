@@ -32,7 +32,6 @@ from .represent import (
     Representation,
     build_irrep,
     character_length,
-    factor_block,
     minimal_images,
     pushforward,
     tensor_with_identity,
@@ -92,7 +91,6 @@ __all__ = [
     "compact_label",
     "complete",
     "decompose",
-    "factor_block",
     "form_matrix",
     "irrep_dimension_rows",
     "lambda_of_pair",

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .decompose import decompose
 from .errors import CapExceeded, VerificationError
 from .hadamard import DENSE_ORDER_CAP, TransversalSpec, complete, verify_bundle
-from .represent import build_irrep, character_length, pushforward
+from .represent import character_length, minimal_images
 from .serialize import (
     bundle_from_dict,
     bundle_to_dict,
@@ -75,8 +75,9 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _emit_json(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+def _write_json(fh, obj: dict) -> None:
+    """The one JSON format of every command: two-space indent, final newline."""
+    fh.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _parse_character(raw: Optional[str], expected: int) -> tuple[int, ...]:
@@ -91,7 +92,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     P = presentation_from_dict(_load_json(args.presentation))
     wt = classify(decompose(P))
     if args.format == "json":
-        _emit_json(wedderburn_to_dict(wt))
+        _write_json(sys.stdout, wedderburn_to_dict(wt))
     else:
         d = wedderburn_to_dict(wt)
         for key in ("case", "r", "s", "num_irreps", "irrep_order", "label", "compact_label"):
@@ -103,7 +104,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     P = presentation_from_dict(_load_json(args.presentation))
     D = decompose(P)
     if args.format == "json":
-        _emit_json(decomposition_to_dict(D))
+        _write_json(sys.stdout, decomposition_to_dict(D))
     else:
         sys.stdout.write(f"r: {D.r}\ns: {D.s}\n")
         for c in D.centrals:
@@ -123,11 +124,11 @@ def cmd_represent(args: argparse.Namespace) -> int:
     if wt.irrep_order > args.max_order:
         raise CapExceeded(f"irreducible order {wt.irrep_order} exceeds the cap {args.max_order}")
     character = _parse_character(args.character, character_length(D))
-    rep = pushforward(build_irrep(D, character))
+    rep = minimal_images(P, character)
     if args.format == "json":
         out = representation_to_dict(rep)
         out["wedderburn"] = wedderburn_to_dict(wt)
-        _emit_json(out)
+        _write_json(sys.stdout, out)
     else:
         sys.stdout.write(f"order: {rep.order}\ncharacter: {''.join(map(str, rep.character))}\n")
         for i, img in enumerate(rep.generator_images):
@@ -141,7 +142,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     lam = lambda_from_dict(_load_json(args.pattern))
     result = solve(lam, max_n=args.max_n)
     if args.format == "json":
-        _emit_json(solve_result_to_dict(lam, result))
+        _write_json(sys.stdout, solve_result_to_dict(lam, result))
     else:
         sys.stdout.write(
             f"n: {lam.n}\nb: {result.b}\nkappa: {list(result.kappa)}\n"
@@ -153,13 +154,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_rho(args: argparse.Namespace) -> int:
     value = rho(args.N)
     if args.format == "json":
-        _emit_json({"N": args.N, "rho": value})
+        _write_json(sys.stdout, {"N": args.N, "rho": value})
     else:
         sys.stdout.write(f"{value}\n")
     return 0
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
+    if args.max_pq < 0:
+        raise ValueError(f"--max-pq must be >= 0, got {args.max_pq}")
     if args.max_pq > MAX_PQ_CAP:
         raise CapExceeded(f"p+q bound {args.max_pq} exceeds the cap {MAX_PQ_CAP}")
     half = args.max_pq // 2
@@ -193,8 +196,7 @@ def cmd_hadamard(args: argparse.Namespace) -> int:
     )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(bundle_to_dict(bundle), fh, indent=2)
-            fh.write("\n")
+            _write_json(fh, bundle_to_dict(bundle))
     if args.text_output:
         with open(args.text_output, "w", encoding="utf-8") as fh:
             fh.write("\n".join(sign_text_rows(bundle.H)) + "\n")
@@ -205,9 +207,9 @@ def _emit_report(args: argparse.Namespace, bundle, report_only: bool) -> int:
     report = bundle.report
     if args.format == "json":
         if report_only:
-            _emit_json(report_to_dict(report))
+            _write_json(sys.stdout, report_to_dict(report))
         else:
-            _emit_json(bundle_to_dict(bundle))
+            _write_json(sys.stdout, bundle_to_dict(bundle))
     else:
         d = report_to_dict(report)
         sys.stdout.write(f"n: {d['n']}\nb: {d['b']}\norder: {d['order']}\n")

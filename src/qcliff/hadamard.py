@@ -37,7 +37,7 @@ from .matrices import (
     y2,
     z2,
 )
-from .solve import DEFAULT_SOLVE_CAP, LambdaPattern, SolveResult, solve
+from .solve import DEFAULT_SOLVE_CAP, LambdaPattern, SolveResult, _order_floor, solve
 
 # Default cap on the order n*b of the dense H: every m <= 4 transversal
 # assembles to order <= 2048; one int64 matrix of order 2^14 is 2 GiB.
@@ -282,7 +282,8 @@ def complete(
     plug-in sum and verify everything exactly.  Any failed check raises
     ``VerificationError`` naming the failing conditions.
     ``CapExceeded`` comes before the transversal if ``2**m > solve_cap``
-    and before any dense matrix if ``n*b > max_order``.
+    and before ``solve`` if ``n*b > max_order``, with ``b`` the certified
+    minimal order of :func:`qcliff.solve._order_floor`.
     """
     if m < 1:
         raise ValueError("tensor depth m must be >= 1")
@@ -297,11 +298,11 @@ def complete(
         raise ValueError(f"spec has depth {spec.m}, requested m={m}")
     A = transversal(spec)
     lam = lambda_of_transversal(A)
+    # the floor is the order b that solve returns; refuse before any image
+    order = len(A) * _order_floor(lam)
+    if order > max_order:
+        raise CapExceeded(f"assembled order {order} exceeds the cap {max_order}")
     sol: SolveResult = solve(lam, max_n=solve_cap)
-    if len(A) * sol.b > max_order:
-        raise CapExceeded(
-            f"assembled order {len(A) * sol.b} exceeds the cap {max_order}"
-        )
     S = sylvester(sol.b)
     B = tuple(DenseSignMatrix(d.mul_dense(S.array)) for d in sol.D)
     H = plug_in(A, B)

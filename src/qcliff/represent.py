@@ -1,26 +1,31 @@
 """Minimal monomial representations of a decomposed presentation.
 
 Every factor of the decomposition gets a fixed block of signed
-permutation matrices: scalar signs for centrals squaring +1, a rotation
-for the first central squaring -1, 2x2 blocks for non-quaternionic
-pairs, and 4x4 quaternion multiplication operators for the rest.  Two
+permutation matrices: a rotation for the first central squaring -1, 2x2
+blocks for non-quaternionic pairs, and 4x4 quaternion multiplication
+operators for the rest; centrals squaring +1 act by a scalar sign.  Two
 quaternionic pairs share one 4x4 block (one acting by left, the other by
 right multiplication on the quaternion carrier), and a leftover
 quaternionic pair shares its block with a complex central the same way.
 That fusion is exactly what keeps the assembled Kronecker product at the
 minimal order; a matching block structure exists for every Wedderburn
-case.
+case.  The blocks are module constants, built once at import; their
+arrays are read-only.
 
 Generator images are then pushed from the decomposition generators back
 to the original ones by solving the basis change over GF(2) and
-correcting the sign with exact monomial arithmetic.  Every constructed
-representation re-verifies its defining relations before it is returned.
+correcting the sign with exact monomial arithmetic.  A representation is
+verified once, against every defining relation of the generators it is
+returned for: :func:`minimal_images` checks only the pushed-forward
+images, and :func:`build_irrep` checks its normal-form images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product as iter_product
+from math import prod
 from typing import Iterator, Optional, Sequence
 
 from .decompose import Decomposition
@@ -32,83 +37,30 @@ from .structure import classify
 
 # Left and right multiplication by the quaternion units i and j on the
 # carrier basis (1, i, j, k).  Left operators commute with right ones.
-def quat_left_i() -> MonomialMatrix:
-    return MonomialMatrix([1, 0, 3, 2], [-1, 1, -1, 1])
+QUAT_LEFT_I = MonomialMatrix([1, 0, 3, 2], [-1, 1, -1, 1])
+QUAT_LEFT_J = MonomialMatrix([2, 3, 0, 1], [-1, 1, 1, -1])
+QUAT_RIGHT_I = MonomialMatrix([1, 0, 3, 2], [-1, 1, 1, -1])
+QUAT_RIGHT_J = MonomialMatrix([2, 3, 0, 1], [-1, -1, 1, 1])
 
-
-def quat_left_j() -> MonomialMatrix:
-    return MonomialMatrix([2, 3, 0, 1], [-1, 1, 1, -1])
-
-
-def quat_right_i() -> MonomialMatrix:
-    return MonomialMatrix([1, 0, 3, 2], [-1, 1, 1, -1])
-
-
-def quat_right_j() -> MonomialMatrix:
-    return MonomialMatrix([2, 3, 0, 1], [-1, -1, 1, 1])
+# Images of one hyperbolic pair, keyed by the squares of its generators.
+PAIR_BLOCKS = {
+    (1, 1): (z2(), x2()),
+    (-1, 1): (j2(), x2()),
+    (1, -1): (z2(), j2()),
+    (-1, -1): (QUAT_LEFT_I, QUAT_LEFT_J),
+}
+# Two fused quaternionic pairs: left i, j for the first, right i, j for
+# the second.
+HH = (QUAT_LEFT_I, QUAT_LEFT_J, QUAT_RIGHT_I, QUAT_RIGHT_J)
+# A complex central fused with a quaternionic pair, central image first.
+CH = (QUAT_RIGHT_I, QUAT_LEFT_I, QUAT_LEFT_J)
+# The first central squaring -1 when no quaternionic pair is left over.
+C_MINUS = j2()
 
 
 def _expect(cond: bool, msg: str) -> None:
     if not cond:
         raise VerificationError(msg)
-
-
-def _check_block(images: Sequence[MonomialMatrix], squares: Sequence[int],
-                 anticommuting: Sequence[tuple[int, int]]) -> None:
-    n = images[0].order
-    ident = MonomialMatrix.identity(n)
-    anti = set(anticommuting)
-    for a, img in enumerate(images):
-        _expect(img @ img == squares[a] * ident, f"block image {a} has the wrong square")
-    for a in range(len(images)):
-        for b in range(a + 1, len(images)):
-            lhs = images[a] @ images[b]
-            rhs = images[b] @ images[a]
-            if (a, b) in anti:
-                _expect(lhs == -rhs, f"block images {a},{b} should anticommute")
-            else:
-                _expect(lhs == rhs, f"block images {a},{b} should commute")
-
-
-def factor_block(kind: str, sign: int = 1,
-                 squares: Optional[tuple[int, int]] = None) -> list[MonomialMatrix]:
-    """Generator images for one tensor factor.
-
-    Kinds: ``"C_plus"`` (scalar block, needs ``sign``), ``"C_minus"``
-    (one rotation), ``"Q"`` (one pair, needs ``squares``), ``"HH"`` (two
-    fused quaternionic pairs) and ``"CH"`` (complex central fused with a
-    quaternionic pair, central image first).  Each block is re-verified
-    against its defining relations before being returned.
-    """
-    if kind == "C_plus":
-        if sign not in (-1, 1):
-            raise ValueError("C_plus needs sign +1 or -1")
-        return [MonomialMatrix([0], [sign])]
-    if kind == "C_minus":
-        out = [j2()]
-        _check_block(out, [-1], [])
-        return out
-    if kind == "Q":
-        if squares is None or squares[0] not in (-1, 1) or squares[1] not in (-1, 1):
-            raise ValueError("Q needs squares (c, d) in {-1,+1}^2")
-        table = {
-            (1, 1): [z2(), x2()],
-            (-1, 1): [j2(), x2()],
-            (1, -1): [z2(), j2()],
-            (-1, -1): [quat_left_i(), quat_left_j()],
-        }
-        out = table[squares]
-        _check_block(out, list(squares), [(0, 1)])
-        return out
-    if kind == "HH":
-        out = [quat_left_i(), quat_left_j(), quat_right_i(), quat_right_j()]
-        _check_block(out, [-1] * 4, [(0, 1), (2, 3)])
-        return out
-    if kind == "CH":
-        out = [quat_right_i(), quat_left_i(), quat_left_j()]
-        _check_block(out, [-1] * 3, [(1, 2)])
-        return out
-    raise ValueError(f"unknown block kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -165,22 +117,13 @@ def all_characters(D: Decomposition) -> Iterator[tuple[int, ...]]:
     return iter_product((0, 1), repeat=character_length(D))
 
 
-class _Block:
-    __slots__ = ("order", "images", "min_index")
+def _assemble(D: Decomposition, character: Sequence[int]) -> Representation:
+    """Unverified irreducible images of the decomposition generators.
 
-    def __init__(self, images: dict[int, MonomialMatrix], min_index: int):
-        self.images = images
-        self.order = next(iter(images.values())).order
-        self.min_index = min_index
-
-
-def build_irrep(D: Decomposition, character: Sequence[int]) -> Representation:
-    """Irreducible monomial images of the decomposition generators.
-
-    The images satisfy ``D.normal_presentation()`` and have order exactly
-    ``classify(D).irrep_order``.  ``character`` must supply one bit per
-    free central sign choice (see :func:`character_length`); bit 1 flips
-    the sign of the corresponding central image.
+    Each block is a dict from generator index to its constant image; the
+    blocks are tensored in the order of their smallest generator index.
+    Checks the character and that the assembled order equals
+    ``classify(D).irrep_order``; the relations are left to the caller.
     """
     character = tuple(int(b) for b in character)
     if any(b not in (0, 1) for b in character):
@@ -203,48 +146,38 @@ def build_irrep(D: Decomposition, character: Sequence[int]) -> Representation:
     def pair_indices(t: int) -> tuple[int, int]:
         return r + 2 * t, r + 2 * t + 1
 
-    blocks: list[_Block] = []
+    blocks: list[dict[int, MonomialMatrix]] = []
     for u in range(len(quat_ids) // 2):
-        first, second = quat_ids[2 * u], quat_ids[2 * u + 1]
-        li, lj, ri, rj = factor_block("HH")
-        g1, d1 = pair_indices(first)
-        g2, d2 = pair_indices(second)
-        blocks.append(_Block({g1: li, d1: lj, g2: ri, d2: rj}, g1))
+        blocks.append(dict(zip(
+            pair_indices(quat_ids[2 * u]) + pair_indices(quat_ids[2 * u + 1]), HH
+        )))
     leftover = quat_ids[-1] if len(quat_ids) % 2 else None
     consumed_central = None
     if leftover is not None:
-        g, d = pair_indices(leftover)
         if first_neg is not None:
-            ri, li, lj = factor_block("CH")
-            blocks.append(_Block({first_neg: ri, g: li, d: lj}, first_neg))
+            blocks.append(dict(zip((first_neg,) + pair_indices(leftover), CH)))
             consumed_central = first_neg
         else:
-            li, lj = factor_block("Q", squares=(-1, -1))
-            blocks.append(_Block({g: li, d: lj}, g))
+            blocks.append(dict(zip(pair_indices(leftover), PAIR_BLOCKS[(-1, -1)])))
     for t in other_ids:
-        g, d = pair_indices(t)
         pair = D.pairs[t]
-        gi, di = factor_block("Q", squares=(pair.first_square, pair.second_square))
-        blocks.append(_Block({g: gi, d: di}, g))
+        squares = (pair.first_square, pair.second_square)
+        blocks.append(dict(zip(pair_indices(t), PAIR_BLOCKS[squares])))
     if first_neg is not None and consumed_central is None:
-        (jimg,) = factor_block("C_minus")
-        blocks.append(_Block({first_neg: jimg}, first_neg))
-    blocks.sort(key=lambda b: b.min_index)
+        blocks.append({first_neg: C_MINUS})
+    blocks.sort(key=min)
 
-    total = 1
-    for b in blocks:
-        total *= b.order
+    orders = [next(iter(b.values())).order for b in blocks]
+    total = prod(orders)
     if total != wt.irrep_order:
         raise VerificationError(
             f"assembled order {total} differs from irreducible order {wt.irrep_order}"
         )
+    idents = [MonomialMatrix.identity(n) for n in orders]
 
     def assemble(gen: int) -> MonomialMatrix:
-        acc: Optional[MonomialMatrix] = None
-        for b in blocks:
-            factor = b.images.get(gen, MonomialMatrix.identity(b.order))
-            acc = factor if acc is None else acc.tensor(factor)
-        return acc if acc is not None else MonomialMatrix.identity(1)
+        return reduce(MonomialMatrix.tensor,
+                      (b.get(gen, ident) for b, ident in zip(blocks, idents)))
 
     # Character slots: every central except the reference complex one.
     slots = [i for i in range(r) if i != first_neg]
@@ -253,9 +186,7 @@ def build_irrep(D: Decomposition, character: Sequence[int]) -> Representation:
     }
 
     images: list[Optional[MonomialMatrix]] = [None] * D.presentation.m
-    covered = set()
-    for b in blocks:
-        covered.update(b.images)
+    covered = set().union(*blocks)
     for gen in covered:
         images[gen] = assemble(gen)
     for i in range(r):
@@ -268,24 +199,48 @@ def build_irrep(D: Decomposition, character: Sequence[int]) -> Representation:
             # the character sign; the pair relations force nothing more.
             images[i] = slot_sign[i] * images[first_neg]
 
-    rep = Representation(
+    return Representation(
         order=total,
         generator_images=tuple(images),
         character=character,
         decomposition=D,
         presentation=D.normal_presentation(),
     )
+
+
+def build_irrep(D: Decomposition, character: Sequence[int]) -> Representation:
+    """Verified irreducible monomial images of the decomposition generators.
+
+    The images satisfy ``D.normal_presentation()`` and have order exactly
+    ``classify(D).irrep_order``.  ``character`` must supply one bit per
+    free central sign choice (see :func:`character_length`); bit 1 flips
+    the sign of the corresponding central image.  The result is checked
+    by :meth:`Representation.verify` once; :func:`minimal_images` skips
+    that check, since :func:`pushforward` makes it on the images it
+    returns.
+    """
+    rep = _assemble(D, character)
     rep.verify()
     return rep
 
 
 def pushforward(R: Representation) -> Representation:
-    """Images of the original generators of ``R.decomposition``.
+    """Verified images of the original generators of ``R.decomposition``.
 
     Each original generator is a signed product of the decomposition
     generators; the exponents come from inverting the basis change over
     GF(2) and the sign from evaluating that product with exact monomial
-    arithmetic.
+    arithmetic.  ``R`` itself need not be verified.
+
+    The one :meth:`Representation.verify` at the end covers everything the
+    returned object claims.  It checks every square of P, the transpose
+    law and every commutation relation of P on the returned images, so
+    they define a representation of the algebra of P.  Its order is
+    ``R.order``, which :func:`_assemble` (and so :func:`build_irrep`)
+    checks equals ``classify(D).irrep_order``.  Every irreducible of the algebra has
+    that order, and every representation is a sum of irreducibles, so a
+    representation of that order is irreducible.  No check pins which
+    irreducible (the character) it is.
     """
     D = R.decomposition
     P = D.presentation
@@ -317,13 +272,17 @@ def pushforward(R: Representation) -> Representation:
 
 def minimal_images(P: AlgebraPresentation,
                    character: Optional[Sequence[int]] = None) -> Representation:
-    """Decompose, build the irrep and push forward in one call."""
+    """Decompose, assemble the irrep and push it forward in one call.
+
+    The images are verified once, by :func:`pushforward`, on the original
+    generators of ``P``.
+    """
     from .decompose import decompose
 
     D = decompose(P)
     if character is None:
         character = zero_character(D)
-    return pushforward(build_irrep(D, character))
+    return pushforward(_assemble(D, character))
 
 
 def tensor_with_identity(R: Representation, copies: int) -> Representation:

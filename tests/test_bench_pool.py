@@ -1,0 +1,62 @@
+"""A few benchmark pool items through the benchmark's own checks.
+
+Each item runs as ``tools/check_goldens.py`` runs every item:
+``run.execute`` (the ``qcliff`` command line, in this process),
+``run.check_outputs`` (the bench's independent output checks) and
+``checks.golden_problems`` (the SHA-256 digests in ``bench/goldens.json``).
+The items cover the ``represent``, ``solve`` and ``hadamard`` requests, so
+their output bytes are pinned here too.  Inputs and outputs live under
+``tmp_path``; the bench modules are imported without writing bytecode, so
+nothing is written under ``bench/``.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+
+import pytest
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+# (pool, k) of bench/workloads.pool_item; hadamard -1 is the default spec
+ITEMS = {
+    "represent/rep-real/0": ("rep-real", 0),
+    "represent/rep-complex/0": ("rep-complex", 0),
+    "represent/rep-quaternion/0": ("rep-quaternion", 0),
+    "solve/plus": ("plus", 0),
+    "solve/minus": ("minus", 0),
+    "solve/random/0": ("random", 0),
+    "hadamard/III-XXX": ("hadamard", -1),
+}
+
+
+@pytest.fixture(scope="module")
+def bench():
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, BENCH_DIR)
+    try:
+        import checks
+        import run
+        import workloads
+    finally:
+        sys.path.remove(BENCH_DIR)
+        sys.dont_write_bytecode = saved
+    with open(run.GOLDENS, encoding="utf-8") as fh:
+        goldens = json.load(fh)
+    return run, checks, workloads, goldens
+
+
+@pytest.mark.parametrize("key", ITEMS)
+def test_pool_item_matches_its_golden(bench, tmp_path, key):
+    run, checks, workloads, goldens = bench
+    item = workloads.pool_item(*ITEMS[key])
+    assert item.key == key
+    run.write_inputs(str(tmp_path), [item])
+    _, outputs, problems = run.execute(item, str(tmp_path))
+    assert problems == []
+    assert run.check_outputs(item, outputs) == []
+    assert checks.golden_problems(outputs, goldens.get(item.key)) == []
+

@@ -100,9 +100,9 @@ class TestDecomposeAndRepresent:
 
     def test_represent_order_cap_exits_2_before_building(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("build_irrep called above the order cap")
+            raise AssertionError("minimal_images called above the order cap")
 
-        monkeypatch.setattr("qcliff.cli.build_irrep", refuse)
+        monkeypatch.setattr("qcliff.cli.minimal_images", refuse)
         path = quaternion_file(tmp_path)
         assert main(["represent", path, "--max-order", "2"]) == 2
         assert "exceeds the cap 2" in capsys.readouterr().err
@@ -170,6 +170,13 @@ class TestTables:
 
     def test_cap(self, capsys):
         assert main(["tables", "--max-pq", "18"]) == 2
+
+    def test_negative_bound_is_a_usage_error(self, capsys):
+        assert main(["tables", "--max-pq", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--max-pq must be >= 0" in captured.err
+        assert main(["tables", "--max-pq", "0"]) == 0
+        assert capsys.readouterr().out.startswith("R\n")
 
     def test_deterministic(self, capsys):
         main(["tables"])
@@ -270,8 +277,13 @@ class TestHadamard:
             assert main(["hadamard", depth]) == 2
             assert f"2^{depth} matrices, above the cap 16" in capsys.readouterr().err
 
-    def test_dense_order_cap_exits_2(self, capsys):
-        # m = 5 needs b = 2^15, so the dense H would have order 2^20
+    def test_dense_order_cap_exits_2(self, capsys, monkeypatch):
+        # m = 5 needs b = 2^15, so the dense H would have order 2^20; the
+        # cap is decided from the order floor, before any image is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve called above the dense order cap")
+
+        monkeypatch.setattr("qcliff.hadamard.solve", refuse)
         assert main(["hadamard", "5", "--max-n", "32"]) == 2
         assert "assembled order 1048576 exceeds the cap 4096" in capsys.readouterr().err
 

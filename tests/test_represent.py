@@ -1,23 +1,42 @@
+import json
+
 import numpy as np
 import pytest
 
 from qcliff import (
     AlgebraPresentation,
+    LambdaPattern,
     MonomialMatrix,
+    Representation,
+    VerificationError,
     build_irrep,
     character_length,
     classify,
     clifford_presentation,
     decompose,
-    factor_block,
     lambda_of_pair,
     minimal_images,
     pushforward,
     quaternion_presentation,
+    represent,
+    solve,
     tensor_presentation,
     tensor_with_identity,
 )
-from qcliff.represent import all_characters, quat_left_i, quat_left_j, quat_right_i, quat_right_j
+from qcliff.cli import main
+from qcliff.matrices import x2, z2
+from qcliff.represent import (
+    C_MINUS,
+    CH,
+    HH,
+    PAIR_BLOCKS,
+    QUAT_LEFT_I,
+    QUAT_LEFT_J,
+    QUAT_RIGHT_I,
+    QUAT_RIGHT_J,
+    all_characters,
+)
+from qcliff.serialize import presentation_to_dict
 
 from helpers import all_presentations, random_presentation
 
@@ -46,7 +65,7 @@ def quat_table_oracle():
 
 def test_left_right_blocks_match_the_multiplication_table():
     names, table = quat_table_oracle()
-    mats = {"i": (quat_left_i(), quat_right_i()), "j": (quat_left_j(), quat_right_j())}
+    mats = {"i": (QUAT_LEFT_I, QUAT_RIGHT_I), "j": (QUAT_LEFT_J, QUAT_RIGHT_J)}
     for unit, (left, right) in mats.items():
         ldense, rdense = left.to_dense(), right.to_dense()
         for col, basis in enumerate(names):
@@ -57,44 +76,48 @@ def test_left_right_blocks_match_the_multiplication_table():
             assert rdense[names.index(rout), col] == rsign
 
 
+def assert_block_relations(images, squares, anticommuting):
+    """Each image squares to its sign times I; a pair of images
+    anticommutes iff it is listed, and commutes otherwise."""
+    ident = MonomialMatrix.identity(images[0].order)
+    for img, square in zip(images, squares, strict=True):
+        assert img @ img == square * ident
+    for a in range(len(images)):
+        for b in range(a + 1, len(images)):
+            sign = -1 if (a, b) in anticommuting else 1
+            assert images[a] @ images[b] == sign * (images[b] @ images[a])
+
+
 class TestFactorBlocks:
     def test_symmetric_pair_block(self):
-        z, x = factor_block("Q", squares=(1, 1))
-        ident = MonomialMatrix.identity(2)
-        assert z @ z == ident and x @ x == ident
-        assert z @ x == -(x @ z)
+        assert PAIR_BLOCKS[(1, 1)] == (z2(), x2())
+        assert_block_relations(PAIR_BLOCKS[(1, 1)], (1, 1), {(0, 1)})
+
+    @pytest.mark.parametrize("squares", [(-1, 1), (1, -1)])
+    def test_mixed_pair_blocks(self, squares):
+        assert_block_relations(PAIR_BLOCKS[squares], squares, {(0, 1)})
 
     def test_quaternionic_block(self):
-        li, lj = factor_block("Q", squares=(-1, -1))
-        ident = MonomialMatrix.identity(4)
-        assert li @ li == -ident and lj @ lj == -ident
-        assert li @ lj == -(lj @ li)
+        assert PAIR_BLOCKS[(-1, -1)] == (QUAT_LEFT_I, QUAT_LEFT_J)
+        assert_block_relations(PAIR_BLOCKS[(-1, -1)], (-1, -1), {(0, 1)})
 
     def test_fused_double_quaternionic_block(self):
-        li, lj, ri, rj = factor_block("HH")
-        assert li @ lj == -(lj @ li)
-        assert ri @ rj == -(rj @ ri)
-        for left in (li, lj):
-            for right in (ri, rj):
-                assert left @ right == right @ left
+        # left i, j anticommute, right i, j anticommute, left and right commute
+        assert HH == (QUAT_LEFT_I, QUAT_LEFT_J, QUAT_RIGHT_I, QUAT_RIGHT_J)
+        assert_block_relations(HH, (-1,) * 4, {(0, 1), (2, 3)})
 
     def test_fused_complex_quaternionic_block(self):
-        central, li, lj = factor_block("CH")
-        ident = MonomialMatrix.identity(4)
-        assert central @ central == -ident
-        assert central @ li == li @ central
-        assert central @ lj == lj @ central
-        assert li @ lj == -(lj @ li)
+        # the central image commutes with the pair images
+        assert CH == (QUAT_RIGHT_I, QUAT_LEFT_I, QUAT_LEFT_J)
+        assert_block_relations(CH, (-1,) * 3, {(1, 2)})
 
-    def test_scalar_blocks(self):
-        assert factor_block("C_plus", sign=1)[0].to_dense().tolist() == [[1]]
-        assert factor_block("C_plus", sign=-1)[0].to_dense().tolist() == [[-1]]
+    def test_complex_rotation(self):
+        assert_block_relations((C_MINUS,), (-1,), set())
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            factor_block("XYZ")
-        with pytest.raises(ValueError):
-            factor_block("Q", squares=(0, 1))
+    def test_constants_are_read_only(self):
+        blocks = [*PAIR_BLOCKS.values(), HH, CH, (C_MINUS,)]
+        for img in (img for block in blocks for img in block):
+            assert not img.perm.flags.writeable and not img.signs.flags.writeable
 
 
 class TestBuildIrrep:
@@ -102,7 +125,7 @@ class TestBuildIrrep:
         D = decompose(quaternion_presentation())
         rep = build_irrep(D, ())
         assert rep.order == 4
-        assert rep.generator_images == (quat_left_i(), quat_left_j())
+        assert rep.generator_images == (QUAT_LEFT_I, QUAT_LEFT_J)
 
     def test_one_plus_generator_has_two_scalar_characters(self):
         D = decompose(AlgebraPresentation((1,)))
@@ -209,3 +232,100 @@ class TestInflate:
         rep = minimal_images(quaternion_presentation())
         with pytest.raises(ValueError):
             tensor_with_identity(rep, 0)
+
+
+# helpers.random_presentation(np.random.default_rng(2), 5): its new
+# generators are not original generators, so its normal-form presentation
+# differs from it.
+RANDOM5 = AlgebraPresentation(
+    (1, -1, -1, -1, -1),
+    [(0, 1), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)],
+)
+
+
+def presentation_file(tmp_path, P):
+    path = tmp_path / "presentation.json"
+    path.write_text(json.dumps(presentation_to_dict(P)), encoding="utf-8")
+    return str(path)
+
+
+class TestOneVerification:
+    @pytest.fixture
+    def verified(self, monkeypatch):
+        """Presentations checked by ``Representation.verify``, in call order."""
+        calls = []
+        check = Representation.verify
+
+        def counting(rep):
+            calls.append(rep.presentation)
+            check(rep)
+
+        monkeypatch.setattr(Representation, "verify", counting)
+        return calls
+
+    def test_minimal_images(self, verified):
+        assert decompose(RANDOM5).normal_presentation() != RANDOM5
+        minimal_images(RANDOM5)
+        assert verified == [RANDOM5]
+
+    def test_standalone_build_irrep(self, verified):
+        D = decompose(RANDOM5)
+        build_irrep(D, (0,) * character_length(D))
+        assert verified == [D.normal_presentation()]
+
+    def test_solve(self, verified):
+        result = solve(LambdaPattern.constant(8, -1))
+        assert verified == [result.presentation]
+
+    def test_represent_command(self, verified, tmp_path, capsys):
+        path = presentation_file(tmp_path, RANDOM5)
+        assert main(["represent", path, "--format", "json"]) == 0
+        assert verified == [RANDOM5]
+
+
+def flip_first_sign(img):
+    signs = img.signs.copy()
+    signs[0] = -signs[0]
+    return MonomialMatrix(img.perm, signs)
+
+
+# (block constant, PAIR_BLOCKS key, a presentation whose irreducible uses it)
+BLOCK_USERS = [
+    ("PAIR_BLOCKS", (1, 1), clifford_presentation(2, 0)),
+    ("PAIR_BLOCKS", (-1, 1), clifford_presentation(3, 1)),
+    ("PAIR_BLOCKS", (1, -1), clifford_presentation(1, 1)),
+    ("PAIR_BLOCKS", (-1, -1), quaternion_presentation()),
+    ("HH", None, AlgebraPresentation((-1,) * 4, [(0, 1), (2, 3)])),
+    ("CH", None, AlgebraPresentation((-1,) * 3, [(0, 1)])),
+    ("C_MINUS", None, clifford_presentation(0, 1)),
+]
+
+
+class TestBrokenBlockIsCaught:
+    """A block constant with one sign flipped must not reach any output."""
+
+    @staticmethod
+    def break_block(monkeypatch, name, key):
+        if name == "PAIR_BLOCKS":
+            first, *rest = represent.PAIR_BLOCKS[key]
+            monkeypatch.setitem(represent.PAIR_BLOCKS, key, (flip_first_sign(first), *rest))
+        elif name == "C_MINUS":
+            monkeypatch.setattr(represent, name, flip_first_sign(represent.C_MINUS))
+        else:
+            first, *rest = getattr(represent, name)
+            monkeypatch.setattr(represent, name, (flip_first_sign(first), *rest))
+
+    @pytest.mark.parametrize("name, key, P", BLOCK_USERS)
+    def test_minimal_images_raises(self, monkeypatch, name, key, P):
+        minimal_images(P)
+        self.break_block(monkeypatch, name, key)
+        with pytest.raises(VerificationError):
+            minimal_images(P)
+
+    @pytest.mark.parametrize("name, key, P", BLOCK_USERS)
+    def test_represent_exits_3(self, monkeypatch, tmp_path, capsys, name, key, P):
+        path = presentation_file(tmp_path, P)
+        assert main(["represent", path]) == 0
+        self.break_block(monkeypatch, name, key)
+        assert main(["represent", path]) == 3
+        assert "verification failure" in capsys.readouterr().err
