@@ -4,15 +4,17 @@ Subcommands: classify, decompose, represent, solve, hadamard, tables,
 rho, verify.  Every subcommand supports ``--format json`` for stable
 machine-readable output; the default is a readable text rendering
 (except ``tables``, whose text output is itself a fixed byte format).
+JSON output, on stdout or in a ``hadamard --output`` bundle, is byte for
+byte ``json.dumps(obj, indent=2)`` plus a newline (see :func:`_write_json`).
 
 Exit codes: 0 success (all verifications passing), 1 usage or parse
 error, 2 resource cap exceeded, 3 verification failure.
 
 Resource caps can be overridden by flags or environment variables:
 ``QCLIFF_MAX_N`` (sign-sweep size cap; for ``hadamard`` it caps the
-``2**M`` outer matrices) and ``QCLIFF_MAX_ORDER`` (order cap of a
-represented irreducible, or, with a smaller default, of an assembled
-dense Hadamard matrix).
+``2**M`` outer matrices) and ``QCLIFF_MAX_ORDER`` (order cap of the
+irreducible that ``represent`` or ``solve`` builds, or, with a smaller
+default, of an assembled dense Hadamard matrix).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
 from .decompose import decompose
@@ -43,7 +46,8 @@ from .solve import DEFAULT_SOLVE_CAP, rho, solve
 from .structure import classification_grid, classify, irrep_dimension_rows
 
 MAX_PQ_CAP = 16
-# Default order cap of ``represent``: images are O(order) perm/sign arrays.
+# Default order cap of ``represent`` and ``solve``: images are O(order)
+# perm/sign arrays.
 REPRESENT_ORDER_CAP = 1 << 20
 
 
@@ -75,9 +79,62 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _encode(obj, indent: str, out: list[str]) -> None:
+    """Append the text ``json.dumps`` gives ``obj`` at nesting ``indent``.
+
+    ``json.dumps`` with ``indent`` runs the standard library's pure-Python
+    encoder; this walk keeps its layout but formats the parts in C: keys
+    and strings by the same escaper, and a list of plain ints (the
+    ``perm`` / ``signs`` arrays, nearly all of the bytes) by one ``repr``.
+    Scalars other than str and int go through ``json.dumps``, so floats
+    read the same and a value it refuses raises the same ``TypeError``.
+    Keys must be str (every command's are); ``json.dumps`` would also
+    convert number, bool and None keys, which this refuses.
+    """
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _quote(key) + ": ")
+            _encode(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        # exact types, so bools (an int subclass) never take this path
+        if isinstance(obj, list) and set(map(type, obj)) == {int}:
+            body = list.__repr__(obj)[1:-1].replace(", ", ",\n" + inner)
+            out.append("[\n" + inner + body + "\n" + indent + "]")
+            return
+        sep = "[\n" + inner
+        for value in obj:
+            out.append(sep)
+            _encode(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif isinstance(obj, int) and not isinstance(obj, bool):
+        out.append(int.__repr__(obj))
+    else:
+        out.append(json.dumps(obj))
+
+
 def _write_json(fh, obj: dict) -> None:
-    """The one JSON format of every command: two-space indent, final newline."""
-    fh.write(json.dumps(obj, indent=2) + "\n")
+    """The one JSON format of every command: the bytes of
+    ``json.dumps(obj, indent=2)`` plus a final newline, in one write."""
+    out: list[str] = []
+    _encode(obj, "", out)
+    out.append("\n")
+    fh.write("".join(out))
 
 
 def _parse_character(raw: Optional[str], expected: int) -> tuple[int, ...]:
@@ -124,7 +181,7 @@ def cmd_represent(args: argparse.Namespace) -> int:
     if wt.irrep_order > args.max_order:
         raise CapExceeded(f"irreducible order {wt.irrep_order} exceeds the cap {args.max_order}")
     character = _parse_character(args.character, character_length(D))
-    rep = minimal_images(P, character)
+    rep = minimal_images(P, character, D)
     if args.format == "json":
         out = representation_to_dict(rep)
         out["wedderburn"] = wedderburn_to_dict(wt)
@@ -140,7 +197,7 @@ def cmd_represent(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     lam = lambda_from_dict(_load_json(args.pattern))
-    result = solve(lam, max_n=args.max_n)
+    result = solve(lam, max_n=args.max_n, max_order=args.max_order)
     if args.format == "json":
         _write_json(sys.stdout, solve_result_to_dict(lam, result))
     else:
@@ -254,6 +311,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="minimal monomial family for a lambda pattern file")
     p.add_argument("pattern")
     p.add_argument("--max-n", type=int, default=_env_int("QCLIFF_MAX_N", DEFAULT_SOLVE_CAP))
+    p.add_argument("--max-order", type=int,
+                   default=_env_int("QCLIFF_MAX_ORDER", REPRESENT_ORDER_CAP))
     common(p)
     p.set_defaults(func=cmd_solve)
 

@@ -299,10 +299,10 @@ def complete(
     A = transversal(spec)
     lam = lambda_of_transversal(A)
     # the floor is the order b that solve returns; refuse before any image
-    order = len(A) * _order_floor(lam)
-    if order > max_order:
-        raise CapExceeded(f"assembled order {order} exceeds the cap {max_order}")
-    sol: SolveResult = solve(lam, max_n=solve_cap)
+    floor = _order_floor(lam)
+    if len(A) * floor > max_order:
+        raise CapExceeded(f"assembled order {len(A) * floor} exceeds the cap {max_order}")
+    sol: SolveResult = solve(lam, max_n=solve_cap, floor=floor)
     S = sylvester(sol.b)
     B = tuple(DenseSignMatrix(d.mul_dense(S.array)) for d in sol.D)
     H = plug_in(A, B)

@@ -271,15 +271,22 @@ def pushforward(R: Representation) -> Representation:
 
 
 def minimal_images(P: AlgebraPresentation,
-                   character: Optional[Sequence[int]] = None) -> Representation:
+                   character: Optional[Sequence[int]] = None,
+                   decomposition: Optional[Decomposition] = None) -> Representation:
     """Decompose, assemble the irrep and push it forward in one call.
 
-    The images are verified once, by :func:`pushforward`, on the original
-    generators of ``P``.
+    A caller that has already decomposed ``P`` passes the result as
+    ``decomposition``.  The images are verified once, by
+    :func:`pushforward`, on the original generators of ``P``.
     """
     from .decompose import decompose
 
-    D = decompose(P)
+    if decomposition is None:
+        D = decompose(P)
+    elif decomposition.presentation is P:
+        D = decomposition
+    else:
+        raise ValueError("decomposition is not of the presentation P")
     if character is None:
         character = zero_character(D)
     return pushforward(_assemble(D, character))

@@ -63,6 +63,13 @@ def _int_array(values: Any, what: str) -> np.ndarray:
     return arr
 
 
+def _list(value: Any, what: str) -> list:
+    """``value`` if it is a JSON array; anything else is refused, naming ``what``."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
 def _check_ints(obj: dict, names: Sequence[str], what: str) -> None:
     for name in names:
         if not _is_int(obj[name]):
@@ -91,7 +98,7 @@ def presentation_from_dict(obj: dict) -> AlgebraPresentation:
     kappa = tuple(_sign(k, "kappa entry") for k in kappa)
     anti = []
     seen: dict[tuple[int, int], int] = {}
-    for triple in obj.get("delta", []):
+    for triple in _list(obj.get("delta", []), "delta"):
         if not isinstance(triple, list) or len(triple) != 3:
             raise ValueError(f"delta entries must be [i, j, bit] triples, got {triple!r}")
         i, j, bit = triple
@@ -143,6 +150,8 @@ def sign_text_rows(mat: DenseSignMatrix) -> list[str]:
 def sign_matrix_from_text_rows(rows: Sequence[str]) -> DenseSignMatrix:
     parsed = []
     for line in rows:
+        if not isinstance(line, str):
+            raise ValueError(f"sign row must be a string, got {type(line).__name__}")
         if set(line) - {"+", "-"}:
             raise ValueError(f"sign row may only contain '+' and '-': {line!r}")
         parsed.append([1 if ch == "+" else -1 for ch in line])
@@ -217,8 +226,12 @@ def lambda_from_dict(obj: dict) -> LambdaPattern:
     n = obj["n"]
     if not _is_int(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
+    entries = _list(obj["entries"], "entries")
+    # every pair must be listed, so n is bounded by the file before any table
+    if n * (n - 1) // 2 > len(entries):
+        raise ValueError(f"{len(entries)} entries cannot cover the pairs of n={n}")
     pairs: dict[tuple[int, int], int] = {}
-    for triple in obj["entries"]:
+    for triple in entries:
         if not isinstance(triple, list) or len(triple) != 3:
             raise ValueError(f"entries must be [j, k, value] triples, got {triple!r}")
         j, k, v = triple
@@ -289,12 +302,12 @@ def bundle_to_dict(bundle: HadamardBundle) -> dict:
 def bundle_from_dict(obj: dict) -> HadamardBundle:
     _require_keys(obj, ["n", "b", "A", "lambda", "D", "S", "B", "H", "report"])
     _check_ints(obj, ("n", "b"), "bundle")
-    A = tuple(monomial_from_dict(a) for a in obj["A"])
+    A = tuple(monomial_from_dict(a) for a in _list(obj["A"], "bundle A"))
     lam = lambda_from_dict(obj["lambda"])
-    D = tuple(monomial_from_dict(d) for d in obj["D"])
+    D = tuple(monomial_from_dict(d) for d in _list(obj["D"], "bundle D"))
     S = dense_from_rows(obj["S"])
-    B = tuple(dense_from_rows(rows) for rows in obj["B"])
-    H = sign_matrix_from_text_rows(obj["H"])
+    B = tuple(dense_from_rows(rows) for rows in _list(obj["B"], "bundle B"))
+    H = sign_matrix_from_text_rows(_list(obj["H"], "bundle H"))
     report = report_from_dict(obj["report"])
     if any(len(family) != obj["n"] for family in (A, D, B)):
         raise ValueError("bundle family sizes do not match n")

@@ -15,7 +15,7 @@ representation builder and are re-verified pair by pair before returning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .decompose import symplectic_reduce
 from .errors import CapExceeded, VerificationError
@@ -189,7 +189,8 @@ def _order_floor(lam: LambdaPattern) -> int:
     return order_l // 2 if order_e == order_l // 2 else order_l
 
 
-def solve(lam: LambdaPattern, max_n: int = DEFAULT_SOLVE_CAP) -> SolveResult:
+def solve(lam: LambdaPattern, max_n: int = DEFAULT_SOLVE_CAP,
+          max_order: Optional[int] = None, *, floor: Optional[int] = None) -> SolveResult:
     """Minimal-order monomial realization of an amicability pattern.
 
     Computes the minimal irreducible order with :func:`_order_floor`,
@@ -200,14 +201,22 @@ def solve(lam: LambdaPattern, max_n: int = DEFAULT_SOLVE_CAP) -> SolveResult:
     a sweep that never reaches it, raises ``VerificationError``.  Builds
     the generator images for the chosen assignment and re-verifies every
     pairwise condition by exact multiplication.
+
+    ``CapExceeded`` comes before the floor if ``n > max_n``, and before
+    the sweep if the floor is above ``max_order`` (no cap when None).
+    A caller that already holds ``_order_floor(lam)`` passes it as
+    ``floor``; any other value breaks the minimality argument.
     """
     n = lam.n
     if n < 2:
         raise ValueError("need at least two matrices")
     if n > max_n:
         raise CapExceeded(f"kappa sweep for n={n} exceeds the cap {max_n}")
+    if floor is None:
+        floor = _order_floor(lam)
+    if max_order is not None and floor > max_order:
+        raise CapExceeded(f"irreducible order {floor} exceeds the cap {max_order}")
     neg_rows = lam.neg_masks()
-    floor = _order_floor(lam)
     for c in range(1 << (n - 1)):
         # candidate bits map big-endian onto positions 1..n-1; position 0
         # stays +1, quotienting out the global sign flip

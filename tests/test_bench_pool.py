@@ -4,8 +4,9 @@ Each item runs as ``tools/check_goldens.py`` runs every item:
 ``run.execute`` (the ``qcliff`` command line, in this process),
 ``run.check_outputs`` (the bench's independent output checks) and
 ``checks.golden_problems`` (the SHA-256 digests in ``bench/goldens.json``).
-The items cover the ``represent``, ``solve`` and ``hadamard`` requests, so
-their output bytes are pinned here too.  Inputs and outputs live under
+The items cover every request kind the bench sends (``classify``,
+``represent``, ``solve`` and ``hadamard``), so their output bytes are
+pinned here too.  Inputs and outputs live under
 ``tmp_path``; the bench modules are imported without writing bytecode, so
 nothing is written under ``bench/``.
 """
@@ -22,6 +23,7 @@ BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 
 # (pool, k) of bench/workloads.pool_item; hadamard -1 is the default spec
 ITEMS = {
+    "classify/dense/0": ("dense", 0),
     "represent/rep-real/0": ("rep-real", 0),
     "represent/rep-complex/0": ("rep-complex", 0),
     "represent/rep-quaternion/0": ("rep-quaternion", 0),

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import numpy as np
@@ -174,6 +175,20 @@ class TestComplete:
     def test_order_cap(self):
         with pytest.raises(CapExceeded):
             complete(3, max_order=32)
+
+    def test_order_floor_is_computed_once(self, monkeypatch):
+        solve_module = importlib.import_module("qcliff.solve")
+        floor = solve_module._order_floor
+        calls = []
+
+        def counting(lam):
+            calls.append(lam)
+            return floor(lam)
+
+        monkeypatch.setattr(solve_module, "_order_floor", counting)
+        monkeypatch.setattr(importlib.import_module("qcliff.hadamard"), "_order_floor", counting)
+        assert complete(2).b == floor(calls[0])
+        assert len(calls) == 1
 
     def test_verify_bundle_detects_corruption(self):
         bundle = complete(1)

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -281,6 +282,30 @@ class TestOneVerification:
         path = presentation_file(tmp_path, RANDOM5)
         assert main(["represent", path, "--format", "json"]) == 0
         assert verified == [RANDOM5]
+
+
+class TestOneDecomposition:
+    def test_represent_command(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting(P):
+            calls.append(P)
+            return decompose(P)
+
+        # qcliff.decompose is the function; patch the module and the CLI's name
+        monkeypatch.setattr(importlib.import_module("qcliff.decompose"), "decompose", counting)
+        monkeypatch.setattr("qcliff.cli.decompose", counting)
+        path = presentation_file(tmp_path, RANDOM5)
+        assert main(["represent", path, "--format", "json"]) == 0
+        assert calls == [RANDOM5]
+
+    def test_minimal_images_takes_the_decomposition(self):
+        D = decompose(RANDOM5)
+        rep = minimal_images(RANDOM5, decomposition=D)
+        assert rep.decomposition is D
+        assert rep.generator_images == minimal_images(RANDOM5).generator_images
+        with pytest.raises(ValueError, match="not of the presentation"):
+            minimal_images(quaternion_presentation(), decomposition=D)
 
 
 def flip_first_sign(img):
