@@ -2,7 +2,7 @@
 quasi-Clifford algebra presentations, plus the plug-in Hadamard pipeline
 built on top of them."""
 
-from .decompose import Central, Decomposition, HyperbolicPair, decompose, form_matrix, radical_dimension
+from .decompose import Central, Decomposition, HyperbolicPair, form_matrix, radical_dimension
 from .errors import CapExceeded, VerificationError
 from .gf2 import Gf2Matrix
 from .hadamard import (
@@ -44,7 +44,6 @@ from .solve import (
     check_hr_bound,
     presentation_from,
     rho,
-    solve,
     verify_solution,
 )
 from .structure import (
@@ -90,7 +89,6 @@ __all__ = [
     "clifford_presentation",
     "compact_label",
     "complete",
-    "decompose",
     "form_matrix",
     "irrep_dimension_rows",
     "lambda_of_pair",
@@ -102,7 +100,6 @@ __all__ = [
     "quaternion_presentation",
     "radical_dimension",
     "rho",
-    "solve",
     "supports_disjoint",
     "sylvester",
     "table_entry",

@@ -11,10 +11,10 @@ Exit codes: 0 success (all verifications passing), 1 usage or parse
 error, 2 resource cap exceeded, 3 verification failure.
 
 Resource caps can be overridden by flags or environment variables:
-``QCLIFF_MAX_N`` (sign-sweep size cap; for ``hadamard`` it caps the
-``2**M`` outer matrices) and ``QCLIFF_MAX_ORDER`` (order cap of the
-irreducible that ``represent`` or ``solve`` builds, or, with a smaller
-default, of an assembled dense Hadamard matrix).
+``QCLIFF_MAX_N`` (cap on the ``2**M`` outer matrices of ``hadamard``)
+and ``QCLIFF_MAX_ORDER`` (order cap of the irreducible that
+``represent`` or ``solve`` builds, or, with a smaller default, of an
+assembled dense Hadamard matrix).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from .decompose import decompose
 from .errors import CapExceeded, VerificationError
-from .hadamard import DENSE_ORDER_CAP, TransversalSpec, complete, verify_bundle
+from .hadamard import DEFAULT_MAX_N, DENSE_ORDER_CAP, TransversalSpec, complete, verify_bundle
 from .represent import character_length, minimal_images
 from .serialize import (
     bundle_from_dict,
@@ -42,7 +42,7 @@ from .serialize import (
     solve_result_to_dict,
     wedderburn_to_dict,
 )
-from .solve import DEFAULT_SOLVE_CAP, rho, solve
+from .solve import rho, solve
 from .structure import classification_grid, classify, irrep_dimension_rows
 
 MAX_PQ_CAP = 16
@@ -197,7 +197,7 @@ def cmd_represent(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     lam = lambda_from_dict(_load_json(args.pattern))
-    result = solve(lam, max_n=args.max_n, max_order=args.max_order)
+    result = solve(lam, max_order=args.max_order)
     if args.format == "json":
         _write_json(sys.stdout, solve_result_to_dict(lam, result))
     else:
@@ -248,7 +248,7 @@ def cmd_hadamard(args: argparse.Namespace) -> int:
     bundle = complete(
         args.depth,
         spec,
-        solve_cap=args.max_n,
+        max_n=args.max_n,
         max_order=args.max_order,
     )
     if args.output:
@@ -310,7 +310,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="minimal monomial family for a lambda pattern file")
     p.add_argument("pattern")
-    p.add_argument("--max-n", type=int, default=_env_int("QCLIFF_MAX_N", DEFAULT_SOLVE_CAP))
     p.add_argument("--max-order", type=int,
                    default=_env_int("QCLIFF_MAX_ORDER", REPRESENT_ORDER_CAP))
     common(p)
@@ -323,7 +322,7 @@ def build_parser() -> _Parser:
     p.add_argument("--output", default=None, help="write the full bundle JSON here")
     p.add_argument("--text-output", default=None,
                    help="write the +/- text rows of the result here")
-    p.add_argument("--max-n", type=int, default=_env_int("QCLIFF_MAX_N", DEFAULT_SOLVE_CAP))
+    p.add_argument("--max-n", type=int, default=_env_int("QCLIFF_MAX_N", DEFAULT_MAX_N))
     p.add_argument("--max-order", type=int,
                    default=_env_int("QCLIFF_MAX_ORDER", DENSE_ORDER_CAP))
     common(p)

@@ -37,8 +37,11 @@ from .matrices import (
     y2,
     z2,
 )
-from .solve import DEFAULT_SOLVE_CAP, LambdaPattern, SolveResult, _order_floor, solve
+from .solve import LambdaPattern, _minimal_kappa, _realize
 
+# Default cap on the 2**m outer matrices of ``complete``, checked before
+# the transversal is built.
+DEFAULT_MAX_N = 16
 # Default cap on the order n*b of the dense H: every m <= 4 transversal
 # assembles to order <= 2048; one int64 matrix of order 2^14 is 2 GiB.
 DENSE_ORDER_CAP = 1 << 12
@@ -271,7 +274,7 @@ def verify_bundle(bundle: HadamardBundle) -> HadamardBundle:
 def complete(
     m: int,
     spec: Optional[TransversalSpec] = None,
-    solve_cap: int = DEFAULT_SOLVE_CAP,
+    max_n: int = DEFAULT_MAX_N,
     max_order: int = DENSE_ORDER_CAP,
 ) -> HadamardBundle:
     """Run the full pipeline for tensor depth ``m``.
@@ -281,16 +284,16 @@ def complete(
     order-``b`` doubling Hadamard matrix, assemble the order ``n*b``
     plug-in sum and verify everything exactly.  Any failed check raises
     ``VerificationError`` naming the failing conditions.
-    ``CapExceeded`` comes before the transversal if ``2**m > solve_cap``
-    and before ``solve`` if ``n*b > max_order``, with ``b`` the certified
-    minimal order of :func:`qcliff.solve._order_floor`.
+    ``CapExceeded`` comes before the transversal if ``2**m > max_n``
+    and before any image if ``n*b > max_order``, with ``b`` the minimal
+    order of :func:`qcliff.solve._minimal_kappa`.
     """
     if m < 1:
         raise ValueError("tensor depth m must be >= 1")
-    # 2**m > solve_cap, decided without forming 2**m for a huge m
-    if m >= max(solve_cap, 1).bit_length():
+    # 2**m > max_n, decided without forming 2**m for a huge m
+    if m >= max(max_n, 1).bit_length():
         raise CapExceeded(
-            f"tensor depth {m} needs n = 2^{m} matrices, above the cap {solve_cap}"
+            f"tensor depth {m} needs n = 2^{m} matrices, above the cap {max_n}"
         )
     if spec is None:
         spec = TransversalSpec.default(m)
@@ -298,11 +301,10 @@ def complete(
         raise ValueError(f"spec has depth {spec.m}, requested m={m}")
     A = transversal(spec)
     lam = lambda_of_transversal(A)
-    # the floor is the order b that solve returns; refuse before any image
-    floor = _order_floor(lam)
-    if len(A) * floor > max_order:
-        raise CapExceeded(f"assembled order {len(A) * floor} exceeds the cap {max_order}")
-    sol: SolveResult = solve(lam, max_n=solve_cap, floor=floor)
+    kappa, b = _minimal_kappa(lam)
+    if len(A) * b > max_order:
+        raise CapExceeded(f"assembled order {len(A) * b} exceeds the cap {max_order}")
+    sol = _realize(lam, kappa, b)
     S = sylvester(sol.b)
     B = tuple(DenseSignMatrix(d.mul_dense(S.array)) for d in sol.D)
     H = plug_in(A, B)

@@ -4,11 +4,10 @@ Given a symmetric table ``lam`` of +1 (amicable) / -1 (anti-amicable)
 requirements ``D_j @ D_k.T == lam[j,k] * D_k @ D_j.T``, any family of
 orthogonal monomial matrices with ``D_j @ D_j == kappa_j * I`` realizes
 ``lam`` precisely when generator ``j`` and ``k`` anticommute iff
-``lam[j,k] * kappa_j * kappa_k == -1``.  The solver first computes the
-minimal irreducible order exactly from two classifications (see
-:func:`_order_floor`), then sweeps the sign assignments ``kappa`` with the
-first square +1 in lexicographic order and stops at the first one whose
-order meets that floor.  The matrices themselves come from the
+``lam[j,k] * kappa_j * kappa_k == -1``.  The solver builds the first
+minimal-order sign assignment ``kappa`` directly, from the decomposition
+of the kappa-independent even subalgebra and a greedy GF(2) bit fixing
+(see :func:`_minimal_kappa`).  The matrices themselves come from the
 representation builder and are re-verified pair by pair before returning.
 """
 
@@ -17,15 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .decompose import symplectic_reduce
+from .decompose import decompose
 from .errors import CapExceeded, VerificationError
-from .gf2 import bilinear_parity
 from .matrices import MonomialMatrix, lambda_of_pair
 from .presentation import AlgebraPresentation
 from .represent import minimal_images
-from .structure import WedderburnType, classify_presentation, wedderburn_case
-
-DEFAULT_SOLVE_CAP = 16
+from .structure import StructureCase, WedderburnType, classify, classify_presentation
 
 
 @dataclass(frozen=True)
@@ -81,17 +77,6 @@ class LambdaPattern:
             raise ValueError(f"index ({j}, {k}) out of range")
         return self.rows[j][k]
 
-    def neg_masks(self) -> tuple[int, ...]:
-        """Row bitmasks of the anti-amicable (-1) entries."""
-        out = []
-        for j in range(self.n):
-            mask = 0
-            for k in range(self.n):
-                if k != j and self.rows[j][k] == -1:
-                    mask |= 1 << k
-            out.append(mask)
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -122,60 +107,74 @@ def presentation_from(lam: LambdaPattern, kappa: Sequence[int]) -> AlgebraPresen
     return AlgebraPresentation(kappa, anti)
 
 
-def _irrep_order_masks(neg_rows: Sequence[int], n: int, kappa_mask: int) -> int:
-    """Irreducible order for one sign assignment, all in bitmask arithmetic.
+def _lex_first(E: AlgebraPresentation, basis: Sequence[int], h: Sequence[int],
+               a: Optional[int]) -> tuple[int, ...]:
+    """Least bits ``k_i = h_i + B(u, x_i)`` (``k_0`` first) over u in the span
+    of ``basis`` with ``q(u) = a`` (any u if ``a`` is None), ``x_i`` the
+    generators of E.
 
-    ``kappa_mask`` has bit j set when ``kappa_j == -1``.  Builds the
-    commutation form of ``presentation_from(lam, kappa)`` as a rank-2
-    update of the anti-amicable rows, reduces it, and hands the square
-    signs of the new generators to :func:`wedderburn_case`.  Agrees with
-    ``classify_presentation(presentation_from(...)).irrep_order`` on every
-    candidate; ``tests/test_solve.py`` checks this exhaustively for small n.
+    Each bit cuts the affine set ``u0 + span(W)`` by one linear condition
+    and keeps ``k_i = 0`` unless ``q - a`` is then identically 1 on it.
+    ``q(u0 + sum t_j w_j)`` is ``q(u0) + sum t_j (q(w_j) + B(u0, w_j)) +
+    sum_{j<l} t_j t_l B(w_j, w_l)``, and a reduced GF(2) polynomial is
+    constant iff all its other coefficients vanish, so the test is exact.
     """
-    full = (1 << n) - 1
-    frows = []
-    for j in range(n):
-        kk_neg = (~kappa_mask & full) if (kappa_mask >> j) & 1 else kappa_mask
-        frows.append((neg_rows[j] ^ kk_neg) & ~(1 << j) & full)
-    centrals, pairs = symplectic_reduce(tuple(frows), n)
-    dgt = [frows[i] & (full << (i + 1)) for i in range(n)]
+    def b(x: int, y: int) -> int:
+        return 1 if E.commute_sign_masks(x, y) == -1 else 0
 
-    def square(e: int) -> int:
-        neg = bilinear_parity(dgt, e, e) ^ (e & kappa_mask).bit_count()
-        return -1 if neg & 1 else 1
+    def q(x: int) -> int:
+        return 1 if E.square_sign_mask(x) == -1 else 0
 
-    case = wedderburn_case(
-        (square(c) for c in centrals), ((square(g), square(d)) for g, d in pairs)
-    )
-    return case.irrep_order(len(pairs))
+    def reaches(u0: int, W: list[int]) -> bool:
+        return (a is None or q(u0) == a
+                or any(q(w) != b(u0, w) for w in W)
+                or any(b(v, w) for j, v in enumerate(W) for w in W[j + 1:]))
+
+    u0, W, k = 0, list(basis), []
+    for i, hi in enumerate(h):
+        x = 1 << i
+        cut = [b(w, x) for w in W]
+        if any(cut):
+            pivot = W[cut.index(1)]
+            W = [w ^ pivot if c else w for w, c in zip(W, cut) if w != pivot]
+            if b(u0, x) != hi:
+                u0 ^= pivot
+            if not reaches(u0, W):
+                u0 ^= pivot
+        k.append(hi ^ b(u0, x))
+    return tuple(k)
 
 
-def _order_floor(lam: LambdaPattern) -> int:
-    """Minimal irreducible order over all sign assignments, from two classifications.
+def _minimal_kappa(lam: LambdaPattern) -> tuple[tuple[int, ...], int]:
+    """The least minimal-order sign assignment and its order b.
 
-    Write L for the anti-amicable (``lam == -1``) adjacency matrix, k for
-    the bit vector of ``kappa == -1`` and q_k(x) for the square sign bit of
-    the monomial with exponent vector x in ``presentation_from(lam, kappa)``.
+    Candidates have ``kappa_0 = +1`` and are ordered by the bits
+    ``k_i = [kappa_i == -1]``, ``k_1`` most significant.  Write q and B
+    for the square and commutation bits of monomials.
 
-    - q_k(x) = q_L(x) + (1.x)(k.x) over GF(2), where q_L is q at
-      ``kappa = +1``.
-    - The R/C/H rule is equivalent to irrep order ``2**(n - d)``, with d
-      the largest dimension of a subspace on which q vanishes.
-    - On the even-weight hyperplane E, q_k equals q_L.  A q_k-null
-      subspace meets E in a q_L-null one of codimension at most 1, so
-      d_k <= d_L + 1 for every k, and k = 0 gives d_L.
-    - d_L + 1 is reached iff E holds a q_L-null subspace W0 of dimension
-      d_L, that is iff the presentation on the basis x_i = e_0 + e_i of E
-      (x_i squares to ``lam[0][i]``; x_i, x_j anticommute iff
-      ``lam[0][i] * lam[0][j] * lam[i][j] == -1``) has half the order of
-      the ``kappa = +1`` one.
-    - W0 + <e_0> is then null for the k with k.e_0 = q_L(e_0) = 0 and
-      k.y = B_L(y, e_0) on W0; that k has ``kappa_0 = +1``, so the floor
-      is reached on the half sweep too.
+    - ``x_i = a_0 a_i`` (i >= 1) span the even hyperplane E, squaring to
+      ``lam[0][i]`` and anticommuting iff ``lam[0][i] lam[0][j] lam[i][j]
+      == -1`` whatever kappa is.  ``a_0`` squares to +1 and anticommutes
+      with ``x_i`` iff ``chi(x_i) = k_i + [lam[0][i] == -1]`` is 1, so
+      kappa picks any linear form chi on E, and the order is E's or twice.
+    - If chi vanishes on E's radical, ``chi = B(u, .)`` for one u in the
+      span of E's pairs, and ``a_0 + u`` is a new central of square
+      ``q(u)``: the order stays E's unless E is REAL and ``q(u) = 1``.
+    - Otherwise ``a_0 + u`` (u as above on the pairs) and a central c with
+      ``chi(c) = 1`` form a new pair, and the order stays E's only if the
+      result is REAL: E is COMPLEX, chi equals q on E's radical (so c
+      squares -1) and ``q(a_0 + u) = q(u)`` makes the number of
+      quaternionic pairs even.
+    - So if E's order is half the ``kappa = +1`` order, the minimisers are
+      the chi in the pieces ``{tau + B(u, .) : q(u) = a}``: tau = 0 with
+      a = 0 (REAL) or no condition (QUATERNION, COMPLEX), and for COMPLEX
+      also tau = q on E's centrals and 0 on its pairs, with a the parity
+      of E's quaternionic pairs.  u = 0 lies in the first piece.  If not,
+      ``kappa = +1`` is minimal.
     """
     n = lam.n
-    order_l = classify_presentation(presentation_from(lam, (1,) * n)).irrep_order
     rows = lam.rows
+    order_l = classify_presentation(presentation_from(lam, (1,) * n)).irrep_order
     even = AlgebraPresentation(
         [rows[0][i] for i in range(1, n)],
         [
@@ -185,64 +184,56 @@ def _order_floor(lam: LambdaPattern) -> int:
             if rows[0][i] * rows[0][j] * rows[i][j] == -1
         ],
     )
-    order_e = classify_presentation(even).irrep_order
-    return order_l // 2 if order_e == order_l // 2 else order_l
+    D = decompose(even)
+    wt = classify(D)
+    if wt.irrep_order != order_l // 2:
+        return (1,) * n, order_l
+    basis = [m for p in D.pairs for m in (p.first.mask, p.second.mask)]
+    neg0 = [1 if rows[0][i] == -1 else 0 for i in range(1, n)]
+    pieces = [(neg0, 0 if wt.case is StructureCase.REAL else None)]
+    if wt.case is StructureCase.COMPLEX:
+        # row i of the inverse basis change holds x_i's coordinates in the
+        # new generators, centrals first
+        minus = sum(1 << j for j, c in enumerate(D.centrals) if c.square == -1)
+        tau = [(row & minus).bit_count() & 1 for row in D.basis_change.inverse().bits]
+        quat = sum(1 for p in D.pairs if p.first_square == p.second_square == -1)
+        pieces.append(([t ^ s for t, s in zip(neg0, tau)], quat % 2))
+    k = min(_lex_first(even, basis, h, a) for h, a in pieces)
+    return (1,) + tuple(-1 if bit else 1 for bit in k), wt.irrep_order
 
 
-def solve(lam: LambdaPattern, max_n: int = DEFAULT_SOLVE_CAP,
-          max_order: Optional[int] = None, *, floor: Optional[int] = None) -> SolveResult:
-    """Minimal-order monomial realization of an amicability pattern.
-
-    Computes the minimal irreducible order with :func:`_order_floor`,
-    then walks sign assignments with ``kappa_1 = +1`` in lexicographic
-    order (+1 before -1) and stops at the first one whose order equals
-    that floor.  The floor is a lower bound, so this is the first
-    minimiser the full sweep would keep; a candidate below the floor, or
-    a sweep that never reaches it, raises ``VerificationError``.  Builds
-    the generator images for the chosen assignment and re-verifies every
-    pairwise condition by exact multiplication.
-
-    ``CapExceeded`` comes before the floor if ``n > max_n``, and before
-    the sweep if the floor is above ``max_order`` (no cap when None).
-    A caller that already holds ``_order_floor(lam)`` passes it as
-    ``floor``; any other value breaks the minimality argument.
-    """
-    n = lam.n
-    if n < 2:
-        raise ValueError("need at least two matrices")
-    if n > max_n:
-        raise CapExceeded(f"kappa sweep for n={n} exceeds the cap {max_n}")
-    if floor is None:
-        floor = _order_floor(lam)
-    if max_order is not None and floor > max_order:
-        raise CapExceeded(f"irreducible order {floor} exceeds the cap {max_order}")
-    neg_rows = lam.neg_masks()
-    for c in range(1 << (n - 1)):
-        # candidate bits map big-endian onto positions 1..n-1; position 0
-        # stays +1, quotienting out the global sign flip
-        kappa_mask = 0
-        for i in range(1, n):
-            if (c >> (n - 1 - i)) & 1:
-                kappa_mask |= 1 << i
-        order = _irrep_order_masks(neg_rows, n, kappa_mask)
-        if order < floor:
-            raise VerificationError(
-                f"candidate {c} has order {order} below the floor {floor}"
-            )
-        if order == floor:
-            break
-    else:
-        raise VerificationError(f"no candidate reaches the order floor {floor}")
-
-    kappa = tuple(-1 if (kappa_mask >> i) & 1 else 1 for i in range(n))
+def _realize(lam: LambdaPattern, kappa: tuple[int, ...], b: int) -> SolveResult:
+    """Build and certify the family for ``kappa``: one decomposition, a
+    classification that must give order ``b``, the images (verified by
+    :func:`minimal_images`) and the pairwise check of :func:`verify_solution`."""
     pres = presentation_from(lam, kappa)
-    wt = classify_presentation(pres)
-    if wt.irrep_order != floor:
-        raise VerificationError("sweep fast path disagrees with full classification")
-    rep = minimal_images(pres)
-    result = SolveResult(kappa, pres, wt, floor, rep.generator_images)
+    D = decompose(pres)
+    wt = classify(D)
+    if wt.irrep_order != b:
+        raise VerificationError(
+            f"kappa {list(kappa)} has order {wt.irrep_order}, expected {b}"
+        )
+    rep = minimal_images(pres, None, D)
+    result = SolveResult(kappa, pres, wt, b, rep.generator_images)
     verify_solution(lam, result)
     return result
+
+
+def solve(lam: LambdaPattern, max_order: Optional[int] = None) -> SolveResult:
+    """Minimal-order monomial realization of an amicability pattern.
+
+    Takes the first minimal sign assignment of :func:`_minimal_kappa`
+    (``kappa_0 = +1``, then lexicographic with +1 before -1), builds the
+    generator images for it and re-verifies every pairwise condition by
+    exact multiplication.  ``CapExceeded`` comes before any image if the
+    order is above ``max_order`` (no cap when None).
+    """
+    if lam.n < 2:
+        raise ValueError("need at least two matrices")
+    kappa, b = _minimal_kappa(lam)
+    if max_order is not None and b > max_order:
+        raise CapExceeded(f"irreducible order {b} exceeds the cap {max_order}")
+    return _realize(lam, kappa, b)
 
 
 def verify_solution(lam: LambdaPattern, result: SolveResult) -> None:

@@ -24,15 +24,15 @@ from qcliff import (
     classify,
     classify_presentation,
     complete,
-    decompose,
     irrep_dimension_rows,
     presentation_from,
     pushforward,
     quaternion_presentation,
     rho,
-    solve,
 )
+from qcliff.decompose import decompose
 from qcliff.represent import all_characters
+from qcliff.solve import solve
 
 from helpers import (
     all_presentations,

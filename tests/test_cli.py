@@ -130,7 +130,7 @@ class TestSolve:
             "entries": [[j + 1, k + 1, -1] for j in range(6) for k in range(j + 1, 6)],
         }
         path = write_json(tmp_path, "lam.json", lam)
-        assert main(["solve", path, "--max-n", "4"]) == 2
+        assert main(["solve", path, "--max-order", "4"]) == 2
 
     def test_missing_pair_rejected(self, tmp_path, capsys):
         path = write_json(tmp_path, "lam.json", {"n": 3, "entries": [[1, 2, -1]]})
@@ -279,11 +279,11 @@ class TestHadamard:
 
     def test_dense_order_cap_exits_2(self, capsys, monkeypatch):
         # m = 5 needs b = 2^15, so the dense H would have order 2^20; the
-        # cap is decided from the order floor, before any image is built
+        # cap is decided from the minimal order, before any image is built
         def refuse(*args, **kwargs):
-            raise AssertionError("solve called above the dense order cap")
+            raise AssertionError("images built above the dense order cap")
 
-        monkeypatch.setattr("qcliff.hadamard.solve", refuse)
+        monkeypatch.setattr("qcliff.hadamard._realize", refuse)
         assert main(["hadamard", "5", "--max-n", "32"]) == 2
         assert "assembled order 1048576 exceeds the cap 4096" in capsys.readouterr().err
 

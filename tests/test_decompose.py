@@ -6,12 +6,11 @@ from qcliff import (
     Gf2Matrix,
     SignedMonomial,
     clifford_presentation,
-    decompose,
     form_matrix,
     quaternion_presentation,
     radical_dimension,
 )
-from qcliff.decompose import Central, Decomposition, HyperbolicPair, symplectic_reduce
+from qcliff.decompose import Central, Decomposition, HyperbolicPair, decompose, symplectic_reduce
 
 from helpers import all_presentations, random_presentation, word_mul, word_of
 

@@ -1,4 +1,3 @@
-import importlib
 import itertools
 
 import numpy as np
@@ -20,6 +19,7 @@ from qcliff import (
 )
 from qcliff.hadamard import run_checks
 from qcliff.matrices import ident2, x2, y2, z2
+from qcliff.solve import _minimal_kappa
 
 from helpers import dense_lambda, random_monomial_matrix
 
@@ -177,18 +177,17 @@ class TestComplete:
             complete(3, max_order=32)
 
     def test_order_floor_is_computed_once(self, monkeypatch):
-        solve_module = importlib.import_module("qcliff.solve")
-        floor = solve_module._order_floor
         calls = []
 
         def counting(lam):
             calls.append(lam)
-            return floor(lam)
+            return _minimal_kappa(lam)
 
-        monkeypatch.setattr(solve_module, "_order_floor", counting)
-        monkeypatch.setattr(importlib.import_module("qcliff.hadamard"), "_order_floor", counting)
-        assert complete(2).b == floor(calls[0])
+        monkeypatch.setattr("qcliff.solve._minimal_kappa", counting)
+        monkeypatch.setattr("qcliff.hadamard._minimal_kappa", counting)
+        bundle = complete(2)
         assert len(calls) == 1
+        assert (bundle.b, bundle.lam) == (_minimal_kappa(calls[0])[1], calls[0])
 
     def test_verify_bundle_detects_corruption(self):
         bundle = complete(1)

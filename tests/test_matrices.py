@@ -9,7 +9,6 @@ from qcliff import (
     complete,
     lambda_of_pair,
     lambda_of_transversal,
-    solve,
     supports_disjoint,
     sylvester,
     transversal,
@@ -17,6 +16,7 @@ from qcliff import (
 )
 from qcliff.hadamard import run_checks
 from qcliff.matrices import ident2, j2, x2, y2, z2
+from qcliff.solve import solve
 
 from helpers import (
     dense_lambda,

@@ -1,4 +1,3 @@
-import importlib
 import json
 
 import numpy as np
@@ -14,17 +13,16 @@ from qcliff import (
     character_length,
     classify,
     clifford_presentation,
-    decompose,
     lambda_of_pair,
     minimal_images,
     pushforward,
     quaternion_presentation,
     represent,
-    solve,
     tensor_presentation,
     tensor_with_identity,
 )
 from qcliff.cli import main
+from qcliff.decompose import decompose
 from qcliff.matrices import x2, z2
 from qcliff.represent import (
     C_MINUS,
@@ -38,6 +36,7 @@ from qcliff.represent import (
     all_characters,
 )
 from qcliff.serialize import presentation_to_dict
+from qcliff.solve import solve
 
 from helpers import all_presentations, random_presentation
 
@@ -292,8 +291,7 @@ class TestOneDecomposition:
             calls.append(P)
             return decompose(P)
 
-        # qcliff.decompose is the function; patch the module and the CLI's name
-        monkeypatch.setattr(importlib.import_module("qcliff.decompose"), "decompose", counting)
+        monkeypatch.setattr("qcliff.decompose.decompose", counting)
         monkeypatch.setattr("qcliff.cli.decompose", counting)
         path = presentation_file(tmp_path, RANDOM5)
         assert main(["represent", path, "--format", "json"]) == 0

@@ -14,13 +14,12 @@ from qcliff import (
     minimal_images,
     presentation_from,
     rho,
-    solve,
     tensor_presentation,
     transversal,
     verify_solution,
 )
 from qcliff.matrices import ident2, j2, z2
-from qcliff.solve import _irrep_order_masks, _order_floor
+from qcliff.solve import _minimal_kappa, solve
 
 from helpers import random_monomial_matrix
 
@@ -118,33 +117,16 @@ class TestPresentationFrom:
                 assert gmin == hmin
 
 
-class TestCandidateOrder:
-    def test_matches_full_classification_for_every_kappa(self):
-        # the sweep's per-candidate order against the object-level
-        # classify(decompose(...)) reference, over all of {+-1}^n
-        rng = np.random.default_rng(89)
-        for n in range(2, 7):
-            patterns = [LambdaPattern.constant(n, -1), LambdaPattern.constant(n, 1)]
-            patterns += [random_pattern(rng, n) for _ in range(3)]
-            for lam in patterns:
-                neg_rows = lam.neg_masks()
-                for bits in range(1 << n):
-                    kappa = tuple(-1 if (bits >> i) & 1 else 1 for i in range(n))
-                    want = classify_presentation(presentation_from(lam, kappa)).irrep_order
-                    assert _irrep_order_masks(neg_rows, n, bits) == want, (lam, kappa)
-
-
 def full_sweep_reference(lam):
-    """The sweep without a floor: every kappa with kappa_0 = +1, first minimiser kept."""
-    n = lam.n
-    neg_rows = lam.neg_masks()
-    best_order, best_mask = None, 0
-    for c in range(1 << (n - 1)):
-        kappa_mask = sum(1 << i for i in range(1, n) if (c >> (n - 1 - i)) & 1)
-        order = _irrep_order_masks(neg_rows, n, kappa_mask)
-        if best_order is None or order < best_order:
-            best_order, best_mask = order, kappa_mask
-    return tuple(-1 if (best_mask >> i) & 1 else 1 for i in range(n)), best_order
+    """Every kappa with kappa_0 = +1, kappa_1 most significant and +1 before
+    -1, classified object by object; the first minimiser is kept."""
+    best = None
+    for signs in itertools.product((1, -1), repeat=lam.n - 1):
+        kappa = (1,) + signs
+        order = classify_presentation(presentation_from(lam, kappa)).irrep_order
+        if best is None or order < best[1]:
+            best = (kappa, order)
+    return best
 
 
 def all_patterns(n):
@@ -153,24 +135,37 @@ def all_patterns(n):
         yield LambdaPattern.from_pairs(n, dict(zip(pairs, values)))
 
 
-class TestOrderFloor:
-    @staticmethod
-    def assert_floor_is_the_minimum(lam):
-        neg_rows = lam.neg_masks()
-        orders = [_irrep_order_masks(neg_rows, lam.n, bits) for bits in range(1 << lam.n)]
-        # bit 0 clear is kappa_0 = +1, the half the solver sweeps
-        assert _order_floor(lam) == min(orders) == min(orders[0::2]), lam
+def biased_pattern(rng, n):
+    p = rng.uniform(0.05, 0.95)
+    return LambdaPattern.from_pairs(
+        n, {(j, k): -1 if rng.random() < p else 1 for j in range(n) for k in range(j + 1, n)}
+    )
 
+
+class TestOrderFloor:
     def test_floor_is_the_minimum_for_every_pattern_up_to_n5(self):
         for n in range(2, 6):
             for lam in all_patterns(n):
-                self.assert_floor_is_the_minimum(lam)
+                assert _minimal_kappa(lam) == full_sweep_reference(lam), lam
 
     def test_floor_is_the_minimum_on_seeded_patterns(self):
+        # sparse and dense -1 patterns reach every Wedderburn case of E
         rng = np.random.default_rng(101)
         for n in range(6, 11):
             for _ in range(6):
-                self.assert_floor_is_the_minimum(random_pattern(rng, n))
+                lam = biased_pattern(rng, n)
+                assert _minimal_kappa(lam) == full_sweep_reference(lam), lam
+
+    def test_quadratic_term_of_the_feasibility_test_decides(self):
+        # only the B(w, w') term of the feasibility test shows that
+        # kappa_4 = +1 can be kept; a test without it returns
+        # (1, 1, 1, 1, -1, 1, 1), also of order 8
+        neg = {(0, 1), (0, 4), (0, 5), (1, 4), (1, 5), (1, 6), (2, 3), (2, 6), (5, 6)}
+        lam = LambdaPattern.from_pairs(
+            7, {(j, k): -1 if (j, k) in neg else 1 for j in range(7) for k in range(j + 1, 7)}
+        )
+        want = ((1, 1, 1, 1, 1, -1, 1), 8)
+        assert _minimal_kappa(lam) == full_sweep_reference(lam) == want
 
     def test_solve_matches_the_full_sweep_reference(self):
         rng = np.random.default_rng(103)
@@ -224,8 +219,20 @@ class TestSolve:
         assert all(x == y for x, y in zip(a.D, b.D))
 
     def test_cap(self):
+        # all -1 at n = 6 needs b = 8
         with pytest.raises(CapExceeded):
-            solve(LambdaPattern.constant(6, -1), max_n=4)
+            solve(LambdaPattern.constant(6, -1), max_order=4)
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_long_sweep_family(self, n):
+        # lam_0j = -1 for j >= 3 and lam_12 = -1: the first minimiser is
+        # candidate 2^(n-3), beyond any sign sweep at these n
+        pairs = {(j, k): 1 for j in range(n) for k in range(j + 1, n)}
+        pairs.update({(0, j): -1 for j in range(3, n)})
+        pairs[(1, 2)] = -1
+        result = solve(LambdaPattern.from_pairs(n, pairs))
+        assert result.kappa == (1, 1, 1) + (-1,) * (n - 3)
+        assert result.b == 2
 
     def test_too_small(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ is malformed.
 
 from __future__ import annotations
 
-import importlib
 import json
 import time
 
@@ -21,6 +20,7 @@ from hypothesis import strategies as st
 from qcliff import TransversalSpec, complete, lambda_of_transversal, transversal
 from qcliff.cli import main
 from qcliff.serialize import bundle_to_dict, lambda_to_dict
+from qcliff.solve import _minimal_kappa
 
 PRESENTATION = {"m": 3, "kappa": [1, -1, -1], "delta": [[1, 2, 1], [1, 3, 1]]}
 LAMBDA = {"n": 4, "entries": [[j, k, -1] for j in range(1, 5) for k in range(j + 1, 5)]}
@@ -135,17 +135,24 @@ class TestSolveOrderCap:
         return write(tmp_path_factory.mktemp("m6") / "lam.json", lambda_to_dict(lam))
 
     def test_m6_transversal_exits_2_before_the_sweep(self, m6_transversal, capsys, monkeypatch):
-        # the floor is b = 2^31; before the cap this run built images until
+        # b = 2^31 at n = 64; without the cap this run built images until
         # it was killed for memory
-        def refuse(*args, **kwargs):
-            raise AssertionError("sweep or images started above the order cap")
+        calls = []
 
-        solve_module = importlib.import_module("qcliff.solve")  # qcliff.solve is the function
-        monkeypatch.setattr(solve_module, "_irrep_order_masks", refuse)
-        monkeypatch.setattr(solve_module, "minimal_images", refuse)
+        def counting(lam):
+            calls.append(lam)
+            return _minimal_kappa(lam)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("images started above the order cap")
+
+        monkeypatch.setattr("qcliff.solve._minimal_kappa", counting)
+        monkeypatch.setattr("qcliff.solve._realize", refuse)
+        monkeypatch.setattr("qcliff.solve.minimal_images", refuse)
         start = time.perf_counter()
-        assert main(["solve", m6_transversal, "--max-n", "64"]) == 2
+        assert main(["solve", m6_transversal]) == 2
         assert time.perf_counter() - start < 10
+        assert len(calls) == 1
         assert "irreducible order 2147483648 exceeds the cap 1048576" in capsys.readouterr().err
 
     def test_flag_and_environment(self, tmp_path, capsys, monkeypatch):

@@ -6,11 +6,11 @@ from qcliff import (
     classify,
     classify_presentation,
     compact_label,
-    decompose,
     quaternion_presentation,
     table_entry,
     tensor_presentation,
 )
+from qcliff.decompose import decompose
 
 from helpers import all_presentations
 
