@@ -19,7 +19,6 @@ from .matrices import (
     DenseSignMatrix,
     MonomialMatrix,
     lambda_of_pair,
-    supports_disjoint,
     sylvester,
 )
 from .presentation import (
@@ -34,7 +33,6 @@ from .represent import (
     character_length,
     minimal_images,
     pushforward,
-    tensor_with_identity,
     zero_character,
 )
 from .solve import (
@@ -100,11 +98,9 @@ __all__ = [
     "quaternion_presentation",
     "radical_dimension",
     "rho",
-    "supports_disjoint",
     "sylvester",
     "table_entry",
     "tensor_presentation",
-    "tensor_with_identity",
     "transversal",
     "verify_bundle",
     "verify_solution",

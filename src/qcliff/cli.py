@@ -348,13 +348,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # building the parser reads the cap environment variables
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except CapExceeded as exc:
         sys.stderr.write(f"resource cap exceeded: {exc}\n")
         return 2

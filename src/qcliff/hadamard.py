@@ -30,8 +30,7 @@ from .matrices import (
     DenseSignMatrix,
     MonomialMatrix,
     ident2,
-    lambda_of_pair,
-    supports_disjoint,
+    pair_lambdas,
     sylvester,
     x2,
     y2,
@@ -102,19 +101,19 @@ def transversal(spec: TransversalSpec) -> list[MonomialMatrix]:
 
 
 def lambda_of_transversal(A: Sequence[MonomialMatrix]) -> LambdaPattern:
-    """Pairwise amicability pattern of the outer family (the "A" side)."""
-    n = len(A)
-    pairs = {}
-    for j in range(n):
-        for k in range(j + 1, n):
-            lam = lambda_of_pair(A[j], A[k], side="A")
-            if lam is None:
-                raise ValueError(
-                    f"matrices {j} and {k} are neither amicable nor anti-amicable; "
-                    "not a valid transversal"
-                )
-            pairs[(j, k)] = lam
-    return LambdaPattern.from_pairs(n, pairs)
+    """Pairwise amicability pattern of the outer family (the "A" side).
+
+    The "A" sign is the negated "B" table of :func:`pair_lambdas`.
+    """
+    lam = -pair_lambdas(A)
+    bad = np.argwhere(np.triu(lam == 0, 1)).tolist()
+    if bad:
+        j, k = bad[0]
+        raise ValueError(
+            f"matrices {j} and {k} are neither amicable nor anti-amicable; "
+            "not a valid transversal"
+        )
+    return LambdaPattern(len(A), tuple(tuple(row) for row in lam.tolist()))
 
 
 def plug_in(A: Sequence[MonomialMatrix], B: Sequence[DenseSignMatrix]) -> DenseSignMatrix:
@@ -197,29 +196,27 @@ def run_checks(
     b = B[0].order
     order = n * b
 
-    disjoint = all(
-        supports_disjoint(A[j], A[k]) for j in range(n) for k in range(j + 1, n)
-    )
-    # n matrices of order n: each cell covered once <=> |sum A_k| == 1.
-    cells = [np.arange(n) * n + a.perm for a in A if a.order == n]
-    tsum = len(cells) == n and np.unique(np.concatenate(cells)).size == n * n
+    # row i of every member, sorted: disjoint supports repeat no column,
+    # and n members of order n cover every cell once (|sum A_k| == 1)
+    perms = np.sort(np.stack([a.perm for a in A]), axis=0)
+    disjoint = bool(np.all(perms[1:] != perms[:-1]))
+    tsum = perms.shape == (n, n) and bool(np.all(perms == np.arange(n)[:, None]))
 
     ident_n = MonomialMatrix.identity(n)
     a_orth = all(a @ a.transpose() == ident_n for a in A)
-    a_lam = all(
-        lambda_of_pair(A[j], A[k], side="A") == lam.get(j, k)
-        for j in range(n)
-        for k in range(j + 1, n)
-    )
+    table = np.array(lam.rows)
+    upper = np.triu_indices(n, 1)
+    a_lam = np.array_equal(-pair_lambdas(A)[upper], table[upper])
 
-    # B_k B_j^T is the transpose of B_j B_k^T: form the Grams with j <= k only
-    grams = {(j, k): B[j].array @ B[k].array.T for j in range(n) for k in range(j, n)}
-    b_lam = all(
-        np.array_equal(grams[j, k], lam.get(j, k) * grams[j, k].T)
-        for j in range(n)
-        for k in range(j + 1, n)
-    )
-    gram_sum = sum(grams[k, k] for k in range(n))
+    # pass j forms B_j B_k^T for k >= j only: B_k B_j^T is its transpose
+    stacked = np.stack([x.array for x in B])
+    gram_sum = np.zeros((b, b), dtype=np.int64)
+    b_lam = True
+    for j in range(n):
+        grams = stacked[j] @ stacked[j:].transpose(0, 2, 1)
+        gram_sum += grams[0]
+        want = table[j, j + 1:n, None, None] * grams[1:].transpose(0, 2, 1)
+        b_lam = b_lam and np.array_equal(grams[1:], want)
     b_gram = bool(np.array_equal(gram_sum, order * np.eye(b, dtype=np.int64)))
 
     try:

@@ -10,7 +10,9 @@ the order, far inside int64 range.
 Only the public constructor validates and copies its input (parsers,
 callers, ``identity``, ``scalar``); ``@``, ``transpose``, negation and
 ``tensor`` yield signed permutations by construction and skip the check.
-Amicability signs are decided on ``perm`` / ``signs`` in O(N).
+Amicability signs have one kernel, :func:`pair_lambdas`: it decides every
+pair of a family of n matrices of order b on the stacked ``perm`` /
+``signs`` arrays in n - 1 numpy passes, O(n^2 b) integer work in all.
 
 The Kronecker convention is row-major blocks throughout the package:
 ``(X.tensor(Y))[i1*Ny + i2, j1*Ny + j2] == X[i1,j1] * Y[i2,j2]``,
@@ -113,12 +115,6 @@ class MonomialMatrix:
         out[np.arange(self.order), self.perm] = self.signs
         return out
 
-    def is_symmetric(self) -> bool:
-        return self == self.transpose()
-
-    def is_skew(self) -> bool:
-        return self == -self.transpose()
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonomialMatrix):
             return NotImplemented
@@ -182,38 +178,56 @@ class DenseSignMatrix:
         return f"DenseSignMatrix(order={self.order})"
 
 
-def supports_disjoint(x: MonomialMatrix, y: MonomialMatrix) -> bool:
-    if x.order != y.order:
-        raise ValueError(f"order mismatch: {x.order} vs {y.order}")
-    return bool(np.all(x.perm != y.perm))
-
-
 Side = Literal["A", "B"]
+
+
+def pair_lambdas(family: Sequence[MonomialMatrix]) -> np.ndarray:
+    """Side "B" amicability signs of every pair of an equal-order family.
+
+    Entry ``[j, k]`` is +1 where ``X_j X_k^T == X_k X_j^T``, -1 where
+    ``X_j X_k^T == -X_k X_j^T`` and 0 where neither holds; the diagonal is
+    0.  Row ``i`` is coded ``2 perm[i] + [signs[i] < 0]``, so row ``i`` of
+    ``X Y`` is ``table_Y[code_X[i]]`` with ``table_Y[2c + e] = code_Y[c] ^ e``.
+    Pass ``j`` of ``n - 1`` gathers the codes of ``X_j X_k^T`` and
+    ``X_k X_j^T`` for all ``k > j`` from the tables of the transposes and
+    xors them: all 0 is +1, all 1 is -1.  O(n^2 b) for order ``b``.
+    """
+    if not family:
+        raise ValueError("empty family")
+    n, b = len(family), family[0].order
+    if any(x.order != b for x in family):
+        raise ValueError(f"order mismatch: {[x.order for x in family]}")
+    perm = np.array([x.perm for x in family])
+    neg = np.array([x.signs for x in family]) < 0
+    code = 2 * perm + neg
+    transposed = np.empty((n, b), dtype=np.min_scalar_type(2 * b))
+    transposed[np.arange(n)[:, None], perm] = 2 * np.arange(b) + neg
+    table = (transposed[:, :, None] ^ np.arange(2, dtype=transposed.dtype)).reshape(n, 2 * b)
+    out = np.zeros((n, n), dtype=np.int64)
+    for j in range(n - 1):
+        d = np.take(table[j + 1:], code[j], axis=1)
+        d ^= np.take(table[j], code[j + 1:])
+        first = d[:, 0]
+        same = (d == first[:, None]).all(axis=1) & (first <= 1)
+        out[j, j + 1:] = out[j + 1:, j] = np.where(same, 1 - 2 * first.astype(np.int64), 0)
+    return out
 
 
 def lambda_of_pair(x: MonomialMatrix, y: MonomialMatrix, side: Side) -> Optional[int]:
     """Amicability sign of a monomial matrix pair, or None when neither sign fits.
 
-    Side "B" returns lam with ``x @ y.T == lam * (y @ x.T)``.  Side "A"
-    returns lam with ``x @ y.T + lam * (y @ x.T) == 0``, i.e. the
-    negative of the "B" value.  The two conventions exist because the
-    plug-in conditions carry opposite signs on the two matrix families;
-    callers must say which side they are on.
-
-    Exact and O(N) on ``perm`` / ``signs``: ``y @ x.T`` is the transpose
-    of ``p = x @ y.T``, so side "B" gives +1 when ``p`` is symmetric and
-    -1 when it is skew.  Dense arguments raise ``TypeError``.
+    Side "B" returns lam with ``x @ y.T == lam * (y @ x.T)``, the two-member
+    case of :func:`pair_lambdas`.  Side "A" returns lam with ``x @ y.T +
+    lam * (y @ x.T) == 0``, the negative: the plug-in conditions carry
+    opposite signs on the two matrix families, so callers must say which
+    side they are on.  Dense arguments raise ``TypeError``.
     """
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     if not (isinstance(x, MonomialMatrix) and isinstance(y, MonomialMatrix)):
         raise TypeError(f"expected MonomialMatrix, got {type(x).__name__}, {type(y).__name__}")
-    p = x @ y.transpose()
-    if p.is_symmetric():
-        return -1 if side == "A" else 1
-    if p.is_skew():
-        return 1 if side == "A" else -1
-    return None
+    lam = int(pair_lambdas((x, y))[0, 1])
+    return (-lam if side == "A" else lam) or None
 
 
 def sylvester(b: int) -> DenseSignMatrix:

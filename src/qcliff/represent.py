@@ -24,13 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product as iter_product
 from math import prod
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .decompose import Decomposition
 from .errors import VerificationError
-from .matrices import MonomialMatrix, j2, x2, z2
+from .matrices import MonomialMatrix, j2, pair_lambdas, x2, z2
 from .presentation import AlgebraPresentation
 from .structure import classify
 
@@ -58,11 +59,6 @@ CH = (QUAT_RIGHT_I, QUAT_LEFT_I, QUAT_LEFT_J)
 C_MINUS = j2()
 
 
-def _expect(cond: bool, msg: str) -> None:
-    if not cond:
-        raise VerificationError(msg)
-
-
 @dataclass(frozen=True)
 class Representation:
     """Monomial generator images satisfying ``presentation`` exactly.
@@ -81,7 +77,11 @@ class Representation:
     presentation: AlgebraPresentation
 
     def verify(self) -> None:
-        """Exact re-check of all relations and the transpose law."""
+        """Exact re-check of all relations and the transpose law.
+
+        Given ``X_i^T == kappa_i X_i``, ``X_i X_j == c X_j X_i`` holds exactly
+        when ``pair_lambdas`` gives ``c kappa_i kappa_j`` for ``(i, j)``.
+        """
         P = self.presentation
         imgs = self.generator_images
         if len(imgs) != P.m:
@@ -90,17 +90,18 @@ class Representation:
         for i, img in enumerate(imgs):
             if img.order != self.order:
                 raise VerificationError(f"image {i} has order {img.order} != {self.order}")
-            _expect(img @ img == P.kappa[i] * ident, f"image {i} has the wrong square")
-            _expect(
-                img.transpose() == P.kappa[i] * img,
-                f"image {i} breaks the transpose law",
-            )
-        for i in range(P.m):
-            for j in range(i + 1, P.m):
-                lhs = imgs[j] @ imgs[i]
-                rhs = imgs[i] @ imgs[j]
-                want = -rhs if P.delta(i, j) else rhs
-                _expect(lhs == want, f"images {i},{j} break the commutation relation")
+            if img @ img != P.kappa[i] * ident:
+                raise VerificationError(f"image {i} has the wrong square")
+            if img.transpose() != P.kappa[i] * img:
+                raise VerificationError(f"image {i} breaks the transpose law")
+        kappa = np.array(P.kappa)
+        want = np.outer(kappa, kappa)
+        for i, j in P.anticommuting_pairs():
+            want[i, j] = -want[i, j]
+        bad = np.argwhere(np.triu(pair_lambdas(imgs) != want, 1)).tolist()
+        if bad:
+            i, j = bad[0]
+            raise VerificationError(f"images {i},{j} break the commutation relation")
 
 
 def character_length(D: Decomposition) -> int:
@@ -111,10 +112,6 @@ def character_length(D: Decomposition) -> int:
 
 def zero_character(D: Decomposition) -> tuple[int, ...]:
     return (0,) * character_length(D)
-
-
-def all_characters(D: Decomposition) -> Iterator[tuple[int, ...]]:
-    return iter_product((0, 1), repeat=character_length(D))
 
 
 def _assemble(D: Decomposition, character: Sequence[int]) -> Representation:
@@ -291,18 +288,3 @@ def minimal_images(P: AlgebraPresentation,
         character = zero_character(D)
     return pushforward(_assemble(D, character))
 
-
-def tensor_with_identity(R: Representation, copies: int) -> Representation:
-    """Non-minimal representation: every image tensored with ``I(copies)``."""
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
-    if copies == 1:
-        return R
-    ident = MonomialMatrix.identity(copies)
-    return Representation(
-        order=R.order * copies,
-        generator_images=tuple(img.tensor(ident) for img in R.generator_images),
-        character=R.character,
-        decomposition=R.decomposition,
-        presentation=R.presentation,
-    )

@@ -309,7 +309,7 @@ def bundle_from_dict(obj: dict) -> HadamardBundle:
     B = tuple(dense_from_rows(rows) for rows in _list(obj["B"], "bundle B"))
     H = sign_matrix_from_text_rows(_list(obj["H"], "bundle H"))
     report = report_from_dict(obj["report"])
-    if any(len(family) != obj["n"] for family in (A, D, B)):
+    if lam.n != obj["n"] or any(len(family) != obj["n"] for family in (A, D, B)):
         raise ValueError("bundle family sizes do not match n")
     if any(a.order != obj["n"] for a in A):
         raise ValueError(f"bundle outer orders {[a.order for a in A]} do not match n")

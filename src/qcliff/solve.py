@@ -8,7 +8,8 @@ orthogonal monomial matrices with ``D_j @ D_j == kappa_j * I`` realizes
 minimal-order sign assignment ``kappa`` directly, from the decomposition
 of the kappa-independent even subalgebra and a greedy GF(2) bit fixing
 (see :func:`_minimal_kappa`).  The matrices themselves come from the
-representation builder and are re-verified pair by pair before returning.
+representation builder, and every pair is re-checked against ``lam`` in
+one :func:`~qcliff.matrices.pair_lambdas` table before returning.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .decompose import decompose
 from .errors import CapExceeded, VerificationError
-from .matrices import MonomialMatrix, lambda_of_pair
+from .matrices import MonomialMatrix, pair_lambdas
 from .presentation import AlgebraPresentation
 from .represent import minimal_images
 from .structure import StructureCase, WedderburnType, classify, classify_presentation
@@ -205,7 +208,9 @@ def _minimal_kappa(lam: LambdaPattern) -> tuple[tuple[int, ...], int]:
 def _realize(lam: LambdaPattern, kappa: tuple[int, ...], b: int) -> SolveResult:
     """Build and certify the family for ``kappa``: one decomposition, a
     classification that must give order ``b``, the images (verified by
-    :func:`minimal_images`) and the pairwise check of :func:`verify_solution`."""
+    :func:`minimal_images`) and the pair check of :func:`verify_solution`.
+    The last is kept on purpose: it alone compares the images with ``lam``,
+    so it alone sees a wrong translation into ``presentation_from``."""
     pres = presentation_from(lam, kappa)
     D = decompose(pres)
     wt = classify(D)
@@ -224,9 +229,9 @@ def solve(lam: LambdaPattern, max_order: Optional[int] = None) -> SolveResult:
 
     Takes the first minimal sign assignment of :func:`_minimal_kappa`
     (``kappa_0 = +1``, then lexicographic with +1 before -1), builds the
-    generator images for it and re-verifies every pairwise condition by
-    exact multiplication.  ``CapExceeded`` comes before any image if the
-    order is above ``max_order`` (no cap when None).
+    generator images for it and re-verifies every pair condition exactly.
+    ``CapExceeded`` comes before any image if the order is above
+    ``max_order`` (no cap when None).
     """
     if lam.n < 2:
         raise ValueError("need at least two matrices")
@@ -237,21 +242,23 @@ def solve(lam: LambdaPattern, max_order: Optional[int] = None) -> SolveResult:
 
 
 def verify_solution(lam: LambdaPattern, result: SolveResult) -> None:
-    """Exact pairwise check of the defining conditions of a solution."""
+    """Exact check of a solution; names the first pair that misses ``lam``."""
     D = result.D
     if len(D) != lam.n:
         raise VerificationError(f"expected {lam.n} matrices, got {len(D)}")
     if result.b != result.wedderburn.irrep_order:
         raise VerificationError("recorded order differs from the classification")
-    for j in range(lam.n):
-        if D[j].order != result.b:
-            raise VerificationError(f"matrix {j} has order {D[j].order} != {result.b}")
-        for k in range(j + 1, lam.n):
-            got = lambda_of_pair(D[j], D[k], side="B")
-            if got != lam.get(j, k):
-                raise VerificationError(
-                    f"pair ({j}, {k}) realizes lambda={got}, required {lam.get(j, k)}"
-                )
+    for j, d in enumerate(D):
+        if d.order != result.b:
+            raise VerificationError(f"matrix {j} has order {d.order} != {result.b}")
+    got = pair_lambdas(D)
+    bad = np.argwhere(np.triu(got != np.array(lam.rows), 1)).tolist()
+    if bad:
+        j, k = bad[0]
+        realized = int(got[j, k]) or None
+        raise VerificationError(
+            f"pair ({j}, {k}) realizes lambda={realized}, required {lam.get(j, k)}"
+        )
 
 
 def rho(N: int) -> int:
@@ -279,16 +286,10 @@ class HurwitzRadonReport:
 def check_hr_bound(family: Iterable[MonomialMatrix]) -> HurwitzRadonReport:
     """Check a family for mutual anti-amicability and the size bound rho(N)."""
     mats = list(family)
-    if not mats:
-        raise ValueError("empty family")
+    # -1 off the diagonal; pair_lambdas leaves the diagonal 0 and refuses
+    # an empty family or mixed orders
+    anti = np.array_equal(pair_lambdas(mats), np.eye(len(mats), dtype=np.int64) - 1)
     order = mats[0].order
-    if any(m.order != order for m in mats):
-        raise ValueError("family mixes matrix orders")
-    anti = all(
-        lambda_of_pair(mats[j], mats[k], side="B") == -1
-        for j in range(len(mats))
-        for k in range(j + 1, len(mats))
-    )
     bound = rho(order)
     return HurwitzRadonReport(
         order=order,

@@ -11,7 +11,9 @@ import itertools
 
 import numpy as np
 
-from qcliff import AlgebraPresentation, MonomialMatrix, SignedMonomial
+from qcliff import AlgebraPresentation, MonomialMatrix, Representation, SignedMonomial
+from qcliff.decompose import Decomposition
+from qcliff.represent import character_length
 
 
 def word_mul(P: AlgebraPresentation, *words: list[int]) -> tuple[int, tuple[int, ...]]:
@@ -156,3 +158,22 @@ def grow_anti_amicable_family(rng: np.random.Generator, n: int, sampler, patienc
         else:
             misses += 1
     return family
+
+
+def all_characters(D: Decomposition):
+    """Every character bit string of ``D``'s irreducibles."""
+    return itertools.product((0, 1), repeat=character_length(D))
+
+
+def tensor_with_identity(R: Representation, copies: int) -> Representation:
+    """Non-minimal representation: every image tensored with ``I(copies)``."""
+    if copies < 1:
+        raise ValueError("copies must be >= 1")
+    ident = MonomialMatrix.identity(copies)
+    return Representation(
+        order=R.order * copies,
+        generator_images=tuple(img.tensor(ident) for img in R.generator_images),
+        character=R.character,
+        decomposition=R.decomposition,
+        presentation=R.presentation,
+    )

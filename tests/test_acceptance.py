@@ -31,10 +31,10 @@ from qcliff import (
     rho,
 )
 from qcliff.decompose import decompose
-from qcliff.represent import all_characters
 from qcliff.solve import solve
 
 from helpers import (
+    all_characters,
     all_presentations,
     grow_anti_amicable_family,
     random_block_word,

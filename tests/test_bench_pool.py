@@ -31,6 +31,8 @@ ITEMS = {
     "solve/minus": ("minus", 0),
     "solve/random/0": ("random", 0),
     "hadamard/III-XXX": ("hadamard", -1),
+    # an outer family that mixes symmetric and skew members
+    "hadamard/ZIZ-YXY": ("hadamard", 44),
 }
 
 

@@ -243,6 +243,13 @@ class TestHadamard:
         assert main(["verify", path]) == 1
         assert "D orders [2, 3]" in capsys.readouterr().err
 
+    def test_lambda_of_another_size_fails_with_code_1(self, tmp_path, capsys):
+        d = bundle_to_dict(complete(1))
+        lam3 = {"n": 3, "entries": [[1, 2, 1], [1, 3, 1], [2, 3, 1]]}
+        path = write_json(tmp_path, "lam3.json", {**d, "lambda": lam3})
+        assert main(["verify", path]) == 1
+        assert "family sizes do not match n" in capsys.readouterr().err
+
     def test_malformed_bundle_header_fails_with_code_1(self, tmp_path, capsys):
         d = bundle_to_dict(complete(1))
         for name, bad in (
@@ -292,6 +299,19 @@ class TestHadamard:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
+
+
+class TestCapEnvironment:
+    # the parser reads both caps when it is built, for every subcommand
+    @pytest.mark.parametrize("name, value, argv", [
+        ("QCLIFF_MAX_ORDER", "abc", ["rho", "4"]),
+        ("QCLIFF_MAX_N", "1.5", ["classify", "x.json"]),
+    ])
+    def test_malformed_cap_variable_exits_1(self, capsys, monkeypatch, name, value, argv):
+        monkeypatch.setenv(name, value)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
 
 
 class TestDeterminism:

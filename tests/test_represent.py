@@ -19,7 +19,6 @@ from qcliff import (
     quaternion_presentation,
     represent,
     tensor_presentation,
-    tensor_with_identity,
 )
 from qcliff.cli import main
 from qcliff.decompose import decompose
@@ -33,12 +32,16 @@ from qcliff.represent import (
     QUAT_LEFT_J,
     QUAT_RIGHT_I,
     QUAT_RIGHT_J,
-    all_characters,
 )
 from qcliff.serialize import presentation_to_dict
 from qcliff.solve import solve
 
-from helpers import all_presentations, random_presentation
+from helpers import (
+    all_characters,
+    all_presentations,
+    random_presentation,
+    tensor_with_identity,
+)
 
 
 def quat_table_oracle():

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from qcliff import (
+    AlgebraPresentation,
     CapExceeded,
     LambdaPattern,
     TransversalSpec,
+    VerificationError,
     check_hr_bound,
     classify_presentation,
     lambda_of_pair,
@@ -237,6 +239,42 @@ class TestSolve:
     def test_too_small(self):
         with pytest.raises(ValueError):
             solve(LambdaPattern.constant(1, -1))
+
+    def test_a_mistranslated_lambda_is_refused(self, monkeypatch):
+        # one anticommutation bit of the lambda -> presentation translation
+        # flipped: the order certificate misses some of these, and only
+        # verify_solution, which compares the images with lambda, sees them
+        original = presentation_from
+        rng = np.random.default_rng(79)
+        patterns = []
+        for _ in range(40):
+            n = int(rng.integers(3, 9))
+            j, k = sorted(int(i) for i in rng.choice(n, size=2, replace=False))
+            patterns.append((random_pattern(rng, n), (j, k)))
+
+        def flip(pair):
+            def translate(lam, kappa):
+                P = original(lam, kappa)
+                return AlgebraPresentation(P.kappa, set(P.anticommuting_pairs()) ^ {pair})
+            return translate
+
+        by_lambda = 0
+        for lam, pair in patterns:
+            monkeypatch.setattr("qcliff.solve.presentation_from", flip(pair))
+            with pytest.raises(VerificationError) as info:
+                solve(lam)
+            by_lambda += "realizes lambda" in str(info.value)
+        assert by_lambda > 0
+        monkeypatch.setattr("qcliff.solve.verify_solution", lambda lam, result: None)
+        passed = 0
+        for lam, pair in patterns:
+            monkeypatch.setattr("qcliff.solve.presentation_from", flip(pair))
+            try:
+                solve(lam)
+                passed += 1
+            except VerificationError:
+                pass
+        assert passed == by_lambda
 
 
 class TestRho:
