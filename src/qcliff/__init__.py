@@ -18,7 +18,6 @@ from .hadamard import (
 from .matrices import (
     DenseSignMatrix,
     MonomialMatrix,
-    lambda_of_pair,
     sylvester,
 )
 from .presentation import (
@@ -89,7 +88,6 @@ __all__ = [
     "complete",
     "form_matrix",
     "irrep_dimension_rows",
-    "lambda_of_pair",
     "lambda_of_transversal",
     "minimal_images",
     "plug_in",

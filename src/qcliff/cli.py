@@ -1,9 +1,10 @@
 """Command line surface.
 
 Subcommands: classify, decompose, represent, solve, hadamard, tables,
-rho, verify.  Every subcommand supports ``--format json`` for stable
-machine-readable output; the default is a readable text rendering
-(except ``tables``, whose text output is itself a fixed byte format).
+rho, verify.  Every subcommand but ``tables`` supports ``--format json``
+for stable machine-readable output; the default is a readable text
+rendering.  ``tables`` has no ``--format``: its text output is itself a
+fixed byte format.
 JSON output, on stdout or in a ``hadamard --output`` bundle, is byte for
 byte ``json.dumps(obj, indent=2)`` plus a newline (see :func:`_write_json`).
 
@@ -331,7 +332,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("tables", help="classification grid and irreducible dimensions")
     p.add_argument("--section", choices=("grid", "dims", "all"), default="all")
     p.add_argument("--max-pq", type=int, default=16)
-    common(p)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("rho", help="Hurwitz-Radon function")

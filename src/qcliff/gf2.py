@@ -51,26 +51,6 @@ class Gf2Matrix:
         if any(r & ~full for r in self.bits):
             raise ValueError("row mask has bits beyond the column count")
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Gf2Matrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        masks = []
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            masks.append(sum((1 & int(v)) << j for j, v in enumerate(r)))
-        return cls(nrows, ncols, tuple(masks))
-
-    @classmethod
-    def identity(cls, n: int) -> "Gf2Matrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    def get(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise ValueError(f"index ({i}, {j}) out of range for {self.rows}x{self.cols}")
-        return (self.bits[i] >> j) & 1
-
     def row_mask(self, i: int) -> int:
         if not 0 <= i < self.rows:
             raise ValueError(f"row {i} out of range")
@@ -78,15 +58,6 @@ class Gf2Matrix:
 
     def to_rows(self) -> list[list[int]]:
         return [[(r >> j) & 1 for j in range(self.cols)] for r in self.bits]
-
-    def transpose(self) -> "Gf2Matrix":
-        cols = []
-        for j in range(self.cols):
-            mask = 0
-            for i, r in enumerate(self.bits):
-                mask |= ((r >> j) & 1) << i
-            cols.append(mask)
-        return Gf2Matrix(self.cols, self.rows, tuple(cols))
 
     def rank(self) -> int:
         rows = [r for r in self.bits if r]
@@ -126,8 +97,3 @@ class Gf2Matrix:
                     work[r] ^= work[col]
                     aug[r] ^= aug[col]
         return Gf2Matrix(n, n, tuple(aug))
-
-    def __str__(self) -> str:
-        return "\n".join(
-            "".join(str((r >> j) & 1) for j in range(self.cols)) for r in self.bits
-        )

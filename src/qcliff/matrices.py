@@ -13,6 +13,8 @@ callers, ``identity``, ``scalar``); ``@``, ``transpose``, negation and
 Amicability signs have one kernel, :func:`pair_lambdas`: it decides every
 pair of a family of n matrices of order b on the stacked ``perm`` /
 ``signs`` arrays in n - 1 numpy passes, O(n^2 b) integer work in all.
+Its table is the side "B" sign; the outer family's side "A" pattern is
+its negation (:func:`~qcliff.hadamard.lambda_of_transversal`).
 
 The Kronecker convention is row-major blocks throughout the package:
 ``(X.tensor(Y))[i1*Ny + i2, j1*Ny + j2] == X[i1,j1] * Y[i2,j2]``,
@@ -21,7 +23,7 @@ matching ``numpy.kron``.
 
 from __future__ import annotations
 
-from typing import Literal, Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -82,10 +84,6 @@ class MonomialMatrix:
         inv[self.perm] = np.arange(self.order)
         return self._closed(inv, self.signs[inv])
 
-    @property
-    def T(self) -> "MonomialMatrix":
-        return self.transpose()
-
     def __neg__(self) -> "MonomialMatrix":
         return self._closed(self.perm, -self.signs)
 
@@ -109,11 +107,6 @@ class MonomialMatrix:
         if dense.shape[0] != self.order:
             raise ValueError(f"order mismatch: {self.order} vs {dense.shape[0]}")
         return self.signs[:, None] * dense[self.perm]
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.order, self.order), dtype=np.int64)
-        out[np.arange(self.order), self.perm] = self.signs
-        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonomialMatrix):
@@ -151,16 +144,6 @@ class DenseSignMatrix:
     def transpose(self) -> "DenseSignMatrix":
         return DenseSignMatrix(self.array.T)
 
-    @property
-    def T(self) -> "DenseSignMatrix":
-        return self.transpose()
-
-    def __neg__(self) -> "DenseSignMatrix":
-        return DenseSignMatrix(-self.array)
-
-    def tensor(self, other: "DenseSignMatrix") -> "DenseSignMatrix":
-        return DenseSignMatrix(np.kron(self.array, other.array))
-
     def __matmul__(self, other: "DenseSignMatrix") -> np.ndarray:
         if not isinstance(other, DenseSignMatrix):
             return NotImplemented
@@ -176,9 +159,6 @@ class DenseSignMatrix:
 
     def __repr__(self) -> str:
         return f"DenseSignMatrix(order={self.order})"
-
-
-Side = Literal["A", "B"]
 
 
 def pair_lambdas(family: Sequence[MonomialMatrix]) -> np.ndarray:
@@ -211,23 +191,6 @@ def pair_lambdas(family: Sequence[MonomialMatrix]) -> np.ndarray:
         same = (d == first[:, None]).all(axis=1) & (first <= 1)
         out[j, j + 1:] = out[j + 1:, j] = np.where(same, 1 - 2 * first.astype(np.int64), 0)
     return out
-
-
-def lambda_of_pair(x: MonomialMatrix, y: MonomialMatrix, side: Side) -> Optional[int]:
-    """Amicability sign of a monomial matrix pair, or None when neither sign fits.
-
-    Side "B" returns lam with ``x @ y.T == lam * (y @ x.T)``, the two-member
-    case of :func:`pair_lambdas`.  Side "A" returns lam with ``x @ y.T +
-    lam * (y @ x.T) == 0``, the negative: the plug-in conditions carry
-    opposite signs on the two matrix families, so callers must say which
-    side they are on.  Dense arguments raise ``TypeError``.
-    """
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    if not (isinstance(x, MonomialMatrix) and isinstance(y, MonomialMatrix)):
-        raise TypeError(f"expected MonomialMatrix, got {type(x).__name__}, {type(y).__name__}")
-    lam = int(pair_lambdas((x, y))[0, 1])
-    return (-lam if side == "A" else lam) or None
 
 
 def sylvester(b: int) -> DenseSignMatrix:

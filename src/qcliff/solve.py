@@ -168,12 +168,14 @@ def _minimal_kappa(lam: LambdaPattern) -> tuple[tuple[int, ...], int]:
       result is REAL: E is COMPLEX, chi equals q on E's radical (so c
       squares -1) and ``q(a_0 + u) = q(u)`` makes the number of
       quaternionic pairs even.
-    - So if E's order is half the ``kappa = +1`` order, the minimisers are
-      the chi in the pieces ``{tau + B(u, .) : q(u) = a}``: tau = 0 with
-      a = 0 (REAL) or no condition (QUATERNION, COMPLEX), and for COMPLEX
-      also tau = q on E's centrals and 0 on its pairs, with a the parity
-      of E's quaternionic pairs.  u = 0 lies in the first piece.  If not,
-      ``kappa = +1`` is minimal.
+    - So the minimisers are the chi in the pieces ``{tau + B(u, .) :
+      q(u) = a}``: tau = 0 with a = 0 (REAL) or no condition (QUATERNION,
+      COMPLEX), and for COMPLEX also tau = q on E's centrals and 0 on its
+      pairs, with a the parity of E's quaternionic pairs.
+    - u = 0 always lies in the first piece (``q(0) = 0``), so b always
+      equals E's irrep order, and ``kappa = (1, lam[0][1], ...,
+      lam[0][n-1])`` (chi = 0) always reaches it.  When the ``kappa = +1``
+      order is E's too, that kappa is the least minimiser.
     """
     n = lam.n
     rows = lam.rows
@@ -189,6 +191,8 @@ def _minimal_kappa(lam: LambdaPattern) -> tuple[tuple[int, ...], int]:
     )
     D = decompose(even)
     wt = classify(D)
+    # The fast exit: the bit fixing below would find kappa = +1 too, but
+    # one classification is far cheaper than _lex_first at large n.
     if wt.irrep_order != order_l // 2:
         return (1,) * n, order_l
     basis = [m for p in D.pairs for m in (p.first.mask, p.second.mask)]

@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from qcliff import AlgebraPresentation, MonomialMatrix, Representation, SignedMonomial
+from qcliff import AlgebraPresentation, Gf2Matrix, MonomialMatrix, Representation, SignedMonomial
 from qcliff.decompose import Decomposition
 from qcliff.represent import character_length
 
@@ -128,31 +128,48 @@ def random_block_word(rng: np.random.Generator, n: int) -> MonomialMatrix:
     return acc if acc is not None else MonomialMatrix([0], [int(rng.choice([-1, 1]))])
 
 
-def dense_lambda(a, b, side: str):
+def dense(x: MonomialMatrix) -> np.ndarray:
+    """Dense int64 copy of a monomial matrix, built from its rows."""
+    out = np.zeros((x.order, x.order), dtype=np.int64)
+    out[np.arange(x.order), x.perm] = x.signs
+    return out
+
+
+def gf2_from_rows(rows) -> Gf2Matrix:
+    """GF(2) matrix from 0/1 rows; bit ``j`` of row mask ``i`` is ``rows[i][j]``."""
+    masks = tuple(sum((int(v) & 1) << j for j, v in enumerate(r)) for r in rows)
+    return Gf2Matrix(len(rows), len(rows[0]) if rows else 0, masks)
+
+
+def dense_lambda(a, b):
     """Reference amicability sign from dense integer products.
 
-    Side "B": lam with ``a @ b.T == lam * (b @ a.T)``; side "A" is its
-    negative; None when neither sign fits.  Shares no code with
-    ``qcliff.lambda_of_pair``.
+    The side "B" sign: lam with ``a @ b.T == lam * (b @ a.T)``, or None
+    when neither sign fits.  Shares no code with
+    ``qcliff.matrices.pair_lambdas``.
     """
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     p, q = a @ b.T, b @ a.T
     if np.array_equal(p, q):
-        return -1 if side == "A" else 1
+        return 1
     if np.array_equal(p, -q):
-        return 1 if side == "A" else -1
+        return -1
     return None
 
 
 def grow_anti_amicable_family(rng: np.random.Generator, n: int, sampler, patience: int = 40):
-    """Greedy growth: keep sampling, add when anti-amicable with all members."""
-    from qcliff import lambda_of_pair
+    """Greedy growth: keep sampling, add when anti-amicable with all members.
 
+    Each candidate ``c`` is tested against each member ``m`` by the monomial
+    products ``c m^T == -(m c^T)``, which share no code with
+    ``qcliff.matrices.pair_lambdas``.
+    """
     family = [sampler(rng, n)]
     misses = 0
     while misses < patience:
         candidate = sampler(rng, n)
-        if all(lambda_of_pair(candidate, member, side="B") == -1 for member in family):
+        ct = candidate.transpose()
+        if all(candidate @ m.transpose() == -(m @ ct) for m in family):
             family.append(candidate)
             misses = 0
         else:

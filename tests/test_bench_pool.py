@@ -3,7 +3,8 @@
 Each item runs as ``tools/check_goldens.py`` runs every item:
 ``run.execute`` (the ``qcliff`` command line, in this process),
 ``run.check_outputs`` (the bench's independent output checks) and
-``checks.golden_problems`` (the SHA-256 digests in ``bench/goldens.json``).
+``checks.golden_problems`` (the SHA-256 digests in ``bench/goldens.json``);
+then ``run.replay`` runs the traced replay, which must give the same bytes.
 The items cover every request kind the bench sends (``classify``,
 ``represent``, ``solve`` and ``hadamard``), so their output bytes are
 pinned here too.  Inputs and outputs live under
@@ -63,4 +64,8 @@ def test_pool_item_matches_its_golden(bench, tmp_path, key):
     assert problems == []
     assert run.check_outputs(item, outputs) == []
     assert checks.golden_problems(outputs, goldens.get(item.key)) == []
+    # the traced replay calls the library as the bench's per-layer spans do
+    req = run.Request(key)
+    run.replay(workloads.Spans(), req, item, str(tmp_path), goldens)
+    assert req.problems == []
 

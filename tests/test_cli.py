@@ -178,6 +178,12 @@ class TestTables:
         assert main(["tables", "--max-pq", "0"]) == 0
         assert capsys.readouterr().out.startswith("R\n")
 
+    def test_format_is_a_usage_error(self, capsys):
+        # the text is the fixed format; there is no JSON rendering to ask for
+        assert main(["tables", "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--format" in captured.err
+
     def test_deterministic(self, capsys):
         main(["tables"])
         first = capsys.readouterr().out

@@ -3,7 +3,6 @@ import pytest
 
 from qcliff import (
     AlgebraPresentation,
-    Gf2Matrix,
     SignedMonomial,
     clifford_presentation,
     form_matrix,
@@ -12,7 +11,7 @@ from qcliff import (
 )
 from qcliff.decompose import Central, Decomposition, HyperbolicPair, decompose, symplectic_reduce
 
-from helpers import all_presentations, random_presentation, word_mul, word_of
+from helpers import all_presentations, gf2_from_rows, random_presentation, word_mul, word_of
 
 
 def reference_validate(D):
@@ -235,7 +234,7 @@ class TestSymplecticReduce:
             for alternating in (True, False):
                 upper = np.triu(rng.integers(0, 2, size=(m, m)), 1 if alternating else 0)
                 F = upper | upper.T
-                frows = Gf2Matrix.from_rows(F.tolist()).bits
+                frows = gf2_from_rows(F.tolist()).bits
                 assert symplectic_reduce(frows, m) == reference_reduce(frows, m)
             frows = form_matrix(random_presentation(rng, m)).bits
             assert symplectic_reduce(frows, m) == reference_reduce(frows, m)

@@ -10,7 +10,6 @@ from qcliff import (
     TransversalSpec,
     VerificationError,
     complete,
-    lambda_of_pair,
     lambda_of_transversal,
     plug_in,
     sylvester,
@@ -18,29 +17,29 @@ from qcliff import (
     verify_bundle,
 )
 from qcliff.hadamard import run_checks
-from qcliff.matrices import ident2, x2, y2, z2
+from qcliff.matrices import ident2, pair_lambdas, x2, y2, z2
 from qcliff.solve import _minimal_kappa
 
-from helpers import dense_lambda, random_monomial_matrix
+from helpers import dense, dense_lambda, random_monomial_matrix
 
 
 class TestTransversal:
     def test_depth_one_identity_swap(self):
         A = transversal(TransversalSpec.from_strings("I", "X"))
         assert A == [ident2(), x2()]
-        total = A[0].to_dense() + A[1].to_dense()
+        total = dense(A[0]) + dense(A[1])
         assert np.all(total == 1)
 
     def test_depth_one_z_y(self):
         A = transversal(TransversalSpec.from_strings("Z", "Y"))
-        total = A[0].to_dense() + A[1].to_dense()
-        assert np.array_equal(total, z2().to_dense() + y2().to_dense())
+        total = dense(A[0]) + dense(A[1])
+        assert np.array_equal(total, dense(z2()) + dense(y2()))
         assert np.all(np.abs(total) == 1)
 
     def test_depth_two_supports_partition(self):
         A = transversal(TransversalSpec.from_strings("II", "XX"))
         assert len(A) == 4 and all(a.order == 4 for a in A)
-        total = sum(a.to_dense() for a in A)
+        total = sum(dense(a) for a in A)
         assert np.all(total == 1)
 
     def test_every_member_is_symmetric_or_skew(self):
@@ -135,10 +134,11 @@ class TestComplete:
 
     def test_densified_family_keeps_the_pattern(self):
         bundle = complete(3)
+        got = pair_lambdas(bundle.D)
         for j in range(bundle.n):
             for k in range(j + 1, bundle.n):
-                lam_mono = lambda_of_pair(bundle.D[j], bundle.D[k], side="B")
-                lam_dense = dense_lambda(bundle.B[j].array, bundle.B[k].array, side="B")
+                lam_mono = got[j, k]
+                lam_dense = dense_lambda(bundle.B[j].array, bundle.B[k].array)
                 assert lam_mono == lam_dense == bundle.lam.get(j, k)
 
     def test_transversal_sum_matches_the_dense_sum(self):
@@ -156,7 +156,7 @@ class TestComplete:
             ]
             for _ in range(int(rng.integers(0, 3))):
                 A[int(rng.integers(n))] = random_monomial_matrix(rng, n)
-            total = sum(a.to_dense() for a in A)
+            total = sum(dense(a) for a in A)
             expected = bool(np.all(np.abs(total) == 1))
             got = run_checks(A, bundle.lam, bundle.B, bundle.H).transversal_sum
             assert got is expected

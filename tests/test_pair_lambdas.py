@@ -16,6 +16,7 @@ from qcliff.matrices import pair_lambdas, z2
 from qcliff.solve import solve
 
 from helpers import (
+    dense,
     dense_lambda,
     random_block_word,
     random_monomial_matrix,
@@ -25,12 +26,12 @@ from helpers import (
 
 
 def dense_table(family):
-    dense = [x.to_dense() for x in family]
+    mats = [dense(x) for x in family]
     out = np.zeros((len(family),) * 2, dtype=np.int64)
-    for j, a in enumerate(dense):
-        for k, b in enumerate(dense):
+    for j, a in enumerate(mats):
+        for k, b in enumerate(mats):
             if j != k:
-                out[j, k] = dense_lambda(a, b, side="B") or 0
+                out[j, k] = dense_lambda(a, b) or 0
     return out
 
 
@@ -135,10 +136,10 @@ class TestMutations:
             imgs = list(R.generator_images)
             imgs[j] = mutate(rng, imgs[j])
             bad = replace(R, generator_images=tuple(imgs))
-            dense = [x.to_dense() for x in imgs]
+            mats = [dense(x) for x in imgs]
             k = P.kappa[j]
-            if not (np.array_equal(dense[j] @ dense[j], k * np.eye(R.order))
-                    and np.array_equal(dense[j].T, k * dense[j])):
+            if not (np.array_equal(mats[j] @ mats[j], k * np.eye(R.order))
+                    and np.array_equal(mats[j].T, k * mats[j])):
                 with pytest.raises(VerificationError, match=rf"image {j} "):
                     bad.verify()
                 continue
@@ -146,8 +147,8 @@ class TestMutations:
             for a in range(P.m):
                 for c in range(a + 1, P.m):
                     sign = -1 if P.delta(a, c) else 1
-                    broken[a, c] = not np.array_equal(dense[c] @ dense[a],
-                                                      sign * dense[a] @ dense[c])
+                    broken[a, c] = not np.array_equal(mats[c] @ mats[a],
+                                                      sign * mats[a] @ mats[c])
             pair = first_pair(broken)
             if pair is None:
                 bad.verify()

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from qcliff import (
     character_length,
     classify,
     clifford_presentation,
-    lambda_of_pair,
     minimal_images,
     pushforward,
     quaternion_presentation,
@@ -22,7 +22,7 @@ from qcliff import (
 )
 from qcliff.cli import main
 from qcliff.decompose import decompose
-from qcliff.matrices import x2, z2
+from qcliff.matrices import j2, pair_lambdas, x2, z2
 from qcliff.represent import (
     C_MINUS,
     CH,
@@ -39,6 +39,7 @@ from qcliff.solve import solve
 from helpers import (
     all_characters,
     all_presentations,
+    dense,
     random_presentation,
     tensor_with_identity,
 )
@@ -70,7 +71,7 @@ def test_left_right_blocks_match_the_multiplication_table():
     names, table = quat_table_oracle()
     mats = {"i": (QUAT_LEFT_I, QUAT_RIGHT_I), "j": (QUAT_LEFT_J, QUAT_RIGHT_J)}
     for unit, (left, right) in mats.items():
-        ldense, rdense = left.to_dense(), right.to_dense()
+        ldense, rdense = dense(left), dense(right)
         for col, basis in enumerate(names):
             lsign, lout = table[(unit, basis)]
             assert ldense[names.index(lout), col] == lsign
@@ -218,10 +219,29 @@ class TestSoundnessSweep:
     def test_anti_amicability_of_tensor_presentation_images(self):
         for p, q in [(2, 0), (1, 1), (0, 2), (3, 1), (2, 2), (1, 3), (4, 0)]:
             rep = minimal_images(tensor_presentation(p, q))
-            imgs = rep.generator_images
-            for a in range(len(imgs)):
-                for b in range(a + 1, len(imgs)):
-                    assert lambda_of_pair(imgs[a], imgs[b], side="B") == -1
+            got = pair_lambdas(rep.generator_images)
+            assert np.array_equal(got, np.eye(len(got), dtype=np.int64) - 1)
+
+    def test_an_image_with_the_wrong_square_is_refused_by_name(self):
+        # verify has no square check: X X^T == I makes X X == -kappa I
+        # break the transpose law X^T == kappa X
+        rng = np.random.default_rng(109)
+        refused = 0
+        for _ in range(40):
+            P = random_presentation(rng, int(rng.integers(1, 6)))
+            R = minimal_images(P)
+            if R.order % 2:
+                continue
+            j = int(rng.integers(P.m))
+            half = MonomialMatrix.identity(R.order // 2)
+            wrong = half.tensor(j2()) if P.kappa[j] == 1 else MonomialMatrix.identity(R.order)
+            assert np.array_equal(dense(wrong) @ dense(wrong), -P.kappa[j] * np.eye(R.order))
+            imgs = list(R.generator_images)
+            imgs[j] = wrong
+            with pytest.raises(VerificationError, match=rf"image {j} "):
+                replace(R, generator_images=tuple(imgs)).verify()
+            refused += 1
+        assert refused > 10
 
 
 class TestInflate:

@@ -11,7 +11,6 @@ from qcliff import (
     VerificationError,
     check_hr_bound,
     classify_presentation,
-    lambda_of_pair,
     lambda_of_transversal,
     minimal_images,
     presentation_from,
@@ -20,7 +19,7 @@ from qcliff import (
     transversal,
     verify_solution,
 )
-from qcliff.matrices import ident2, j2, z2
+from qcliff.matrices import ident2, j2, pair_lambdas, z2
 from qcliff.solve import _minimal_kappa, solve
 
 from helpers import random_monomial_matrix
@@ -83,10 +82,10 @@ class TestPresentationFrom:
                 for bits in range(1 << n):
                     kappa = tuple(1 if (bits >> i) & 1 == 0 else -1 for i in range(n))
                     rep = minimal_images(presentation_from(lam, kappa))
-                    D = rep.generator_images
+                    got = pair_lambdas(rep.generator_images)
                     for j in range(n):
                         for k in range(j + 1, n):
-                            assert lambda_of_pair(D[j], D[k], side="B") == lam.get(j, k)
+                            assert got[j, k] == lam.get(j, k)
 
     def test_global_flip_leaves_the_table_unchanged(self):
         rng = np.random.default_rng(67)
@@ -149,6 +148,24 @@ class TestOrderFloor:
         for n in range(2, 6):
             for lam in all_patterns(n):
                 assert _minimal_kappa(lam) == full_sweep_reference(lam), lam
+
+    def test_b_is_the_even_order_and_the_first_row_reaches_it(self):
+        # pins the _minimal_kappa docstring: b is always the irrep order of
+        # the even subalgebra E spanned by x_i = a_0 a_i, and
+        # kappa = (1, lam_01, ..., lam_0,n-1) always reaches it
+        for n in range(2, 6):
+            x = [1 | 1 << i for i in range(1, n)]
+            for lam in all_patterns(n):
+                P = presentation_from(lam, (1,) * n)
+                even = AlgebraPresentation(
+                    [P.square_sign_mask(v) for v in x],
+                    [(i, j) for i, j in itertools.combinations(range(n - 1), 2)
+                     if P.commute_sign_masks(x[i], x[j]) == -1],
+                )
+                kappa, b = _minimal_kappa(lam)
+                assert b == classify_presentation(even).irrep_order, lam
+                first_row = (1,) + lam.rows[0][1:]
+                assert classify_presentation(presentation_from(lam, first_row)).irrep_order == b
 
     def test_floor_is_the_minimum_on_seeded_patterns(self):
         # sparse and dense -1 patterns reach every Wedderburn case of E
