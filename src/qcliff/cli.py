@@ -7,6 +7,9 @@ rendering.  ``tables`` has no ``--format``: its text output is itself a
 fixed byte format.
 JSON output, on stdout or in a ``hadamard --output`` bundle, is byte for
 byte ``json.dumps(obj, indent=2)`` plus a newline (see :func:`_write_json`).
+Integer arrays of at least 512 entries (the ``perm`` / ``signs`` arrays of
+large monomial matrices) are formatted from numpy, not from Python lists;
+the bytes are the same.
 
 Exit codes: 0 success (all verifications passing), 1 usage or parse
 error, 2 resource cap exceeded, 3 verification failure.
@@ -27,20 +30,23 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .decompose import decompose
 from .errors import CapExceeded, VerificationError
 from .hadamard import DEFAULT_MAX_N, DENSE_ORDER_CAP, TransversalSpec, complete, verify_bundle
 from .represent import character_length, minimal_images
 from .serialize import (
+    _bundle_tree,
+    _IntArray,
+    _representation_tree,
+    _solve_result_tree,
     bundle_from_dict,
-    bundle_to_dict,
     decomposition_to_dict,
     lambda_from_dict,
     presentation_from_dict,
     report_to_dict,
-    representation_to_dict,
     sign_text_rows,
-    solve_result_to_dict,
     wedderburn_to_dict,
 )
 from .solve import rho, solve
@@ -50,6 +56,9 @@ MAX_PQ_CAP = 16
 # Default order cap of ``represent`` and ``solve``: images are O(order)
 # perm/sign arrays.
 REPRESENT_ORDER_CAP = 1 << 20
+# Shortest integer array that _int_array_text formats: below it numpy's fixed
+# cost per array loses to one repr of the list.
+INT_ARRAY_KERNEL_MIN = 512
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,17 +89,61 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _int_array_text(arr: np.ndarray, indent: str) -> str:
+    """The text ``json.dumps(arr.tolist(), indent=2)`` gives at ``indent``,
+    without its brackets and their line breaks.
+
+    Entry ``i`` is row ``i`` of a uint8 block: its characters right-aligned
+    in a zero-filled field as wide as the widest entry, then the separator
+    (none on the last row).  The digits come column by column from ``//``
+    by 10; a zero left of the leading digit is cleared, and the ``-`` of a
+    negative entry goes in the cleared cell next to it.  Dropping the zero
+    bytes leaves the text.
+    """
+    arr = np.asarray(arr, dtype=np.int64)
+    n = len(arr)
+    neg = arr < 0
+    signed = bool(neg.any())
+    # abs(-2**63) wraps to -2**63, whose uint64 view is 2**63
+    mag = np.abs(arr).view(np.uint64)
+    top = int(mag.max())
+    width = len(str(top)) + signed
+    if top < 1 << 32:
+        mag = mag.astype(np.uint32)  # divides faster
+    row = b"\0" * width + (",\n" + indent + "  ").encode()
+    block = np.frombuffer(bytearray(row * n), np.uint8).reshape(n, len(row))
+    block[-1, width:] = 0
+    shown = np.ones(n, dtype=bool)  # the units digit always shows
+    for col in range(width - 1, -1, -1):
+        rest = mag // 10
+        digit = (mag - rest * 10).astype(np.uint8) + np.uint8(ord("0"))
+        if col < width - 1:
+            lead = shown & (mag == 0)  # just left of the leading digit
+            shown = mag > 0
+            digit *= shown
+            if signed:
+                digit += (lead & neg).view(np.uint8) * np.uint8(ord("-"))
+        block[:, col] = digit
+        mag = rest
+    return block.tobytes().replace(b"\0", b"").decode("ascii")
+
+
 def _encode(obj, indent: str, out: list[str]) -> None:
     """Append the text ``json.dumps`` gives ``obj`` at nesting ``indent``.
 
     ``json.dumps`` with ``indent`` runs the standard library's pure-Python
     encoder; this walk keeps its layout but formats the parts in C: keys
-    and strings by the same escaper, and a list of plain ints (the
-    ``perm`` / ``signs`` arrays, nearly all of the bytes) by one ``repr``.
-    Scalars other than str and int go through ``json.dumps``, so floats
-    read the same and a value it refuses raises the same ``TypeError``.
-    Keys must be str (every command's are); ``json.dumps`` would also
-    convert number, bool and None keys, which this refuses.
+    and strings by the same escaper, and a list of plain ints by one
+    ``repr``.  The ``perm`` / ``signs`` arrays, nearly all of the bytes,
+    come as :class:`~qcliff.serialize._IntArray`; one of at least
+    ``INT_ARRAY_KERNEL_MIN`` entries is formatted from numpy by
+    :func:`_int_array_text`, a shorter one as its list.  Either way the
+    bytes are those of the list.  Scalars other than str and int go
+    through ``json.dumps``, so floats read the same and a value it
+    refuses (a bare numpy array or integer too) raises the same
+    ``TypeError``.  Keys must be str (every command's are);
+    ``json.dumps`` would also convert number, bool and None keys, which
+    this refuses.
     """
     if isinstance(obj, str):
         out.append(_quote(obj))
@@ -123,6 +176,12 @@ def _encode(obj, indent: str, out: list[str]) -> None:
             _encode(value, inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
+    elif type(obj) is _IntArray:
+        if len(obj.array) < INT_ARRAY_KERNEL_MIN:
+            _encode(obj.array.tolist(), indent, out)
+        else:
+            out += ("[\n" + indent + "  ", _int_array_text(obj.array, indent),
+                    "\n" + indent + "]")
     elif isinstance(obj, int) and not isinstance(obj, bool):
         out.append(int.__repr__(obj))
     else:
@@ -184,7 +243,7 @@ def cmd_represent(args: argparse.Namespace) -> int:
     character = _parse_character(args.character, character_length(D))
     rep = minimal_images(P, character, D)
     if args.format == "json":
-        out = representation_to_dict(rep)
+        out = _representation_tree(rep)
         out["wedderburn"] = wedderburn_to_dict(wt)
         _write_json(sys.stdout, out)
     else:
@@ -200,7 +259,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     lam = lambda_from_dict(_load_json(args.pattern))
     result = solve(lam, max_order=args.max_order)
     if args.format == "json":
-        _write_json(sys.stdout, solve_result_to_dict(lam, result))
+        _write_json(sys.stdout, _solve_result_tree(lam, result))
     else:
         sys.stdout.write(
             f"n: {lam.n}\nb: {result.b}\nkappa: {list(result.kappa)}\n"
@@ -254,7 +313,7 @@ def cmd_hadamard(args: argparse.Namespace) -> int:
     )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            _write_json(fh, bundle_to_dict(bundle))
+            _write_json(fh, _bundle_tree(bundle))
     if args.text_output:
         with open(args.text_output, "w", encoding="utf-8") as fh:
             fh.write("\n".join(sign_text_rows(bundle.H)) + "\n")
@@ -267,7 +326,7 @@ def _emit_report(args: argparse.Namespace, bundle, report_only: bool) -> int:
         if report_only:
             _write_json(sys.stdout, report_to_dict(report))
         else:
-            _write_json(sys.stdout, bundle_to_dict(bundle))
+            _write_json(sys.stdout, _bundle_tree(bundle))
     else:
         d = report_to_dict(report)
         sys.stdout.write(f"n: {d['n']}\nb: {d['b']}\norder: {d['order']}\n")

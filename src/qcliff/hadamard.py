@@ -31,6 +31,7 @@ from .matrices import (
     MonomialMatrix,
     ident2,
     pair_lambdas,
+    sign_product,
     sylvester,
     x2,
     y2,
@@ -191,7 +192,10 @@ def run_checks(
     B: Sequence[DenseSignMatrix],
     H: DenseSignMatrix,
 ) -> VerificationReport:
-    """Exact integer verification of every bundle condition."""
+    """Exact integer verification of every bundle condition.
+
+    The dense Grams are ``sign_product``s: exact integers from float64.
+    """
     n = len(A)
     b = B[0].order
     order = n * b
@@ -209,11 +213,11 @@ def run_checks(
     a_lam = np.array_equal(-pair_lambdas(A)[upper], table[upper])
 
     # pass j forms B_j B_k^T for k >= j only: B_k B_j^T is its transpose
-    stacked = np.stack([x.array for x in B])
+    stacked = np.stack([x.array for x in B], dtype=np.float64)
     gram_sum = np.zeros((b, b), dtype=np.int64)
     b_lam = True
     for j in range(n):
-        grams = stacked[j] @ stacked[j:].transpose(0, 2, 1)
+        grams = sign_product(stacked[j], stacked[j:].transpose(0, 2, 1))
         gram_sum += grams[0]
         want = table[j, j + 1:n, None, None] * grams[1:].transpose(0, 2, 1)
         b_lam = b_lam and np.array_equal(grams[1:], want)
@@ -224,7 +228,7 @@ def run_checks(
     except ValueError:
         h_match = False
 
-    hh = H.array @ H.array.T
+    hh = sign_product(H.array, H.array.T)
     hadamard_ok = bool(np.array_equal(hh, order * np.eye(order, dtype=np.int64)))
 
     return VerificationReport(
@@ -252,7 +256,7 @@ def verify_bundle(bundle: HadamardBundle) -> HadamardBundle:
     first bad ``k`` or the first differing report field.
     """
     b, S = bundle.b, bundle.S.array
-    if not np.array_equal(S @ S.T, b * np.eye(b, dtype=np.int64)):
+    if not np.array_equal(sign_product(S, S.T), b * np.eye(b, dtype=np.int64)):
         raise VerificationError("stored S is not a Hadamard matrix: S S^T != b I")
     for k, (d, bk) in enumerate(zip(bundle.D, bundle.B, strict=True)):
         if d.order != b or not np.array_equal(d.mul_dense(S), bk.array):

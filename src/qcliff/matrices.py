@@ -5,7 +5,8 @@ A :class:`MonomialMatrix` keeps one nonzero per row: row ``i`` holds
 products stay in that representation, so they cost O(N) integer work and
 are exact at any order.  Dense {-1,+1} matrices are thin wrappers over
 int64 numpy arrays; products of verified objects have entries bounded by
-the order, far inside int64 range.
+the order, far inside int64 range, and :func:`sign_product` forms the
+dense checks' products exactly in float64.
 
 Only the public constructor validates and copies its input (parsers,
 callers, ``identity``, ``scalar``); ``@``, ``transpose``, negation and
@@ -191,6 +192,21 @@ def pair_lambdas(family: Sequence[MonomialMatrix]) -> np.ndarray:
         same = (d == first[:, None]).all(axis=1) & (first <= 1)
         out[j, j + 1:] = out[j + 1:, j] = np.where(same, 1 - 2 * first.astype(np.int64), 0)
     return out
+
+
+def sign_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact int64 ``x @ y`` of {-1, +1} arrays, multiplied by float64 BLAS.
+
+    Every partial sum is an integer of magnitude at most the inner
+    dimension k, and float64 holds every integer below 2**53 exactly, in
+    any summation order.  So the product is exact for k < 2**53, and a
+    larger k raises; no dense matrix that size can be stored.
+    """
+    k = x.shape[-1]
+    if k >= 1 << 53:
+        raise ValueError(f"inner dimension {k} is past float64's exact integers (2^53)")
+    return np.matmul(x.astype(np.float64, copy=False),
+                     y.astype(np.float64, copy=False)).astype(np.int64)
 
 
 def sylvester(b: int) -> DenseSignMatrix:

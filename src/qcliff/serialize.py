@@ -5,6 +5,12 @@ are 1-based (the in-memory API is 0-based), and every form round-trips
 bit-exactly.  Dense sign matrices serialize as arrays of +-1 rows;
 Hadamard matrices additionally support a compact text form with one
 ``+``/``-`` character per entry and one row per line.
+
+The forms holding monomial matrices have one private builder each, which
+leaves every ``perm`` / ``signs`` array as an :class:`_IntArray`; the
+command line writes those trees as they are (:func:`qcliff.cli._write_json`
+formats the arrays from numpy).  Each public ``*_to_dict`` is its builder
+followed by :func:`_plain`, so it returns plain lists of ints.
 """
 
 from __future__ import annotations
@@ -76,6 +82,28 @@ def _check_ints(obj: dict, names: Sequence[str], what: str) -> None:
             raise ValueError(f"{what} {name} must be an integer, got {obj[name]!r}")
 
 
+class _IntArray:
+    """A read-only int64 1-d array standing for its JSON list in a built tree."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def _plain(tree):
+    """``tree`` with every :class:`_IntArray` replaced, in place, by its list.
+
+    The builders make a fresh tree on every call, so nothing else sees it.
+    """
+    for key, value in tree.items() if isinstance(tree, dict) else enumerate(tree):
+        if type(value) is _IntArray:
+            tree[key] = value.array.tolist()
+        elif type(value) in (dict, list):
+            _plain(value)
+    return tree
+
+
 # -- presentations ----------------------------------------------------------
 
 
@@ -117,12 +145,12 @@ def presentation_from_dict(obj: dict) -> AlgebraPresentation:
 # -- matrices ---------------------------------------------------------------
 
 
+def _monomial_tree(mat: MonomialMatrix) -> dict:
+    return {"order": mat.order, "perm": _IntArray(mat.perm), "signs": _IntArray(mat.signs)}
+
+
 def monomial_to_dict(mat: MonomialMatrix) -> dict:
-    return {
-        "order": mat.order,
-        "perm": mat.perm.tolist(),
-        "signs": mat.signs.tolist(),
-    }
+    return _plain(_monomial_tree(mat))
 
 
 def monomial_from_dict(obj: dict) -> MonomialMatrix:
@@ -144,18 +172,26 @@ def dense_from_rows(rows: Any) -> DenseSignMatrix:
 
 
 def sign_text_rows(mat: DenseSignMatrix) -> list[str]:
-    return ["".join("+" if v > 0 else "-" for v in row) for row in mat.array]
+    n = mat.order
+    chars = np.where(mat.array > 0, np.uint8(ord("+")), np.uint8(ord("-")))
+    text = chars.tobytes().decode("ascii")
+    return [text[i * n:(i + 1) * n] for i in range(n)]
 
 
 def sign_matrix_from_text_rows(rows: Sequence[str]) -> DenseSignMatrix:
-    parsed = []
     for line in rows:
         if not isinstance(line, str):
             raise ValueError(f"sign row must be a string, got {type(line).__name__}")
-        if set(line) - {"+", "-"}:
-            raise ValueError(f"sign row may only contain '+' and '-': {line!r}")
-        parsed.append([1 if ch == "+" else -1 for ch in line])
-    return DenseSignMatrix(parsed)
+    # "+" and "-" are 43 and 45, so an entry is 44 minus its code; a
+    # non-ASCII character becomes "?" and is refused with the rest
+    codes = np.frombuffer("".join(rows).encode("ascii", "replace"), np.uint8)
+    if np.any((codes != 43) & (codes != 45)):
+        bad = next(line for line in rows if set(line) - {"+", "-"})
+        raise ValueError(f"sign row may only contain '+' and '-': {bad!r}")
+    width = len(rows[0]) if rows else 0
+    if any(len(line) != width for line in rows):
+        raise ValueError("sign rows must all have the same length")
+    return DenseSignMatrix(np.subtract(44, codes, dtype=np.int64).reshape(len(rows), width))
 
 
 # -- monomials, decompositions, classifications -----------------------------
@@ -199,12 +235,16 @@ def wedderburn_to_dict(wt: WedderburnType) -> dict:
     }
 
 
-def representation_to_dict(rep: Representation) -> dict:
+def _representation_tree(rep: Representation) -> dict:
     return {
         "order": rep.order,
-        "images": [monomial_to_dict(img) for img in rep.generator_images],
+        "images": [_monomial_tree(img) for img in rep.generator_images],
         "character": list(rep.character),
     }
+
+
+def representation_to_dict(rep: Representation) -> dict:
+    return _plain(_representation_tree(rep))
 
 
 # -- lambda patterns ---------------------------------------------------------
@@ -245,15 +285,19 @@ def lambda_from_dict(obj: dict) -> LambdaPattern:
     return LambdaPattern.from_pairs(n, pairs)
 
 
-def solve_result_to_dict(lam: LambdaPattern, result: SolveResult) -> dict:
+def _solve_result_tree(lam: LambdaPattern, result: SolveResult) -> dict:
     return {
         "lambda": lambda_to_dict(lam),
         "kappa": list(result.kappa),
         "presentation": presentation_to_dict(result.presentation),
         "wedderburn": wedderburn_to_dict(result.wedderburn),
         "b": result.b,
-        "D": [monomial_to_dict(d) for d in result.D],
+        "D": [_monomial_tree(d) for d in result.D],
     }
+
+
+def solve_result_to_dict(lam: LambdaPattern, result: SolveResult) -> dict:
+    return _plain(_solve_result_tree(lam, result))
 
 
 # -- bundles ------------------------------------------------------------------
@@ -285,18 +329,22 @@ def report_from_dict(obj: dict) -> VerificationReport:
     )
 
 
-def bundle_to_dict(bundle: HadamardBundle) -> dict:
+def _bundle_tree(bundle: HadamardBundle) -> dict:
     return {
         "n": bundle.n,
         "b": bundle.b,
-        "A": [monomial_to_dict(a) for a in bundle.A],
+        "A": [_monomial_tree(a) for a in bundle.A],
         "lambda": lambda_to_dict(bundle.lam),
-        "D": [monomial_to_dict(d) for d in bundle.D],
+        "D": [_monomial_tree(d) for d in bundle.D],
         "S": dense_to_rows(bundle.S),
         "B": [dense_to_rows(x) for x in bundle.B],
         "H": sign_text_rows(bundle.H),
         "report": report_to_dict(bundle.report),
     }
+
+
+def bundle_to_dict(bundle: HadamardBundle) -> dict:
+    return _plain(_bundle_tree(bundle))
 
 
 def bundle_from_dict(obj: dict) -> HadamardBundle:

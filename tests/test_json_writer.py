@@ -2,7 +2,10 @@
 
 ``cli._write_json`` formats every JSON result of the command line.  Its
 bytes must equal the standard library's indented encoding, on generated
-documents and on the output of every subcommand that writes JSON.
+documents, on integer arrays given as ``serialize._IntArray`` (formatted
+from numpy from ``cli.INT_ARRAY_KERNEL_MIN`` entries on) and on the
+output of every subcommand that writes JSON.  The public ``*_to_dict``
+forms hold plain lists in place of those arrays.
 """
 
 from __future__ import annotations
@@ -15,9 +18,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcliff import complete
-from qcliff.cli import _write_json, main
-from qcliff.serialize import bundle_to_dict
+from qcliff import cli, complete, minimal_images, quaternion_presentation
+from qcliff.cli import INT_ARRAY_KERNEL_MIN, _write_json, main
+from qcliff.serialize import (
+    _IntArray,
+    bundle_to_dict,
+    monomial_to_dict,
+    presentation_from_dict,
+    representation_to_dict,
+    solve_result_to_dict,
+)
+from qcliff.solve import LambdaPattern, solve
 
 
 def written(obj) -> str:
@@ -83,12 +94,124 @@ class TestAgainstJsonDumps:
             written({key: 0})
 
 
+# 20 anticommuting generators squaring to +1: irrep order 2048
+PRES_20 = {"m": 20, "kappa": [1] * 20,
+           "delta": [[i, j, 1] for i in range(1, 21) for j in range(i + 1, 21)]}
+
+
+def nest(leaf, depth: int):
+    """``leaf`` inside ``depth`` containers, lists and dicts in turn."""
+    for level in range(depth):
+        leaf = {"key": leaf, "after": 0} if level % 2 else [0, leaf]
+    return leaf
+
+
+def matches_the_list(arr: np.ndarray, depth: int) -> bool:
+    return written(nest(_IntArray(arr), depth)) == reference(nest(arr.tolist(), depth))
+
+
+INT64 = np.iinfo(np.int64)
+# every decimal width, at the edges of each, with both signs
+EDGES = sorted({0, 1, -1, INT64.min, INT64.max, INT64.min + 1, INT64.max - 1}
+               | {s * v for k in range(1, 19) for v in (10**k - 1, 10**k) for s in (1, -1)})
+
+
+class TestIntArrays:
+    @pytest.mark.parametrize("depth", range(5))
+    @pytest.mark.parametrize("length", [0, 1, 511, 512, 513, 8192])
+    def test_lengths(self, length, depth):
+        arr = np.random.default_rng(length).integers(-(10**6), 10**6, size=length)
+        assert matches_the_list(arr, depth)
+
+    @pytest.mark.parametrize("depth", range(5))
+    @pytest.mark.parametrize("length", [1, 511, 512, 8192])
+    def test_edge_values(self, length, depth):
+        arr = np.resize(np.array(EDGES, dtype=np.int64), length)
+        np.random.default_rng(length).shuffle(arr)
+        assert matches_the_list(arr, depth)
+
+    @pytest.mark.parametrize("value", [0, 1, -1, 9, -9, 10, -10, (1 << 32) - 1, 1 << 32,
+                                       -(1 << 32), INT64.min, INT64.max])
+    def test_constant_arrays(self, value):
+        assert matches_the_list(np.full(INT_ARRAY_KERNEL_MIN, value, dtype=np.int64), 2)
+
+    @pytest.mark.parametrize("power", [31, 32, 33, 53, 62])
+    def test_magnitudes_around_a_power_of_two(self, power):
+        arr = np.random.default_rng(power).integers(-3, 4, size=600) + (1 << power)
+        arr[::2] *= -1
+        assert matches_the_list(arr, 1)
+
+    def test_permutation_and_signs(self):
+        rng = np.random.default_rng(5)
+        tree = {"perm": _IntArray(rng.permutation(4096)),
+                "signs": _IntArray(rng.choice([-1, 1], size=4096))}
+        plain = {name: value.array.tolist() for name, value in tree.items()}
+        assert written([tree]) == reference([plain])
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), length=st.integers(0, 1100),
+           bits=st.integers(1, 64), depth=st.integers(0, 4))
+    def test_seeded_arrays(self, seed, length, bits, depth):
+        bound = 1 << (bits - 1)
+        arr = np.random.default_rng(seed).integers(-bound, bound, size=length, dtype=np.int64)
+        assert matches_the_list(arr, depth)
+
+
+def assert_plain(tree) -> None:
+    """Only exact dicts, lists, ints, bools and strs: what ``json.loads`` gives."""
+    if type(tree) is dict:
+        for key, value in tree.items():
+            assert type(key) is str
+            assert_plain(value)
+    elif type(tree) is list:
+        for value in tree:
+            assert_plain(value)
+    else:
+        assert type(tree) in (int, bool, str), type(tree)
+
+
+def assert_monomials_plain(monomials: list) -> None:
+    for d in monomials:
+        for name in ("perm", "signs"):
+            assert type(d[name]) is list and {type(v) for v in d[name]} == {int}
+
+
+class TestPublicFormsArePlain:
+    def test_representation(self):
+        for P in (quaternion_presentation(), presentation_from_dict(PRES_20)):
+            d = representation_to_dict(minimal_images(P))
+            assert_plain(d)
+            assert_monomials_plain(d["images"])
+            assert json.loads(json.dumps(d)) == d
+
+    @pytest.mark.parametrize("n", [4, 18])
+    def test_solve(self, n):
+        lam = LambdaPattern.constant(n, -1)
+        d = solve_result_to_dict(lam, solve(lam))
+        assert_plain(d)
+        assert_monomials_plain(d["D"])
+        assert len(d["D"][0]["perm"]) == (4 if n == 4 else INT_ARRAY_KERNEL_MIN)
+
+    def test_hadamard(self):
+        bundle = complete(2)
+        d = bundle_to_dict(bundle)
+        assert_plain(d)
+        assert_monomials_plain(d["A"] + d["D"])
+        assert_plain(monomial_to_dict(bundle.D[0]))
+        d["D"][0]["signs"][0] *= -1  # lists are the caller's to change
+        assert bundle_to_dict(bundle)["D"][0]["signs"][0] == -d["D"][0]["signs"][0]
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("json-writer")
     inputs = {
         "pres": {"m": 3, "kappa": [1, -1, -1], "delta": [[1, 2, 1], [1, 3, 1]]},
         "lam": {"n": 4, "entries": [[j, k, -1] for j in range(1, 5) for k in range(j + 1, 5)]},
+        # irrep order 2048 and b = 512: their arrays are formatted from numpy
+        "pres20": PRES_20,
+        "lam18": {"n": 18,
+                  "entries": [[j, k, -1] for j in range(1, 19) for k in range(j + 1, 19)]},
         "bundle": bundle_to_dict(complete(2)),
     }
     paths = {}
@@ -105,14 +228,21 @@ def files(tmp_path_factory):
     ["decompose", "{pres}"],
     ["represent", "{pres}"],
     ["represent", "{pres}", "--character", "1"],
+    ["represent", "{pres20}"],
     ["solve", "{lam}"],
+    ["solve", "{lam18}"],
     ["rho", "96"],
     ["verify", "{bundle}"],
     ["hadamard", "2"],
     ["hadamard", "2", "--output", "{out}"],
 ], ids=lambda argv: "-".join(a.strip("{}") for a in argv))
-def test_subcommand_json_matches_json_dumps(files, capsys, argv):
+def test_subcommand_json_matches_json_dumps(files, capsys, monkeypatch, argv):
+    calls = []
+    kernel = cli._int_array_text
+    monkeypatch.setattr(cli, "_int_array_text", lambda *a: calls.append(1) or kernel(*a))
     assert main([a.format(**files) for a in argv] + ["--format", "json"]) == 0
+    # only the large irrep and the b = 512 family reach the numpy formatter
+    assert bool(calls) == any(a in ("{pres20}", "{lam18}") for a in argv)
     out = capsys.readouterr().out
     assert out == reference(json.loads(out))
     if "--output" in argv:

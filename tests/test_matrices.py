@@ -7,7 +7,7 @@ from qcliff import (
     lambda_of_transversal,
     sylvester,
 )
-from qcliff.matrices import ident2, j2, pair_lambdas, x2, y2, z2
+from qcliff.matrices import ident2, j2, pair_lambdas, sign_product, x2, y2, z2
 
 from helpers import (
     dense,
@@ -211,6 +211,32 @@ class TestSylvester:
     def test_non_powers_rejected(self, b):
         with pytest.raises(ValueError):
             sylvester(b)
+
+
+class TestSignProduct:
+    @pytest.mark.parametrize("x_shape, y_shape", [
+        ((5, 7), (7, 3)),
+        ((4, 6, 6), (4, 6, 6)),
+        ((6, 6), (3, 6, 6)),
+        ((256, 256), (256, 256)),
+    ])
+    def test_equals_the_int64_product(self, x_shape, y_shape):
+        rng = np.random.default_rng(len(x_shape) * 1000 + x_shape[-1])
+        x = rng.choice([-1, 1], size=x_shape)
+        y = rng.choice([-1, 1], size=y_shape)
+        got = sign_product(x, y)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, x @ y)
+
+    def test_sums_reach_the_inner_dimension(self):
+        x = np.ones((3, 1000), dtype=np.int64)
+        assert np.array_equal(sign_product(x, -x.T), np.full((3, 3), -1000))
+
+    def test_inner_dimension_past_float64_exact_integers_raises(self):
+        # a stride-0 view: the shape is checked before anything is allocated
+        wide = np.broadcast_to(np.int64(1), (1, 1 << 53))
+        with pytest.raises(ValueError, match="2\\^53"):
+            sign_product(wide, wide.T)
 
 
 class TestDenseSignMatrix:

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from qcliff import (
     AlgebraPresentation,
+    DenseSignMatrix,
     LambdaPattern,
     MonomialMatrix,
     complete,
@@ -89,6 +91,17 @@ class TestMatrixFormats:
     def test_bad_sign_text(self):
         with pytest.raises(ValueError):
             sign_matrix_from_text_rows(["+x"])
+
+    @pytest.mark.parametrize("order", [1, 2, 7, 64])
+    def test_sign_text_matches_the_entrywise_form(self, order):
+        arr = np.random.default_rng(order).choice([-1, 1], size=(order, order))
+        rows = sign_text_rows(DenseSignMatrix(arr))
+        assert rows == ["".join("+" if v > 0 else "-" for v in row) for row in arr.tolist()]
+        assert np.array_equal(sign_matrix_from_text_rows(rows).array, arr)
+
+    def test_non_square_sign_text_is_refused(self):
+        with pytest.raises(ValueError, match="square"):
+            sign_matrix_from_text_rows(["++-", "+-+"])
 
 
 class TestLambdaFormat:

@@ -57,6 +57,22 @@ def test_non_string_sign_row_fails_with_code_1(tmp_path, capsys):
     assert "sign row must be a string" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", ["+x", "+\u2212", " +"], ids=["ascii", "non-ascii", "space"])
+def test_sign_row_with_another_character_fails_with_code_1(tmp_path, capsys, row):
+    path = write(tmp_path / "bad.json", {**BUNDLE, "H": [*BUNDLE["H"][:-1], row]})
+    assert main(["verify", path]) == 1
+    assert f"sign row may only contain '+' and '-': {row!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cut", [1, -1], ids=["short-first", "short-last"])
+def test_ragged_sign_rows_fail_with_code_1(tmp_path, capsys, cut):
+    rows = list(BUNDLE["H"])
+    rows[0 if cut == 1 else -1] = rows[0][1:]
+    path = write(tmp_path / "bad.json", {**BUNDLE, "H": rows})
+    assert main(["verify", path]) == 1
+    assert "sign rows must all have the same length" in capsys.readouterr().err
+
+
 def test_lambda_order_is_bounded_by_its_entries(tmp_path, capsys):
     # a table for n = 10**9 would be allocated before the missing pairs showed
     path = write(tmp_path / "big.json", {"n": 10**9, "entries": [[1, 2, 1]]})
