@@ -24,6 +24,7 @@ assembled dense Hadamard matrix).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -406,10 +407,21 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(caps: tuple[Optional[str], Optional[str]]) -> _Parser:
+    """:func:`build_parser`, built again only when ``caps`` changes.
+
+    ``caps`` holds the raw ``QCLIFF_MAX_N`` and ``QCLIFF_MAX_ORDER``
+    values that the parser's defaults are read from.  A malformed one
+    raises from every call, since a raising call is not cached.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        # building the parser reads the cap environment variables
-        args = build_parser().parse_args(argv)
+        caps = (os.environ.get("QCLIFF_MAX_N"), os.environ.get("QCLIFF_MAX_ORDER"))
+        args = _parser(caps).parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

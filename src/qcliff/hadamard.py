@@ -32,6 +32,7 @@ from .matrices import (
     ident2,
     pair_lambdas,
     sign_product,
+    stacked_kron,
     sylvester,
     x2,
     y2,
@@ -88,17 +89,15 @@ def transversal(spec: TransversalSpec) -> list[MonomialMatrix]:
     bit of the matrix index.
     """
     m = spec.m
-    out = []
-    for k in range(1 << m):
-        acc: Optional[MonomialMatrix] = None
-        for i in range(m):
-            if (k >> (m - 1 - i)) & 1:
-                factor = OFFDIAG_CHOICES[spec.offdiag[i]]()
-            else:
-                factor = DIAG_CHOICES[spec.diag[i]]()
-            acc = factor if acc is None else acc.tensor(factor)
-        out.append(acc)
-    return out
+    index = np.arange(1 << m)
+    blocks = []
+    for i in range(m):
+        off = ((index >> (m - 1 - i)) & 1).astype(bool)[:, None]
+        diag, offdiag = DIAG_CHOICES[spec.diag[i]](), OFFDIAG_CHOICES[spec.offdiag[i]]()
+        blocks.append((np.where(off, offdiag.perm, diag.perm),
+                       np.where(off, offdiag.signs, diag.signs)))
+    perm, signs = stacked_kron(np.ones(1 << m, dtype=np.int64), blocks)
+    return [MonomialMatrix._closed(p, s) for p, s in zip(perm, signs)]
 
 
 def lambda_of_transversal(A: Sequence[MonomialMatrix]) -> LambdaPattern:

@@ -1,25 +1,28 @@
 """Exact arithmetic on signed permutation matrices and dense sign matrices.
 
 A :class:`MonomialMatrix` keeps one nonzero per row: row ``i`` holds
-``signs[i]`` in column ``perm[i]``.  Products, transposes and Kronecker
-products stay in that representation, so they cost O(N) integer work and
-are exact at any order.  Dense {-1,+1} matrices are thin wrappers over
-int64 numpy arrays; products of verified objects have entries bounded by
-the order, far inside int64 range, and :func:`sign_product` forms the
-dense checks' products exactly in float64.
+``signs[i]`` in column ``perm[i]``.  Products and transposes stay in that
+representation, so they cost O(N) integer work and are exact at any
+order.  Dense {-1,+1} matrices are thin wrappers over int64 numpy arrays;
+products of verified objects have entries bounded by the order, far
+inside int64 range, and :func:`sign_product` forms the dense checks'
+products exactly in float64.
 
 Only the public constructor validates and copies its input (parsers,
-callers, ``identity``, ``scalar``); ``@``, ``transpose``, negation and
-``tensor`` yield signed permutations by construction and skip the check.
+callers, ``identity``, ``scalar``); ``@``, ``transpose`` and negation
+yield signed permutations by construction and skip the check.
 Amicability signs have one kernel, :func:`pair_lambdas`: it decides every
 pair of a family of n matrices of order b on the stacked ``perm`` /
 ``signs`` arrays in n - 1 numpy passes, O(n^2 b) integer work in all.
 Its table is the side "B" sign; the outer family's side "A" pattern is
 its negation (:func:`~qcliff.hadamard.lambda_of_transversal`).
 
-The Kronecker convention is row-major blocks throughout the package:
-``(X.tensor(Y))[i1*Ny + i2, j1*Ny + j2] == X[i1,j1] * Y[i2,j2]``,
-matching ``numpy.kron``.
+Kronecker products have one kernel too, :func:`stacked_kron`: a family of
+n matrices, each a sign times a Kronecker product of small blocks, is
+kept as one ``(n, size)`` perm/sign array pair per block and expanded to
+order b in one pass per block.  The convention is row-major blocks
+throughout the package, matching ``numpy.kron``: for ``X (x) Y``, entry
+``[i1*Ny + i2, j1*Ny + j2]`` is ``X[i1,j1] * Y[i2,j2]``.
 """
 
 from __future__ import annotations
@@ -96,12 +99,6 @@ class MonomialMatrix:
         raise ValueError("monomial matrices only scale by +1 or -1")
 
     __rmul__ = __mul__
-
-    def tensor(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        n2 = other.order
-        perm = (self.perm[:, None] * n2 + other.perm[None, :]).reshape(-1)
-        signs = (self.signs[:, None] * other.signs[None, :]).reshape(-1)
-        return self._closed(perm, signs)
 
     def mul_dense(self, dense: np.ndarray) -> np.ndarray:
         """Exact product self @ dense without forming the dense self."""
@@ -192,6 +189,31 @@ def pair_lambdas(family: Sequence[MonomialMatrix]) -> np.ndarray:
         same = (d == first[:, None]).all(axis=1) & (first <= 1)
         out[j, j + 1:] = out[j + 1:, j] = np.where(same, 1 - 2 * first.astype(np.int64), 0)
     return out
+
+
+def stacked_kron(sign: np.ndarray,
+                 blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Perm and sign arrays of ``sign[i] * (X_i1 (x) X_i2 (x) ...)`` for every ``i``.
+
+    ``blocks[t]`` stacks the ``t``-th Kronecker factor of all n members
+    as ``(perm, signs)``, each of shape ``(n, size_t)``; the first block
+    is the most significant.  Returns read-only ``(n, b)`` int64 arrays,
+    ``b`` the product of the sizes (1 for no blocks); row ``i`` is the
+    ``i``-th member, ``MonomialMatrix._closed(perm[i], signs[i])``.  The
+    blocks are taken from the last inward, so the long axis stays
+    innermost in every pass.
+    """
+    n = len(sign)
+    perm = np.zeros((n, 1), dtype=np.int64)
+    signs = np.array(sign, dtype=np.int64).reshape(n, 1)
+    size = 1
+    for p, s in reversed(blocks):
+        perm = (p[:, :, None] * size + perm[:, None, :]).reshape(n, -1)
+        signs = (s[:, :, None] * signs[:, None, :]).reshape(n, -1)
+        size *= p.shape[1]
+    perm.setflags(write=False)
+    signs.setflags(write=False)
+    return perm, signs
 
 
 def sign_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:

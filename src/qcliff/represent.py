@@ -12,26 +12,32 @@ minimal order; a matching block structure exists for every Wedderburn
 case.  The blocks are module constants, built once at import; their
 arrays are read-only.
 
-Generator images are then pushed from the decomposition generators back
-to the original ones by solving the basis change over GF(2) and
-correcting the sign with exact monomial arithmetic.  A representation is
-verified once, against every defining relation of the generators it is
-returned for: :func:`minimal_images` checks only the pushed-forward
-images, and :func:`build_irrep` checks its normal-form images.
+Every image is a sign times a Kronecker product over the blocks, and the
+images stay in that factored form (:class:`_Factors`) until the last
+step.  Generator images are pushed from the decomposition generators back
+to the original ones by solving the basis change over GF(2); a product of
+Kronecker products with one block layout is the blockwise product, so the
+push multiplies the blocks (all at once, as one block-diagonal signed
+permutation per image) and the sign of each word comes from the
+presentation.  Only then are the order-b arrays formed, once, by
+:func:`~qcliff.matrices.stacked_kron`.  A representation is verified
+once, densely on those arrays, against every defining relation of the
+generators it is returned for: :func:`minimal_images` checks only the
+pushed-forward images, and :func:`build_irrep` checks its normal-form
+images.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
 from math import prod
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .decompose import Decomposition
 from .errors import VerificationError
-from .matrices import MonomialMatrix, j2, pair_lambdas, x2, z2
+from .matrices import MonomialMatrix, j2, pair_lambdas, stacked_kron, x2, z2
 from .presentation import AlgebraPresentation
 from .structure import classify
 
@@ -59,6 +65,32 @@ CH = (QUAT_RIGHT_I, QUAT_LEFT_I, QUAT_LEFT_J)
 C_MINUS = j2()
 
 
+class _Factors(NamedTuple):
+    """Images ``sign[i]`` times the Kronecker product of their blocks.
+
+    Row ``i`` of ``perm`` / ``signs`` holds the blocks of image ``i`` side
+    by side, as one block-diagonal signed permutation of order
+    ``sum(sizes)``: block ``t`` fills the columns from ``a_t =
+    sum(sizes[:t])`` on, its perm shifted by ``a_t``.  A product of such
+    direct sums is the direct sum of the blockwise products, which is what
+    a product of Kronecker products with one block layout needs.
+    """
+
+    sign: np.ndarray
+    perm: np.ndarray
+    signs: np.ndarray
+    sizes: tuple[int, ...]
+
+    def blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The ``(m, size_t)`` block arrays, in :func:`stacked_kron`'s order."""
+        out, start = [], 0
+        for size in self.sizes:
+            end = start + size
+            out.append((self.perm[:, start:end] - start, self.signs[:, start:end]))
+            start = end
+        return out
+
+
 @dataclass(frozen=True)
 class Representation:
     """Monomial generator images satisfying ``presentation`` exactly.
@@ -67,7 +99,10 @@ class Representation:
     ``presentation`` -- the decomposition's new generators for the output
     of :func:`build_irrep`, the original generators after
     :func:`pushforward`.  ``character`` records the sign choices made for
-    the central generators.
+    the central generators.  The images that :func:`build_irrep` and
+    :func:`pushforward` return also keep their Kronecker factors, which
+    only those functions set; ``dataclasses.replace`` and a
+    representation built by hand have none.
     """
 
     order: int
@@ -75,6 +110,7 @@ class Representation:
     character: tuple[int, ...]
     decomposition: Decomposition
     presentation: AlgebraPresentation
+    _factors: Optional[_Factors] = field(default=None, init=False, repr=False, compare=False)
 
     def verify(self) -> None:
         """Exact re-check of all relations and the transpose law.
@@ -114,14 +150,7 @@ def zero_character(D: Decomposition) -> tuple[int, ...]:
     return (0,) * character_length(D)
 
 
-def _assemble(D: Decomposition, character: Sequence[int]) -> Representation:
-    """Unverified irreducible images of the decomposition generators.
-
-    Each block is a dict from generator index to its constant image; the
-    blocks are tensored in the order of their smallest generator index.
-    Checks the character and that the assembled order equals
-    ``classify(D).irrep_order``; the relations are left to the caller.
-    """
+def _character(D: Decomposition, character: Sequence[int]) -> tuple[int, ...]:
     character = tuple(int(b) for b in character)
     if any(b not in (0, 1) for b in character):
         raise ValueError("character must consist of 0/1 bits")
@@ -129,6 +158,18 @@ def _assemble(D: Decomposition, character: Sequence[int]) -> Representation:
         raise ValueError(
             f"character has length {len(character)}, expected {character_length(D)}"
         )
+    return character
+
+
+def _assemble(D: Decomposition, character: tuple[int, ...]) -> _Factors:
+    """Unverified irreducible images of the decomposition generators, factored.
+
+    Each block is a dict from generator index to its constant image; the
+    blocks are ordered by their smallest generator index, and a generator
+    a block leaves out has the identity there.  Checks that the assembled
+    order equals ``classify(D).irrep_order``; the relations are left to
+    the caller.
+    """
     wt = classify(D)
     r = D.r
     neg_centrals = [i for i, c in enumerate(D.centrals) if c.square == -1]
@@ -170,39 +211,46 @@ def _assemble(D: Decomposition, character: Sequence[int]) -> Representation:
         raise VerificationError(
             f"assembled order {total} differs from irreducible order {wt.irrep_order}"
         )
-    idents = [MonomialMatrix.identity(n) for n in orders]
-
-    def assemble(gen: int) -> MonomialMatrix:
-        return reduce(MonomialMatrix.tensor,
-                      (b.get(gen, ident) for b, ident in zip(blocks, idents)))
+    m = D.presentation.m
+    perm = np.tile(np.arange(sum(orders)), (m, 1))
+    signs = np.ones_like(perm)
+    start = 0
+    for block, size in zip(blocks, orders):
+        for gen, img in block.items():
+            perm[gen, start:start + size] = img.perm + start
+            signs[gen, start:start + size] = img.signs
+        start += size
 
     # Character slots: every central except the reference complex one.
+    # Centrals outside every block act by their slot sign: a scalar if
+    # they square to +1; remaining complex centrals reuse the reference
+    # image up to that sign, since the pair relations force nothing more.
+    sign = np.ones(m, dtype=np.int64)
     slots = [i for i in range(r) if i != first_neg]
-    slot_sign = {
-        idx: (-1 if character[k] else 1) for k, idx in enumerate(slots)
-    }
-
-    images: list[Optional[MonomialMatrix]] = [None] * D.presentation.m
     covered = set().union(*blocks)
-    for gen in covered:
-        images[gen] = assemble(gen)
-    for i in range(r):
+    for k, i in enumerate(slots):
         if i in covered:
             continue
-        if D.centrals[i].square == 1:
-            images[i] = MonomialMatrix.scalar(total, slot_sign[i])
-        else:
-            # Remaining complex centrals reuse the reference image up to
-            # the character sign; the pair relations force nothing more.
-            images[i] = slot_sign[i] * images[first_neg]
+        sign[i] = -1 if character[k] else 1
+        if D.centrals[i].square == -1:
+            perm[i], signs[i] = perm[first_neg], signs[first_neg]
+    return _Factors(sign, perm, signs, tuple(orders))
 
-    return Representation(
-        order=total,
-        generator_images=tuple(images),
+
+def _verified(f: _Factors, character: tuple[int, ...], D: Decomposition,
+              presentation: AlgebraPresentation) -> Representation:
+    """Expand ``f`` to order-b images once and verify them densely."""
+    perm, signs = stacked_kron(f.sign, f.blocks())
+    rep = Representation(
+        order=perm.shape[1],
+        generator_images=tuple(MonomialMatrix._closed(p, s) for p, s in zip(perm, signs)),
         character=character,
         decomposition=D,
-        presentation=D.normal_presentation(),
+        presentation=presentation,
     )
+    object.__setattr__(rep, "_factors", f)
+    rep.verify()
+    return rep
 
 
 def build_irrep(D: Decomposition, character: Sequence[int]) -> Representation:
@@ -211,14 +259,42 @@ def build_irrep(D: Decomposition, character: Sequence[int]) -> Representation:
     The images satisfy ``D.normal_presentation()`` and have order exactly
     ``classify(D).irrep_order``.  ``character`` must supply one bit per
     free central sign choice (see :func:`character_length`); bit 1 flips
-    the sign of the corresponding central image.  The result is checked
-    by :meth:`Representation.verify` once; :func:`minimal_images` skips
-    that check, since :func:`pushforward` makes it on the images it
-    returns.
+    the sign of the corresponding central image.  The images are expanded
+    from their factors and checked by :meth:`Representation.verify` once;
+    :func:`minimal_images` skips both, since :func:`pushforward` makes
+    them on the images it returns.
     """
-    rep = _assemble(D, character)
-    rep.verify()
-    return rep
+    character = _character(D, character)
+    return _verified(_assemble(D, character), character, D, D.normal_presentation())
+
+
+def _push(D: Decomposition, character: tuple[int, ...], f: _Factors) -> Representation:
+    """Images of the original generators from the factored new ones."""
+    P = D.presentation
+    m = P.m
+    inv = D.basis_change.inverse()
+    new_gens = D.new_generators
+    # holds[i, k]: new generator k is a factor of original generator i
+    holds = np.zeros((m, m), dtype=bool)
+    sign = np.empty(m, dtype=np.int64)
+    for i in range(m):
+        coeffs = inv.row_mask(i)
+        factors = [k for k in range(m) if (coeffs >> k) & 1]
+        word = P.product(new_gens[k] for k in factors)
+        if word.mask != 1 << i:
+            raise VerificationError(f"basis change inversion failed for generator {i}")
+        holds[i, factors] = True
+        sign[i] = word.sign
+    sign *= np.where(holds, f.sign, 1).prod(axis=1)
+    perm = np.tile(np.arange(f.perm.shape[1]), (m, 1))
+    signs = np.ones_like(perm)
+    # ascending k multiplies every word's factors in its own order
+    for k in range(m):
+        rows = np.flatnonzero(holds[:, k])
+        at = perm[rows]
+        perm[rows] = f.perm[k][at]
+        signs[rows] *= f.signs[k][at]
+    return _verified(_Factors(sign, perm, signs, f.sizes), character, D, P)
 
 
 def pushforward(R: Representation) -> Representation:
@@ -226,8 +302,9 @@ def pushforward(R: Representation) -> Representation:
 
     Each original generator is a signed product of the decomposition
     generators; the exponents come from inverting the basis change over
-    GF(2) and the sign from evaluating that product with exact monomial
-    arithmetic.  ``R`` itself need not be verified.
+    GF(2) and the sign from the presentation.  The product is formed
+    block by block on ``R``'s Kronecker factors, so ``R`` must come from
+    :func:`build_irrep`; ``R`` itself need not be verified.
 
     The one :meth:`Representation.verify` at the end covers everything the
     returned object claims.  It checks every square of P, the transpose
@@ -240,31 +317,11 @@ def pushforward(R: Representation) -> Representation:
     irreducible (the character) it is.
     """
     D = R.decomposition
-    P = D.presentation
     if R.presentation != D.normal_presentation():
         raise ValueError("pushforward expects images of the decomposition generators")
-    inv = D.basis_change.inverse()
-    new_gens = D.new_generators
-    images = []
-    for i in range(P.m):
-        coeffs = inv.row_mask(i)
-        factors = [k for k in range(P.m) if (coeffs >> k) & 1]
-        word = P.product(new_gens[k] for k in factors)
-        if word.mask != 1 << i:
-            raise VerificationError(f"basis change inversion failed for generator {i}")
-        img = MonomialMatrix.scalar(R.order, word.sign)
-        for k in factors:
-            img = img @ R.generator_images[k]
-        images.append(img)
-    out = Representation(
-        order=R.order,
-        generator_images=tuple(images),
-        character=R.character,
-        decomposition=D,
-        presentation=P,
-    )
-    out.verify()
-    return out
+    if R._factors is None:
+        raise ValueError("pushforward expects the factored images of build_irrep")
+    return _push(D, R.character, R._factors)
 
 
 def minimal_images(P: AlgebraPresentation,
@@ -273,8 +330,9 @@ def minimal_images(P: AlgebraPresentation,
     """Decompose, assemble the irrep and push it forward in one call.
 
     A caller that has already decomposed ``P`` passes the result as
-    ``decomposition``.  The images are verified once, by
-    :func:`pushforward`, on the original generators of ``P``.
+    ``decomposition``.  The normal-form images are never expanded; the
+    pushed-forward ones are, once, and verified once by
+    :func:`pushforward` on the original generators of ``P``.
     """
     from .decompose import decompose
 
@@ -284,7 +342,5 @@ def minimal_images(P: AlgebraPresentation,
         D = decomposition
     else:
         raise ValueError("decomposition is not of the presentation P")
-    if character is None:
-        character = zero_character(D)
-    return pushforward(_assemble(D, character))
-
+    character = zero_character(D) if character is None else _character(D, character)
+    return _push(D, character, _assemble(D, character))

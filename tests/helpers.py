@@ -124,8 +124,18 @@ def random_block_word(rng: np.random.Generator, n: int) -> MonomialMatrix:
     acc = None
     for _ in range(n.bit_length() - 1):
         factor = blocks[rng.integers(5)]()
-        acc = factor if acc is None else acc.tensor(factor)
+        acc = factor if acc is None else tensor(acc, factor)
     return acc if acc is not None else MonomialMatrix([0], [int(rng.choice([-1, 1]))])
+
+
+def tensor(x: MonomialMatrix, y: MonomialMatrix) -> MonomialMatrix:
+    """Reference row-major Kronecker product ``x (x) y``, like ``numpy.kron``.
+
+    Shares no code with ``qcliff.matrices.stacked_kron``.
+    """
+    n2 = y.order
+    return MonomialMatrix((x.perm[:, None] * n2 + y.perm[None, :]).reshape(-1),
+                          (x.signs[:, None] * y.signs[None, :]).reshape(-1))
 
 
 def dense(x: MonomialMatrix) -> np.ndarray:
@@ -133,6 +143,23 @@ def dense(x: MonomialMatrix) -> np.ndarray:
     out = np.zeros((x.order, x.order), dtype=np.int64)
     out[np.arange(x.order), x.perm] = x.signs
     return out
+
+
+def popcount_gram(x: np.ndarray) -> np.ndarray:
+    """Exact int64 ``x @ x.T`` of a {-1, +1} matrix by counting bits.
+
+    Rows ``h_i``, ``h_j`` of length N differ in ``popcount(h_i ^ h_j)``
+    places of their sign bits, so ``<h_i, h_j> = N - 2 popcount``.  Shares
+    no arithmetic with ``qcliff.matrices.sign_product``.
+    """
+    rows, cols = x.shape
+    bits = np.packbits(x < 0, axis=1)
+    words = np.pad(bits, ((0, 0), (0, -bits.shape[1] % 8))).view(np.uint64)
+    gram = np.empty((rows, rows), dtype=np.int64)
+    for s in range(0, rows, 64):
+        differ = np.bitwise_count(words[s:s + 64, None, :] ^ words[None, :, :])
+        gram[s:s + 64] = cols - 2 * differ.sum(axis=2, dtype=np.int64)
+    return gram
 
 
 def gf2_from_rows(rows) -> Gf2Matrix:
@@ -189,8 +216,27 @@ def tensor_with_identity(R: Representation, copies: int) -> Representation:
     ident = MonomialMatrix.identity(copies)
     return Representation(
         order=R.order * copies,
-        generator_images=tuple(img.tensor(ident) for img in R.generator_images),
+        generator_images=tuple(tensor(img, ident) for img in R.generator_images),
         character=R.character,
         decomposition=R.decomposition,
         presentation=R.presentation,
     )
+
+
+def pushforward_by_products(R: Representation) -> tuple[MonomialMatrix, ...]:
+    """Reference original-generator images of normal-form images ``R``.
+
+    Each image is its word's sign times the product of ``R``'s order-b
+    images, in ascending generator order, multiplied by ``@``.
+    """
+    D = R.decomposition
+    P = D.presentation
+    inv = D.basis_change.inverse()
+    out = []
+    for i in range(P.m):
+        factors = [k for k in range(P.m) if (inv.row_mask(i) >> k) & 1]
+        img = MonomialMatrix.scalar(R.order, P.product(D.new_generators[k] for k in factors).sign)
+        for k in factors:
+            img = img @ R.generator_images[k]
+        out.append(img)
+    return tuple(out)

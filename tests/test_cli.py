@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from qcliff.cli import main
+from qcliff import cli
+from qcliff.cli import build_parser, main
 from qcliff.serialize import bundle_to_dict
 from qcliff import complete
 
@@ -318,6 +319,23 @@ class TestCapEnvironment:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err
+
+    def test_parser_is_rebuilt_only_when_a_cap_variable_changes(self, capsys, monkeypatch):
+        built = []
+
+        def counting():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        monkeypatch.delenv("QCLIFF_MAX_N", raising=False)
+        monkeypatch.delenv("QCLIFF_MAX_ORDER", raising=False)
+        cli._parser.cache_clear()
+        assert main(["rho", "4"]) == main(["rho", "8"]) == 0
+        assert len(built) == 1
+        monkeypatch.setenv("QCLIFF_MAX_ORDER", "3")
+        assert main(["rho", "4"]) == 0
+        assert len(built) == 2
 
 
 class TestDeterminism:

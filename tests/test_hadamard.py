@@ -20,7 +20,7 @@ from qcliff.hadamard import run_checks
 from qcliff.matrices import ident2, pair_lambdas, x2, y2, z2
 from qcliff.solve import _minimal_kappa
 
-from helpers import dense, dense_lambda, random_monomial_matrix
+from helpers import dense, dense_lambda, random_monomial_matrix, tensor
 
 
 class TestTransversal:
@@ -51,10 +51,10 @@ class TestTransversal:
 
     def test_index_bits_drive_positions_msb_first(self):
         A = transversal(TransversalSpec.from_strings("IZ", "XY"))
-        assert A[0] == ident2().tensor(z2())
-        assert A[1] == ident2().tensor(y2())
-        assert A[2] == x2().tensor(z2())
-        assert A[3] == x2().tensor(y2())
+        assert A[0] == tensor(ident2(), z2())
+        assert A[1] == tensor(ident2(), y2())
+        assert A[2] == tensor(x2(), z2())
+        assert A[3] == tensor(x2(), y2())
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):

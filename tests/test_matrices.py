@@ -1,3 +1,6 @@
+from functools import reduce
+from math import prod
+
 import numpy as np
 import pytest
 
@@ -7,14 +10,16 @@ from qcliff import (
     lambda_of_transversal,
     sylvester,
 )
-from qcliff.matrices import ident2, j2, pair_lambdas, sign_product, x2, y2, z2
+from qcliff.matrices import ident2, j2, pair_lambdas, sign_product, stacked_kron, x2, y2, z2
 
 from helpers import (
     dense,
     dense_lambda,
+    popcount_gram,
     random_block_word,
     random_monomial_matrix,
     random_sym_or_skew_monomial,
+    tensor,
 )
 
 
@@ -73,11 +78,11 @@ class TestDenseAgreement:
             n1, n2 = int(rng.integers(1, 9)), int(rng.integers(1, 9))
             x = random_monomial_matrix(rng, n1)
             y = random_monomial_matrix(rng, n2)
-            assert np.array_equal(dense(x.tensor(y)), np.kron(dense(x), dense(y)))
+            assert np.array_equal(dense(tensor(x, y)), np.kron(dense(x), dense(y)))
 
     def test_tensor_example_diag_times_rotation(self):
         z, j = z2(), j2()
-        t = z.tensor(j)
+        t = tensor(z, j)
         assert t.perm.tolist() == [1, 0, 3, 2]
         assert t.signs.tolist() == [-1, 1, 1, -1]
         assert np.array_equal(dense(t), np.kron(dense(z), dense(j)))
@@ -88,7 +93,7 @@ class TestDenseAgreement:
             x = random_monomial_matrix(rng, int(rng.integers(1, 5)))
             y = random_monomial_matrix(rng, int(rng.integers(1, 5)))
             z = random_monomial_matrix(rng, int(rng.integers(1, 5)))
-            assert x.tensor(y).tensor(z) == x.tensor(y.tensor(z))
+            assert tensor(tensor(x, y), z) == tensor(x, tensor(y, z))
 
     def test_mixed_product_rule(self):
         rng = np.random.default_rng(41)
@@ -96,7 +101,13 @@ class TestDenseAgreement:
             n1, n2 = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             x, xp = (random_monomial_matrix(rng, n1) for _ in range(2))
             y, yp = (random_monomial_matrix(rng, n2) for _ in range(2))
-            assert x.tensor(y) @ xp.tensor(yp) == (x @ xp).tensor(y @ yp)
+            assert tensor(x, y) @ tensor(xp, yp) == tensor(x @ xp, y @ yp)
+
+    def test_popcount_gram_matches_the_integer_product(self):
+        rng = np.random.default_rng(47)
+        for rows, cols in ((1, 1), (3, 7), (70, 65), (130, 200)):
+            x = rng.choice([-1, 1], size=(rows, cols))
+            assert np.array_equal(popcount_gram(x), x @ x.T)
 
     def test_monomials_are_orthogonal(self):
         rng = np.random.default_rng(43)
@@ -147,7 +158,7 @@ class TestLambdaOfPair:
         # pairs drawn from the 2x2 blocks and their tensor squares always
         # satisfy the hypothesis, so the answer must never be 0
         blocks = [ident2(), z2(), x2(), j2(), y2()]
-        candidates = blocks + [a.tensor(b) for a in blocks for b in blocks]
+        candidates = blocks + [tensor(a, b) for a in blocks for b in blocks]
         for x in candidates:
             assert x.transpose() in (x, -x)
         for x in candidates:
@@ -182,6 +193,24 @@ class TestLambdaOfPair:
             pair_lambdas([ident2(), MonomialMatrix.identity(3)])
 
 
+class TestStackedKron:
+    @pytest.mark.parametrize("sizes", [(), (2,), (4,), (2, 4), (4, 2, 2), (2, 2, 4, 4)])
+    def test_matches_the_tensor_reference(self, sizes):
+        rng = np.random.default_rng(67 + len(sizes))
+        for n in (1, 3, 6):
+            members = [[random_monomial_matrix(rng, s) for s in sizes] for _ in range(n)]
+            sign = rng.choice([-1, 1], size=n)
+            blocks = [(np.array([row[t].perm for row in members]),
+                       np.array([row[t].signs for row in members])) for t in range(len(sizes))]
+            perm, signs = stacked_kron(sign, blocks)
+            assert perm.shape == signs.shape == (n, prod(sizes))
+            assert perm.dtype == signs.dtype == np.int64
+            assert not perm.flags.writeable and not signs.flags.writeable
+            for i, row in enumerate(members):
+                want = reduce(tensor, row, MonomialMatrix.scalar(1, int(sign[i])))
+                assert MonomialMatrix._closed(perm[i], signs[i]) == want
+
+
 class TestMonomialCore:
     def test_closed_operations_yield_valid_signed_permutations(self):
         rng = np.random.default_rng(61)
@@ -189,7 +218,7 @@ class TestMonomialCore:
             x = random_monomial_matrix(rng, int(rng.integers(1, 65)))
             y = random_monomial_matrix(rng, x.order)
             z = random_monomial_matrix(rng, int(rng.integers(1, 65)))
-            for r in (x @ y, x.transpose(), -x, x.tensor(z)):
+            for r in (x @ y, x.transpose(), -x, tensor(x, z)):
                 assert MonomialMatrix(r.perm, r.signs) == r
                 assert r.perm.dtype == r.signs.dtype == np.int64
                 assert not r.perm.flags.writeable and not r.signs.flags.writeable

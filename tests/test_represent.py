@@ -32,6 +32,7 @@ from qcliff.represent import (
     QUAT_LEFT_J,
     QUAT_RIGHT_I,
     QUAT_RIGHT_J,
+    zero_character,
 )
 from qcliff.serialize import presentation_to_dict
 from qcliff.solve import solve
@@ -40,7 +41,9 @@ from helpers import (
     all_characters,
     all_presentations,
     dense,
+    pushforward_by_products,
     random_presentation,
+    tensor,
     tensor_with_identity,
 )
 
@@ -180,6 +183,48 @@ class TestPushforward:
             pushforward(rep)
 
 
+def block_families(rep):
+    """Per block, the family of its ``m`` factor rows as monomial matrices."""
+    return [[MonomialMatrix._closed(p, s) for p, s in zip(perm, signs)]
+            for perm, signs in rep._factors.blocks()]
+
+
+class TestFactoredPath:
+    def test_pushforward_matches_products_of_the_expanded_images(self):
+        fused_ch = reused_complex = 0
+        for m in range(1, 4):
+            for P in all_presentations(m):
+                D = decompose(P)
+                neg = sum(c.square == -1 for c in D.centrals)
+                quat = sum(p.first_square == p.second_square == -1 for p in D.pairs)
+                fused_ch += neg > 0 and quat % 2 == 1
+                reused_complex += neg > 1
+                for ch in all_characters(D):
+                    R = build_irrep(D, ch)
+                    pushed = pushforward(R)
+                    assert pushed.generator_images == pushforward_by_products(R)
+                    assert pushed == minimal_images(P, ch, D)
+        assert fused_ch and reused_complex
+
+    def test_pair_signs_are_the_product_of_the_block_pair_signs(self):
+        for m in range(1, 4):
+            for P in all_presentations(m):
+                D = decompose(P)
+                for rep in (build_irrep(D, zero_character(D)), minimal_images(P, None, D)):
+                    lam = np.ones((m, m), dtype=np.int64)
+                    for family in block_families(rep):
+                        lam *= pair_lambdas(family)
+                    upper = np.triu_indices(m, 1)
+                    assert np.array_equal(lam[upper], pair_lambdas(rep.generator_images)[upper])
+
+    def test_pushforward_refuses_images_without_factors(self):
+        D = decompose(RANDOM5)
+        R = build_irrep(D, zero_character(D))
+        for bare in (tensor_with_identity(R, 2), replace(R, character=R.character)):
+            with pytest.raises(ValueError, match="factored"):
+                pushforward(bare)
+
+
 class TestSoundnessSweep:
     def test_every_presentation_and_character_up_to_m3(self):
         for m in range(1, 4):
@@ -234,7 +279,7 @@ class TestSoundnessSweep:
                 continue
             j = int(rng.integers(P.m))
             half = MonomialMatrix.identity(R.order // 2)
-            wrong = half.tensor(j2()) if P.kappa[j] == 1 else MonomialMatrix.identity(R.order)
+            wrong = tensor(half, j2()) if P.kappa[j] == 1 else MonomialMatrix.identity(R.order)
             assert np.array_equal(dense(wrong) @ dense(wrong), -P.kappa[j] * np.eye(R.order))
             imgs = list(R.generator_images)
             imgs[j] = wrong
