@@ -201,7 +201,8 @@ def run_checks(
 
     # row i of every member, sorted: disjoint supports repeat no column,
     # and n members of order n cover every cell once (|sum A_k| == 1)
-    perms = np.sort(np.stack([a.perm for a in A]), axis=0)
+    perm = np.stack([a.perm for a in A])
+    perms = np.sort(perm, axis=0)
     disjoint = bool(np.all(perms[1:] != perms[:-1]))
     tsum = perms.shape == (n, n) and bool(np.all(perms == np.arange(n)[:, None]))
 
@@ -222,10 +223,15 @@ def run_checks(
         b_lam = b_lam and np.array_equal(grams[1:], want)
     b_gram = bool(np.array_equal(gram_sum, order * np.eye(b, dtype=np.int64)))
 
-    try:
-        h_match = plug_in(A, B) == H
-    except ValueError:
-        h_match = False
+    # every row block of the plug-in sum gets one term per member, so with
+    # a transversal sum it is H exactly when block (row, perm_k[row]) of H
+    # is signs_k[row] * B_k for every k and row
+    h_match = tsum and H.order == order
+    if h_match:
+        blocks = H.array.reshape(n, b, n, b)[np.arange(n), :, perm, :]
+        blocks *= np.stack([a.signs for a in A])[:, :, None, None]
+        h_match = bool((blocks == stacked[:, None]).all())
+        del blocks  # as large as H: free it before the H H^T product
 
     hh = sign_product(H.array, H.array.T)
     hadamard_ok = bool(np.array_equal(hh, order * np.eye(order, dtype=np.int64)))

@@ -9,7 +9,7 @@ inside int64 range, and :func:`sign_product` forms the dense checks'
 products exactly in float64.
 
 Only the public constructor validates and copies its input (parsers,
-callers, ``identity``, ``scalar``); ``@``, ``transpose`` and negation
+callers, ``identity``); ``@``, ``transpose`` and negation
 yield signed permutations by construction and skip the check.
 Amicability signs have one kernel, :func:`pair_lambdas`: it decides every
 pair of a family of n matrices of order b on the stacked ``perm`` /
@@ -71,10 +71,6 @@ class MonomialMatrix:
     @classmethod
     def identity(cls, n: int) -> "MonomialMatrix":
         return cls(np.arange(n), np.ones(n, dtype=np.int64))
-
-    @classmethod
-    def scalar(cls, n: int, sign: int) -> "MonomialMatrix":
-        return cls(np.arange(n), np.full(n, sign, dtype=np.int64))
 
     def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
         if not isinstance(other, MonomialMatrix):

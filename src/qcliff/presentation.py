@@ -7,8 +7,7 @@ to *signed monomials*: a sign together with a GF(2) exponent vector, the
 generators kept in increasing index order.  The exponent vector is stored
 as a bitmask (bit ``i`` for ``a(i+1)``) from construction on, so every
 product, square and commutation sign is exact integer arithmetic on
-masks; :meth:`AlgebraPresentation.monomial` is the one entry point that
-reads a 0/1 exponent tuple.
+masks.
 """
 
 from __future__ import annotations
@@ -16,18 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import CapExceeded
 from .gf2 import bilinear_parity
-
-DEFAULT_BASIS_CAP = 20
-
-
-def _mask(exps: Iterable[int]) -> int:
-    bits = 0
-    for i, e in enumerate(exps):
-        if e:
-            bits |= 1 << i
-    return bits
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,9 +41,6 @@ class SignedMonomial:
     def exps(self) -> tuple[int, ...]:
         """The exponent vector as 0/1 bits, ``a1`` first."""
         return tuple((self.mask >> i) & 1 for i in range(self.m))
-
-    def __neg__(self) -> "SignedMonomial":
-        return SignedMonomial(-self.sign, self.mask, self.m)
 
     def __str__(self) -> str:
         word = "".join(f"a{i + 1}" for i, e in enumerate(self.exps) if e) or "1"
@@ -95,18 +80,9 @@ class AlgebraPresentation:
         self.kappa = kappa
         # row i holds the anticommuting partners of i with larger index
         self._delta_gt = tuple(rows)
-        self._kneg = _mask(1 if k < 0 else 0 for k in kappa)
+        self._kneg = sum(1 << i for i, k in enumerate(kappa) if k < 0)
 
     # -- presentation table -------------------------------------------------
-
-    def delta(self, i: int, j: int) -> int:
-        """Anticommutation bit for the (unordered) generator pair ``i, j``."""
-        if not (0 <= i < self.m and 0 <= j < self.m):
-            raise ValueError(f"generator index out of range for m={self.m}: ({i}, {j})")
-        if i == j:
-            raise ValueError("delta is undefined on the diagonal")
-        lo, hi = (i, j) if i < j else (j, i)
-        return (self._delta_gt[lo] >> hi) & 1
 
     def anticommuting_pairs(self) -> list[tuple[int, int]]:
         return [
@@ -134,22 +110,6 @@ class AlgebraPresentation:
 
     def identity(self) -> SignedMonomial:
         return SignedMonomial(1, 0, self.m)
-
-    def generator(self, i: int) -> SignedMonomial:
-        if not 0 <= i < self.m:
-            raise ValueError(f"generator index {i} out of range for m={self.m}")
-        return SignedMonomial(1, 1 << i, self.m)
-
-    def monomial(self, exps: Sequence[int], sign: int = 1) -> SignedMonomial:
-        """The signed monomial with 0/1 exponent vector ``exps``, ``a1`` first."""
-        exps = tuple(exps)
-        if len(exps) != self.m:
-            raise ValueError(
-                f"monomial has {len(exps)} exponent bits, presentation has m={self.m}"
-            )
-        if any(e not in (0, 1) for e in exps):
-            raise ValueError(f"exponents must be 0/1 bits, got {exps!r}")
-        return SignedMonomial(sign, _mask(exps), self.m)
 
     def _check(self, x: SignedMonomial) -> None:
         if x.m != self.m:
@@ -206,19 +166,6 @@ class AlgebraPresentation:
         for f in factors:
             out = self.mul(out, f)
         return out
-
-    def basis(self, cap: int = DEFAULT_BASIS_CAP) -> list[SignedMonomial]:
-        """All ``2^m`` positive monomials in lexicographic exponent order.
-
-        The exponent of ``a1`` is the least significant bit, so the order
-        for m=2 is ``1, a1, a2, a1a2``.  Refuses ``m > cap`` since the
-        enumeration is the one exponential step in this module.
-        """
-        if self.m > cap:
-            raise CapExceeded(
-                f"basis enumeration needs 2^{self.m} elements, cap is m <= {cap}"
-            )
-        return [SignedMonomial(1, bits, self.m) for bits in range(1 << self.m)]
 
 
 def quaternion_presentation() -> AlgebraPresentation:

@@ -149,10 +149,6 @@ def _monomial_tree(mat: MonomialMatrix) -> dict:
     return {"order": mat.order, "perm": _IntArray(mat.perm), "signs": _IntArray(mat.signs)}
 
 
-def monomial_to_dict(mat: MonomialMatrix) -> dict:
-    return _plain(_monomial_tree(mat))
-
-
 def monomial_from_dict(obj: dict) -> MonomialMatrix:
     _require_keys(obj, ["order", "perm", "signs"])
     if not _is_int(obj["order"]):

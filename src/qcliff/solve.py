@@ -15,7 +15,7 @@ one :func:`~qcliff.matrices.pair_lambdas` table before returning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -272,33 +272,3 @@ def rho(N: int) -> int:
     v = (N & -N).bit_length() - 1
     d, c = divmod(v, 4)
     return (1 << c) + 8 * d
-
-
-@dataclass(frozen=True)
-class HurwitzRadonReport:
-    order: int
-    size: int
-    rho: int
-    mutually_anti_amicable: bool
-    within_bound: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.mutually_anti_amicable and self.within_bound
-
-
-def check_hr_bound(family: Iterable[MonomialMatrix]) -> HurwitzRadonReport:
-    """Check a family for mutual anti-amicability and the size bound rho(N)."""
-    mats = list(family)
-    # -1 off the diagonal; pair_lambdas leaves the diagonal 0 and refuses
-    # an empty family or mixed orders
-    anti = np.array_equal(pair_lambdas(mats), np.eye(len(mats), dtype=np.int64) - 1)
-    order = mats[0].order
-    bound = rho(order)
-    return HurwitzRadonReport(
-        order=order,
-        size=len(mats),
-        rho=bound,
-        mutually_anti_amicable=anti,
-        within_bound=len(mats) <= bound,
-    )

@@ -8,12 +8,17 @@ exercises none of the closed-form sign machinery in the package.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from qcliff import AlgebraPresentation, Gf2Matrix, MonomialMatrix, Representation, SignedMonomial
+from qcliff import AlgebraPresentation, MonomialMatrix, SignedMonomial
 from qcliff.decompose import Decomposition
-from qcliff.represent import character_length
+from qcliff.gf2 import Gf2Matrix
+from qcliff.matrices import pair_lambdas
+from qcliff.represent import Representation, character_length
+from qcliff.solve import rho
 
 
 def word_mul(P: AlgebraPresentation, *words: list[int]) -> tuple[int, tuple[int, ...]]:
@@ -24,6 +29,7 @@ def word_mul(P: AlgebraPresentation, *words: list[int]) -> tuple[int, tuple[int,
     generators to their square.  Returns the sign and the sorted reduced
     word.
     """
+    anti = set(P.anticommuting_pairs())
     word = [g for w in words for g in w]
     sign = 1
     changed = True
@@ -32,7 +38,7 @@ def word_mul(P: AlgebraPresentation, *words: list[int]) -> tuple[int, tuple[int,
         i = 0
         while i < len(word) - 1:
             if word[i] > word[i + 1]:
-                if P.delta(word[i], word[i + 1]):
+                if (word[i + 1], word[i]) in anti:
                     sign = -sign
                 word[i], word[i + 1] = word[i + 1], word[i]
                 changed = True
@@ -50,10 +56,7 @@ def word_of(x: SignedMonomial) -> list[int]:
 
 
 def monomial_of_word(P: AlgebraPresentation, sign: int, word: tuple[int, ...]) -> SignedMonomial:
-    exps = [0] * P.m
-    for g in word:
-        exps[g] = 1
-    return P.monomial(exps, sign)
+    return SignedMonomial(sign, sum(1 << g for g in word), P.m)
 
 
 def all_presentations(m: int):
@@ -77,8 +80,8 @@ def random_presentation(rng: np.random.Generator, m: int) -> AlgebraPresentation
 
 
 def random_monomial(rng: np.random.Generator, P: AlgebraPresentation) -> SignedMonomial:
-    return P.monomial([int(b) for b in rng.integers(0, 2, size=P.m)],
-                      int(rng.choice([-1, 1])))
+    mask = sum(1 << i for i, bit in enumerate(rng.integers(0, 2, size=P.m)) if bit)
+    return SignedMonomial(int(rng.choice([-1, 1])), mask, P.m)
 
 
 def random_monomial_matrix(rng: np.random.Generator, n: int) -> MonomialMatrix:
@@ -235,8 +238,44 @@ def pushforward_by_products(R: Representation) -> tuple[MonomialMatrix, ...]:
     out = []
     for i in range(P.m):
         factors = [k for k in range(P.m) if (inv.row_mask(i) >> k) & 1]
-        img = MonomialMatrix.scalar(R.order, P.product(D.new_generators[k] for k in factors).sign)
+        sign = P.product(D.new_generators[k] for k in factors).sign
+        img = MonomialMatrix(np.arange(R.order), np.full(R.order, sign))
         for k in factors:
             img = img @ R.generator_images[k]
         out.append(img)
     return tuple(out)
+
+
+@dataclass(frozen=True)
+class HurwitzRadonReport:
+    order: int
+    size: int
+    rho: int
+    mutually_anti_amicable: bool
+    within_bound: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.mutually_anti_amicable and self.within_bound
+
+
+def check_hr_bound(family: Iterable[MonomialMatrix]) -> HurwitzRadonReport:
+    """Check a family for mutual anti-amicability and the size bound rho(N).
+
+    The oracle of acceptance criterion 7: no family of mutually
+    anti-amicable orthogonal matrices of order N has more than rho(N)
+    members.
+    """
+    mats = list(family)
+    # -1 off the diagonal; pair_lambdas leaves the diagonal 0 and refuses
+    # an empty family or mixed orders
+    anti = np.array_equal(pair_lambdas(mats), np.eye(len(mats), dtype=np.int64) - 1)
+    order = mats[0].order
+    bound = rho(order)
+    return HurwitzRadonReport(
+        order=order,
+        size=len(mats),
+        rho=bound,
+        mutually_anti_amicable=anti,
+        within_bound=len(mats) <= bound,
+    )

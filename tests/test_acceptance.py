@@ -15,27 +15,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcliff import (
-    AlgebraPresentation,
-    LambdaPattern,
-    build_irrep,
-    check_hr_bound,
-    classification_grid,
-    classify,
-    classify_presentation,
-    complete,
-    irrep_dimension_rows,
-    presentation_from,
-    pushforward,
-    quaternion_presentation,
-    rho,
-)
+from qcliff import AlgebraPresentation, LambdaPattern, classify_presentation, complete, rho
 from qcliff.decompose import decompose
-from qcliff.solve import solve
+from qcliff.presentation import quaternion_presentation
+from qcliff.represent import build_irrep, pushforward
+from qcliff.solve import presentation_from, solve
+from qcliff.structure import classification_grid, classify, irrep_dimension_rows
 
 from helpers import (
     all_characters,
     all_presentations,
+    check_hr_bound,
     grow_anti_amicable_family,
     popcount_gram,
     random_block_word,

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from qcliff import (
-    AlgebraPresentation,
-    SignedMonomial,
-    clifford_presentation,
+from qcliff import AlgebraPresentation, SignedMonomial
+from qcliff.decompose import (
+    Central,
+    Decomposition,
+    HyperbolicPair,
+    decompose,
     form_matrix,
-    quaternion_presentation,
     radical_dimension,
+    symplectic_reduce,
 )
-from qcliff.decompose import Central, Decomposition, HyperbolicPair, decompose, symplectic_reduce
+from qcliff.presentation import clifford_presentation, quaternion_presentation
 
 from helpers import all_presentations, gf2_from_rows, random_presentation, word_mul, word_of
 
@@ -32,10 +34,10 @@ def reference_validate(D):
             raise ValueError("new generators must carry sign +1")
         if P.square_sign(g) != squares[row]:
             raise ValueError(f"recorded square of generator {row} is wrong")
-    normal = D.normal_presentation()
+    anti = set(D.normal_presentation().anticommuting_pairs())
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            want = -1 if normal.delta(i, j) else 1
+            want = -1 if (i, j) in anti else 1
             got = P.commutation_sign(gens[i], gens[j])
             if got != want:
                 raise ValueError(
@@ -157,7 +159,8 @@ class TestDecompose:
         assert beta.square == -1
         # independent oracle: the central element commutes with every
         # basis monomial under stepwise rewriting
-        for z in P.basis():
+        for bits in range(1 << P.m):
+            z = SignedMonomial(1, bits, P.m)
             left = word_mul(P, word_of(beta.element), word_of(z))
             right = word_mul(P, word_of(z), word_of(beta.element))
             assert left == right
@@ -188,15 +191,12 @@ class TestDecompose:
             for P in all_presentations(m):
                 D = decompose(P)
                 gens = D.new_generators
-                normal = D.normal_presentation()
+                pairs = [(D.r + 2 * t, D.r + 2 * t + 1) for t in range(D.s)]
+                assert D.normal_presentation().anticommuting_pairs() == pairs
                 for i in range(m):
                     for j in range(i + 1, m):
-                        expected = 1 if (i, j) in {
-                            (D.r + 2 * t, D.r + 2 * t + 1) for t in range(D.s)
-                        } else 0
-                        assert normal.delta(i, j) == expected
                         got = P.commutation_sign(gens[i], gens[j])
-                        assert got == (-1 if expected else 1)
+                        assert got == (-1 if (i, j) in pairs else 1)
 
 
 class TestValidate:
@@ -258,10 +258,7 @@ class TestRadicalDimension:
             for P in all_presentations(m):
                 central = sum(
                     1
-                    for z in P.basis()
-                    if all(
-                        P.commutation_sign(z, P.generator(i)) == 1
-                        for i in range(m)
-                    )
+                    for z in range(1 << m)
+                    if all(P.commute_sign_masks(z, 1 << i) == 1 for i in range(m))
                 )
                 assert central == 2 ** radical_dimension(P)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from qcliff import Gf2Matrix
-from qcliff.gf2 import bilinear_parity, xor_rows
+from qcliff.gf2 import Gf2Matrix, bilinear_parity, xor_rows
 
 from helpers import gf2_from_rows
 

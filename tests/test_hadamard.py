@@ -3,21 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from qcliff import (
-    CapExceeded,
-    DenseSignMatrix,
-    MonomialMatrix,
+from qcliff import CapExceeded, MonomialMatrix, VerificationError, complete, verify_bundle
+from qcliff.hadamard import (
     TransversalSpec,
-    VerificationError,
-    complete,
     lambda_of_transversal,
     plug_in,
-    sylvester,
+    run_checks,
     transversal,
-    verify_bundle,
 )
-from qcliff.hadamard import run_checks
-from qcliff.matrices import ident2, pair_lambdas, x2, y2, z2
+from qcliff.matrices import DenseSignMatrix, ident2, pair_lambdas, sylvester, x2, y2, z2
 from qcliff.solve import _minimal_kappa
 
 from helpers import dense, dense_lambda, random_monomial_matrix, tensor
@@ -226,3 +220,68 @@ class TestComplete:
             stored = dataclasses.replace(bundle.report, **{field: value})
             with pytest.raises(VerificationError, match=field):
                 verify_bundle(dataclasses.replace(bundle, report=stored))
+
+
+def plug_in_reference(A, B, H):
+    """``h_matches_terms`` by assembling the plug-in sum and comparing."""
+    try:
+        return plug_in(A, B) == H
+    except ValueError:
+        return False
+
+
+def mutated_terms(rng, bundle, count):
+    """``count`` (A, B, H) triples, each with one flipped B entry, two
+    swapped A members or one flipped H entry."""
+    for t in range(count):
+        A, B, H = list(bundle.A), list(bundle.B), bundle.H
+        if t % 3 == 0:
+            k = int(rng.integers(len(B)))
+            x = B[k].array.copy()
+            i, j = rng.integers(bundle.b, size=2)
+            x[i, j] = -x[i, j]
+            B[k] = DenseSignMatrix(x)
+        elif t % 3 == 1:
+            j, k = rng.choice(len(A), size=2, replace=False)
+            A[j], A[k] = A[k], A[j]
+        else:
+            x = H.array.copy()
+            i, j = rng.integers(H.order, size=2)
+            x[i, j] = -x[i, j]
+            H = DenseSignMatrix(x)
+        yield A, B, H
+
+
+class TestHMatchesTerms:
+    def test_complete_assembles_h_once(self, monkeypatch):
+        calls = []
+
+        def counting(A, B):
+            calls.append(len(A))
+            return plug_in(A, B)
+
+        monkeypatch.setattr("qcliff.hadamard.plug_in", counting)
+        for m in (1, 2, 3):
+            bundle = complete(m)
+            assert calls == [bundle.n]
+            calls.clear()
+            assert run_checks(bundle.A, bundle.lam, bundle.B, bundle.H).h_matches_terms
+            assert verify_bundle(bundle).report.passed
+            assert calls == []
+
+    @pytest.mark.parametrize("m, count", [(1, 20), (2, 20), (3, 40), (4, 3)])
+    def test_matches_the_plug_in_reference(self, m, count):
+        bundle = complete(m)
+        assert run_checks(bundle.A, bundle.lam, bundle.B, bundle.H).h_matches_terms
+        assert plug_in_reference(bundle.A, bundle.B, bundle.H)
+        rng = np.random.default_rng(100 + m)
+        for A, B, H in mutated_terms(rng, bundle, count):
+            got = run_checks(A, bundle.lam, B, H).h_matches_terms
+            assert got == plug_in_reference(A, B, H)
+            assert not got  # every mutation changes H or one of its terms
+
+    def test_h_of_another_order_fails_the_check(self):
+        bundle = complete(2)
+        for order in (bundle.n, bundle.n * bundle.b * 2):
+            H = DenseSignMatrix(np.ones((order, order), dtype=np.int64))
+            assert not run_checks(bundle.A, bundle.lam, bundle.B, H).h_matches_terms

@@ -4,13 +4,20 @@ from math import prod
 import numpy as np
 import pytest
 
-from qcliff import (
+from qcliff import MonomialMatrix
+from qcliff.hadamard import lambda_of_transversal
+from qcliff.matrices import (
     DenseSignMatrix,
-    MonomialMatrix,
-    lambda_of_transversal,
+    ident2,
+    j2,
+    pair_lambdas,
+    sign_product,
+    stacked_kron,
     sylvester,
+    x2,
+    y2,
+    z2,
 )
-from qcliff.matrices import ident2, j2, pair_lambdas, sign_product, stacked_kron, x2, y2, z2
 
 from helpers import (
     dense,
@@ -207,7 +214,7 @@ class TestStackedKron:
             assert perm.dtype == signs.dtype == np.int64
             assert not perm.flags.writeable and not signs.flags.writeable
             for i, row in enumerate(members):
-                want = reduce(tensor, row, MonomialMatrix.scalar(1, int(sign[i])))
+                want = reduce(tensor, row, MonomialMatrix([0], [int(sign[i])]))
                 assert MonomialMatrix._closed(perm[i], signs[i]) == want
 
 

@@ -11,9 +11,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qcliff import LambdaPattern, MonomialMatrix, VerificationError, minimal_images, verify_solution
+from qcliff import LambdaPattern, MonomialMatrix, VerificationError, minimal_images
 from qcliff.matrices import pair_lambdas, z2
-from qcliff.solve import solve
+from qcliff.solve import solve, verify_solution
 
 from helpers import (
     dense,
@@ -144,9 +144,10 @@ class TestMutations:
                     bad.verify()
                 continue
             broken = np.zeros((P.m, P.m), dtype=bool)
+            anti = set(P.anticommuting_pairs())
             for a in range(P.m):
                 for c in range(a + 1, P.m):
-                    sign = -1 if P.delta(a, c) else 1
+                    sign = -1 if (a, c) in anti else 1
                     broken[a, c] = not np.array_equal(mats[c] @ mats[a],
                                                       sign * mats[a] @ mats[c])
             pair = first_pair(broken)

@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import replace
 
@@ -8,21 +9,14 @@ from qcliff import (
     AlgebraPresentation,
     LambdaPattern,
     MonomialMatrix,
-    Representation,
     VerificationError,
-    build_irrep,
-    character_length,
-    classify,
-    clifford_presentation,
     minimal_images,
-    pushforward,
-    quaternion_presentation,
     represent,
-    tensor_presentation,
 )
 from qcliff.cli import main
 from qcliff.decompose import decompose
 from qcliff.matrices import j2, pair_lambdas, x2, z2
+from qcliff.presentation import clifford_presentation, quaternion_presentation
 from qcliff.represent import (
     C_MINUS,
     CH,
@@ -32,10 +26,15 @@ from qcliff.represent import (
     QUAT_LEFT_J,
     QUAT_RIGHT_I,
     QUAT_RIGHT_J,
+    Representation,
+    build_irrep,
+    character_length,
+    pushforward,
     zero_character,
 )
 from qcliff.serialize import presentation_to_dict
 from qcliff.solve import solve
+from qcliff.structure import classify, tensor_presentation
 
 from helpers import (
     all_characters,
@@ -191,20 +190,29 @@ def block_families(rep):
 
 class TestFactoredPath:
     def test_pushforward_matches_products_of_the_expanded_images(self):
-        fused_ch = reused_complex = 0
-        for m in range(1, 4):
-            for P in all_presentations(m):
-                D = decompose(P)
-                neg = sum(c.square == -1 for c in D.centrals)
-                quat = sum(p.first_square == p.second_square == -1 for p in D.pairs)
-                fused_ch += neg > 0 and quat % 2 == 1
-                reused_complex += neg > 1
-                for ch in all_characters(D):
-                    R = build_irrep(D, ch)
-                    pushed = pushforward(R)
-                    assert pushed.generator_images == pushforward_by_products(R)
-                    assert pushed == minimal_images(P, ch, D)
-        assert fused_ch and reused_complex
+        # every presentation up to m = 3 with every character, then seeded
+        # ones at m = 4..8 with up to 4 characters each: only those reach
+        # the fused HH block, which needs two quaternionic pairs
+        rng = np.random.default_rng(1013)
+        exhaustive = (P for m in range(1, 4) for P in all_presentations(m))
+        seeded = (random_presentation(rng, m) for m in range(4, 9) for _ in range(12))
+        fused_ch = reused_complex = fused_hh = 0
+        for P in itertools.chain(exhaustive, seeded):
+            D = decompose(P)
+            neg = sum(c.square == -1 for c in D.centrals)
+            quat = sum(p.first_square == p.second_square == -1 for p in D.pairs)
+            fused_ch += neg > 0 and quat % 2 == 1
+            reused_complex += neg > 1
+            fused_hh += quat >= 2
+            characters = list(all_characters(D))
+            if P.m > 3 and len(characters) > 4:
+                characters = [characters[i] for i in rng.choice(len(characters), 4, replace=False)]
+            for ch in characters:
+                R = build_irrep(D, ch)
+                pushed = pushforward(R)
+                assert pushed.generator_images == pushforward_by_products(R)
+                assert pushed == minimal_images(P, ch, D)
+        assert fused_ch and reused_complex and fused_hh
 
     def test_pair_signs_are_the_product_of_the_block_pair_signs(self):
         for m in range(1, 4):

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from qcliff import (
-    AlgebraPresentation,
-    DenseSignMatrix,
-    LambdaPattern,
-    MonomialMatrix,
-    complete,
-    quaternion_presentation,
-    sylvester,
-)
+from qcliff import AlgebraPresentation, LambdaPattern, MonomialMatrix, complete
+from qcliff.matrices import DenseSignMatrix, sylvester
+from qcliff.presentation import quaternion_presentation
 from qcliff.serialize import (
     bundle_from_dict,
     bundle_to_dict,
@@ -18,7 +12,6 @@ from qcliff.serialize import (
     lambda_from_dict,
     lambda_to_dict,
     monomial_from_dict,
-    monomial_to_dict,
     presentation_from_dict,
     presentation_to_dict,
     sign_matrix_from_text_rows,
@@ -46,7 +39,7 @@ class TestPresentationFormat:
         P = presentation_from_dict(
             {"m": 2, "kappa": [1, 1], "delta": [[1, 2, 0]]}
         )
-        assert P.delta(0, 1) == 0
+        assert P.anticommuting_pairs() == []
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError):
@@ -72,7 +65,8 @@ class TestPresentationFormat:
 class TestMatrixFormats:
     def test_monomial_round_trip(self):
         mat = MonomialMatrix([2, 0, 1], [1, -1, 1])
-        assert monomial_from_dict(monomial_to_dict(mat)) == mat
+        obj = {"order": 3, "perm": [2, 0, 1], "signs": [1, -1, 1]}
+        assert monomial_from_dict(obj) == mat
 
     def test_monomial_order_checked(self):
         with pytest.raises(ValueError):

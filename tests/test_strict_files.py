@@ -17,8 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qcliff import TransversalSpec, complete, lambda_of_transversal, transversal
+from qcliff import complete
 from qcliff.cli import main
+from qcliff.hadamard import TransversalSpec, lambda_of_transversal, transversal
 from qcliff.serialize import bundle_to_dict, lambda_to_dict
 from qcliff.solve import _minimal_kappa
 

@@ -1,16 +1,15 @@
 import pytest
 
-from qcliff import (
-    AlgebraPresentation,
+from qcliff import AlgebraPresentation, classify_presentation
+from qcliff.decompose import decompose
+from qcliff.presentation import quaternion_presentation
+from qcliff.structure import (
     StructureCase,
     classify,
-    classify_presentation,
     compact_label,
-    quaternion_presentation,
     table_entry,
     tensor_presentation,
 )
-from qcliff.decompose import decompose
 
 from helpers import all_presentations
 
@@ -60,15 +59,15 @@ class TestClassify:
 class TestTensorPresentation:
     def test_two_plus(self):
         P = tensor_presentation(2, 0)
-        assert P.kappa == (1, 1) and P.delta(0, 1) == 1
+        assert P.kappa == (1, 1) and P.anticommuting_pairs() == [(0, 1)]
 
     def test_mixed(self):
         P = tensor_presentation(1, 1)
-        assert P.kappa == (1, -1) and P.delta(0, 1) == 0
+        assert P.kappa == (1, -1) and P.anticommuting_pairs() == []
 
     def test_two_minus(self):
         P = tensor_presentation(0, 2)
-        assert P.kappa == (-1, -1) and P.delta(0, 1) == 1
+        assert P.kappa == (-1, -1) and P.anticommuting_pairs() == [(0, 1)]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
