@@ -132,15 +132,6 @@ def form_matrix(P: AlgebraPresentation) -> Gf2Matrix:
     return Gf2Matrix(P.m, P.m, tuple(rows))
 
 
-def radical_dimension(P: AlgebraPresentation) -> int:
-    """Dimension of the kernel of the anticommutation form.
-
-    Equals the number of central generators produced by :func:`decompose`;
-    the centre of the algebra has dimension ``2**radical_dimension(P)``.
-    """
-    return form_matrix(P).nullity()
-
-
 def symplectic_reduce(frows: tuple[int, ...], m: int) -> tuple[list[int], list[tuple[int, int]]]:
     """Core Gram-Schmidt pass over exponent-vector bitmasks.
 

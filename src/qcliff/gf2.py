@@ -70,9 +70,6 @@ class Gf2Matrix:
             rows = [r for r in rows if r]
         return rank
 
-    def nullity(self) -> int:
-        return self.cols - self.rank()
-
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
 

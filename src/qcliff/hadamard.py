@@ -307,10 +307,10 @@ def complete(
         raise ValueError(f"spec has depth {spec.m}, requested m={m}")
     A = transversal(spec)
     lam = lambda_of_transversal(A)
-    kappa, b = _minimal_kappa(lam)
+    kappa, b, D = _minimal_kappa(lam)
     if len(A) * b > max_order:
         raise CapExceeded(f"assembled order {len(A) * b} exceeds the cap {max_order}")
-    sol = _realize(lam, kappa, b)
+    sol = _realize(lam, kappa, b, D)
     S = sylvester(sol.b)
     B = tuple(DenseSignMatrix(d.mul_dense(S.array)) for d in sol.D)
     H = plug_in(A, B)

@@ -15,7 +15,8 @@ Amicability signs have one kernel, :func:`pair_lambdas`: it decides every
 pair of a family of n matrices of order b on the stacked ``perm`` /
 ``signs`` arrays in n - 1 numpy passes, O(n^2 b) integer work in all.
 Its table is the side "B" sign; the outer family's side "A" pattern is
-its negation (:func:`~qcliff.hadamard.lambda_of_transversal`).
+its negation (:func:`~qcliff.hadamard.lambda_of_transversal`).  Cut into
+block segments, it gives the signs of Kronecker products from their blocks.
 
 Kronecker products have one kernel too, :func:`stacked_kron`: a family of
 n matrices, each a sign times a Kronecker product of small blocks, is
@@ -27,7 +28,7 @@ throughout the package, matching ``numpy.kron``: for ``X (x) Y``, entry
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -155,7 +156,13 @@ class DenseSignMatrix:
         return f"DenseSignMatrix(order={self.order})"
 
 
-def pair_lambdas(family: Sequence[MonomialMatrix]) -> np.ndarray:
+# Codes per batched sign test of pair_lambdas: few numpy calls per pass
+# for small families, bounded memory for large ones.
+_PAIR_BATCH = 1 << 16
+
+
+def pair_lambdas(family: Sequence[MonomialMatrix],
+                 sizes: Optional[Sequence[int]] = None) -> np.ndarray:
     """Side "B" amicability signs of every pair of an equal-order family.
 
     Entry ``[j, k]`` is +1 where ``X_j X_k^T == X_k X_j^T``, -1 where
@@ -164,26 +171,47 @@ def pair_lambdas(family: Sequence[MonomialMatrix]) -> np.ndarray:
     ``X Y`` is ``table_Y[code_X[i]]`` with ``table_Y[2c + e] = code_Y[c] ^ e``.
     Pass ``j`` of ``n - 1`` gathers the codes of ``X_j X_k^T`` and
     ``X_k X_j^T`` for all ``k > j`` from the tables of the transposes and
-    xors them: all 0 is +1, all 1 is -1.  O(n^2 b) for order ``b``.
+    xors them: all 0 is +1, all 1 is -1, tested on batches of about
+    ``_PAIR_BATCH`` codes.  O(n^2 b) for order ``b``.
+
+    With ``sizes``, every member must be block diagonal with blocks of
+    those sizes.  The xors are read per block, and the entry is the
+    product of the blocks' signs, 0 if some block pair has none: the sign
+    of the pair of Kronecker products of the blocks.  The default is one
+    block, the whole matrix.
     """
     if not family:
         raise ValueError("empty family")
     n, b = len(family), family[0].order
     if any(x.order != b for x in family):
         raise ValueError(f"order mismatch: {[x.order for x in family]}")
+    sizes = (b,) if sizes is None else tuple(sizes)
+    if sum(sizes) != b or min(sizes) < 1:
+        raise ValueError(f"segments {sizes} do not cut order {b}")
+    starts = np.cumsum((0,) + sizes[:-1])
     perm = np.array([x.perm for x in family])
     neg = np.array([x.signs for x in family]) < 0
     code = 2 * perm + neg
     transposed = np.empty((n, b), dtype=np.min_scalar_type(2 * b))
     transposed[np.arange(n)[:, None], perm] = 2 * np.arange(b) + neg
     table = (transposed[:, :, None] ^ np.arange(2, dtype=transposed.dtype)).reshape(n, 2 * b)
-    out = np.zeros((n, n), dtype=np.int64)
+    lams, pending, held = [np.zeros(0, dtype=np.int64)], [], 0
     for j in range(n - 1):
         d = np.take(table[j + 1:], code[j], axis=1)
         d ^= np.take(table[j], code[j + 1:])
-        first = d[:, 0]
-        same = (d == first[:, None]).all(axis=1) & (first <= 1)
-        out[j, j + 1:] = out[j + 1:, j] = np.where(same, 1 - 2 * first.astype(np.int64), 0)
+        pending.append(d)
+        held += d.size
+        if held >= _PAIR_BATCH or j == n - 2:
+            d = pending[0] if len(pending) == 1 else np.concatenate(pending)
+            first = d[:, starts]
+            step = d[:, 1:] != d[:, :-1]
+            step[:, starts[1:] - 1] = False
+            same = (first <= 1).all(axis=1) & ~step.any(axis=1)
+            lams.append(np.where(same, 1 - 2 * (np.count_nonzero(first, axis=1) & 1), 0))
+            pending, held = [], 0
+    out = np.zeros((n, n), dtype=np.int64)
+    upper = np.triu_indices(n, 1)
+    out[upper] = out.T[upper] = np.concatenate(lams)
     return out
 
 

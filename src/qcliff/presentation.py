@@ -166,17 +166,3 @@ class AlgebraPresentation:
         for f in factors:
             out = self.mul(out, f)
         return out
-
-
-def quaternion_presentation() -> AlgebraPresentation:
-    """Two anticommuting generators squaring to -1 (the quaternions)."""
-    return AlgebraPresentation((-1, -1), [(0, 1)])
-
-
-def clifford_presentation(p: int, q: int) -> AlgebraPresentation:
-    """``p + q`` pairwise anticommuting generators, ``p`` squaring to +1."""
-    if p < 0 or q < 0 or p + q == 0:
-        raise ValueError("need p, q >= 0 with p + q >= 1")
-    m = p + q
-    kappa = (1,) * p + (-1,) * q
-    return AlgebraPresentation(kappa, [(i, j) for i in range(m) for j in range(i + 1, m)])

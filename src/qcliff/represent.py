@@ -12,26 +12,25 @@ minimal order; a matching block structure exists for every Wedderburn
 case.  The blocks are module constants, built once at import; their
 arrays are read-only.
 
-Every image is a sign times a Kronecker product over the blocks, and the
-images stay in that factored form (:class:`_Factors`) until the last
-step.  Generator images are pushed from the decomposition generators back
-to the original ones by solving the basis change over GF(2); a product of
-Kronecker products with one block layout is the blockwise product, so the
-push multiplies the blocks (all at once, as one block-diagonal signed
-permutation per image) and the sign of each word comes from the
-presentation.  Only then are the order-b arrays formed, once, by
-:func:`~qcliff.matrices.stacked_kron`.  A representation is verified
-once, densely on those arrays, against every defining relation of the
-generators it is returned for: :func:`minimal_images` checks only the
-pushed-forward images, and :func:`build_irrep` checks its normal-form
-images.
+Every image is a sign times a Kronecker product over the blocks, and a
+:class:`Representation` keeps it in that factored form.  Generator images
+are pushed from the decomposition generators back to the original ones
+by solving the basis change over GF(2); a product of Kronecker products
+with one block layout is the blockwise product, so the push multiplies
+the blocks (all at once, as one block-diagonal signed permutation per
+image) and the sign of each word comes from the presentation.  A
+representation is certified once, on its factors, against every defining
+relation of the generators it is returned for: :func:`minimal_images`
+checks only the pushed-forward images, and :func:`build_irrep` checks its
+normal-form images.  The order-b arrays are formed only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import prod
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -65,76 +64,86 @@ CH = (QUAT_RIGHT_I, QUAT_LEFT_I, QUAT_LEFT_J)
 C_MINUS = j2()
 
 
-class _Factors(NamedTuple):
-    """Images ``sign[i]`` times the Kronecker product of their blocks.
+@dataclass(frozen=True, eq=False)
+class Representation:
+    """Monomial generator images satisfying ``presentation`` exactly.
 
-    Row ``i`` of ``perm`` / ``signs`` holds the blocks of image ``i`` side
-    by side, as one block-diagonal signed permutation of order
-    ``sum(sizes)``: block ``t`` fills the columns from ``a_t =
-    sum(sizes[:t])`` on, its perm shifted by ``a_t``.  A product of such
-    direct sums is the direct sum of the blockwise products, which is what
-    a product of Kronecker products with one block layout needs.
+    Image ``i``, of generator ``i`` of ``presentation`` (the new
+    generators after :func:`build_irrep`, the original ones after
+    :func:`pushforward`), is ``sign[i]`` times the Kronecker product of
+    its blocks, the first most significant.  Row ``i`` of ``perm`` /
+    ``signs`` holds the blocks side by side, as one block-diagonal signed
+    permutation: block ``t`` fills the columns from ``sum(sizes[:t])`` on,
+    its perm shifted by as much.  ``character`` records the sign choices
+    of the centrals.  :attr:`generator_images` expands the images to
+    order ``prod(sizes)`` when first read; equality compares those, since
+    a sign can move between the blocks of an image.
     """
 
+    order: int
     sign: np.ndarray
     perm: np.ndarray
     signs: np.ndarray
     sizes: tuple[int, ...]
-
-    def blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The ``(m, size_t)`` block arrays, in :func:`stacked_kron`'s order."""
-        out, start = [], 0
-        for size in self.sizes:
-            end = start + size
-            out.append((self.perm[:, start:end] - start, self.signs[:, start:end]))
-            start = end
-        return out
-
-
-@dataclass(frozen=True)
-class Representation:
-    """Monomial generator images satisfying ``presentation`` exactly.
-
-    ``generator_images[i]`` is the image of generator ``i`` of
-    ``presentation`` -- the decomposition's new generators for the output
-    of :func:`build_irrep`, the original generators after
-    :func:`pushforward`.  ``character`` records the sign choices made for
-    the central generators.  The images that :func:`build_irrep` and
-    :func:`pushforward` return also keep their Kronecker factors, which
-    only those functions set; ``dataclasses.replace`` and a
-    representation built by hand have none.
-    """
-
-    order: int
-    generator_images: tuple[MonomialMatrix, ...]
     character: tuple[int, ...]
     decomposition: Decomposition
     presentation: AlgebraPresentation
-    _factors: Optional[_Factors] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for arr in (self.sign, self.perm, self.signs):
+            arr.setflags(write=False)  # generator_images is cached from them
+
+    def blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The ``(m, size_t)`` block arrays, in :func:`stacked_kron`'s order."""
+        return [(self.perm[:, a - size:a] - (a - size), self.signs[:, a - size:a])
+                for size, a in zip(self.sizes, np.cumsum(self.sizes))]
+
+    @cached_property
+    def generator_images(self) -> tuple[MonomialMatrix, ...]:
+        perm, signs = stacked_kron(self.sign, self.blocks())
+        return tuple(MonomialMatrix._closed(p, s) for p, s in zip(perm, signs))
+
+    def __eq__(self, other: object) -> bool:
+        keys = ("order", "character", "decomposition", "presentation", "generator_images")
+        return isinstance(other, Representation) and all(
+            getattr(self, k) == getattr(other, k) for k in keys)
 
     def verify(self) -> None:
-        """Exact re-check of all relations and the transpose law.
+        """Exact certificate of all relations and the transpose law, from the factors.
 
-        The squares need no check of their own: a signed permutation has
-        ``X X^T == I``, so ``X^T == kappa X`` gives ``X X == kappa X X^T ==
-        kappa I``.  Given the transpose law, ``X_i X_j == c X_j X_i`` holds
-        exactly when ``pair_lambdas`` gives ``c kappa_i kappa_j`` for
-        ``(i, j)``.
+        Image ``i`` is ``X_i = s_i (x)_t B_it``.  A Kronecker product of
+        nonzero matrices fixes its factors up to scalars, and
+        ``((x)_t P_t)((x)_t Q_t)^T == (x)_t P_t Q_t^T``; the image signs
+        cancel from both sides.  So ``X_i^T == kappa_i X_i`` holds iff
+        every block ``B_it`` is symmetric or skew and the product of those
+        block signs is ``kappa_i``, and ``X_i X_j^T == c X_j X_i^T`` iff
+        every block pair has such a sign and their product is ``c``.  One
+        :func:`pair_lambdas` table cut into the blocks gives both; the
+        transpose sign of ``X`` is its pair sign with the identity.  The
+        squares need no check: ``X X^T == I``, so ``X^T == kappa X`` gives
+        ``X X == kappa I``, and ``X_i X_j == c X_j X_i`` holds exactly when
+        the pair sign is ``c kappa_i kappa_j``.  O(m^2 sum(sizes)).
         """
         P = self.presentation
-        imgs = self.generator_images
-        if len(imgs) != P.m:
+        width = sum(self.sizes)
+        if not (self.sign.shape == (P.m,) and self.perm.shape == self.signs.shape == (P.m, width)):
             raise VerificationError("wrong number of generator images")
-        for i, img in enumerate(imgs):
-            if img.order != self.order:
-                raise VerificationError(f"image {i} has order {img.order} != {self.order}")
-            if img.transpose() != P.kappa[i] * img:
-                raise VerificationError(f"image {i} breaks the transpose law")
+        if prod(self.sizes) != self.order:
+            raise VerificationError(f"blocks {self.sizes} have order {prod(self.sizes)}")
+        block = np.repeat(np.arange(len(self.sizes)), self.sizes)
+        if (np.any(np.sort(self.perm) != np.arange(width)) or np.any(block[self.perm] != block)
+                or np.any(abs(self.signs) != 1) or np.any(abs(self.sign) != 1)):
+            raise VerificationError("the blocks are not signed permutations")
+        rows = [MonomialMatrix._closed(p, s) for p, s in zip(self.perm, self.signs)]
+        table = pair_lambdas(rows + [MonomialMatrix.identity(width)], self.sizes)
         kappa = np.array(P.kappa)
+        bad = np.flatnonzero(table[P.m, :P.m] != kappa).tolist()
+        if bad:
+            raise VerificationError(f"image {bad[0]} breaks the transpose law")
         want = np.outer(kappa, kappa)
         for i, j in P.anticommuting_pairs():
             want[i, j] = -want[i, j]
-        bad = np.argwhere(np.triu(pair_lambdas(imgs) != want, 1)).tolist()
+        bad = np.argwhere(np.triu(table[:P.m, :P.m] != want, 1)).tolist()
         if bad:
             i, j = bad[0]
             raise VerificationError(f"images {i},{j} break the commutation relation")
@@ -161,14 +170,15 @@ def _character(D: Decomposition, character: Sequence[int]) -> tuple[int, ...]:
     return character
 
 
-def _assemble(D: Decomposition, character: tuple[int, ...]) -> _Factors:
-    """Unverified irreducible images of the decomposition generators, factored.
+def _assemble(D: Decomposition, character: tuple[int, ...]) -> Representation:
+    """Unverified irreducible images of the decomposition generators.
 
     Each block is a dict from generator index to its constant image; the
     blocks are ordered by their smallest generator index, and a generator
-    a block leaves out has the identity there.  Checks that the assembled
-    order equals ``classify(D).irrep_order``; the relations are left to
-    the caller.
+    a block leaves out has the identity there.  With no block at all (a
+    scalar algebra) every image is its sign times one 1x1 block.  Checks
+    that the assembled order equals ``classify(D).irrep_order``; the
+    relations are left to the caller.
     """
     wt = classify(D)
     r = D.r
@@ -205,17 +215,17 @@ def _assemble(D: Decomposition, character: tuple[int, ...]) -> _Factors:
         blocks.append({first_neg: C_MINUS})
     blocks.sort(key=min)
 
-    orders = [next(iter(b.values())).order for b in blocks]
-    total = prod(orders)
+    sizes = tuple(next(iter(b.values())).order for b in blocks) or (1,)
+    total = prod(sizes)
     if total != wt.irrep_order:
         raise VerificationError(
             f"assembled order {total} differs from irreducible order {wt.irrep_order}"
         )
     m = D.presentation.m
-    perm = np.tile(np.arange(sum(orders)), (m, 1))
+    perm = np.tile(np.arange(sum(sizes)), (m, 1))
     signs = np.ones_like(perm)
     start = 0
-    for block, size in zip(blocks, orders):
+    for block, size in zip(blocks, sizes):
         for gen, img in block.items():
             perm[gen, start:start + size] = img.perm + start
             signs[gen, start:start + size] = img.signs
@@ -234,23 +244,8 @@ def _assemble(D: Decomposition, character: tuple[int, ...]) -> _Factors:
         sign[i] = -1 if character[k] else 1
         if D.centrals[i].square == -1:
             perm[i], signs[i] = perm[first_neg], signs[first_neg]
-    return _Factors(sign, perm, signs, tuple(orders))
-
-
-def _verified(f: _Factors, character: tuple[int, ...], D: Decomposition,
-              presentation: AlgebraPresentation) -> Representation:
-    """Expand ``f`` to order-b images once and verify them densely."""
-    perm, signs = stacked_kron(f.sign, f.blocks())
-    rep = Representation(
-        order=perm.shape[1],
-        generator_images=tuple(MonomialMatrix._closed(p, s) for p, s in zip(perm, signs)),
-        character=character,
-        decomposition=D,
-        presentation=presentation,
-    )
-    object.__setattr__(rep, "_factors", f)
-    rep.verify()
-    return rep
+    return Representation(total, sign, perm, signs, sizes, character, D,
+                          D.normal_presentation())
 
 
 def build_irrep(D: Decomposition, character: Sequence[int]) -> Representation:
@@ -259,17 +254,18 @@ def build_irrep(D: Decomposition, character: Sequence[int]) -> Representation:
     The images satisfy ``D.normal_presentation()`` and have order exactly
     ``classify(D).irrep_order``.  ``character`` must supply one bit per
     free central sign choice (see :func:`character_length`); bit 1 flips
-    the sign of the corresponding central image.  The images are expanded
-    from their factors and checked by :meth:`Representation.verify` once;
-    :func:`minimal_images` skips both, since :func:`pushforward` makes
-    them on the images it returns.
+    the sign of the corresponding central image.  The images are checked
+    by :meth:`Representation.verify` once; :func:`minimal_images` skips
+    that, since :func:`pushforward` checks the images it returns.
     """
-    character = _character(D, character)
-    return _verified(_assemble(D, character), character, D, D.normal_presentation())
+    rep = _assemble(D, _character(D, character))
+    rep.verify()
+    return rep
 
 
-def _push(D: Decomposition, character: tuple[int, ...], f: _Factors) -> Representation:
-    """Images of the original generators from the factored new ones."""
+def _push(R: Representation) -> Representation:
+    """Verified images of the original generators from the new ones, ``R``."""
+    D = R.decomposition
     P = D.presentation
     m = P.m
     inv = D.basis_change.inverse()
@@ -285,16 +281,18 @@ def _push(D: Decomposition, character: tuple[int, ...], f: _Factors) -> Represen
             raise VerificationError(f"basis change inversion failed for generator {i}")
         holds[i, factors] = True
         sign[i] = word.sign
-    sign *= np.where(holds, f.sign, 1).prod(axis=1)
-    perm = np.tile(np.arange(f.perm.shape[1]), (m, 1))
+    sign *= np.where(holds, R.sign, 1).prod(axis=1)
+    perm = np.tile(np.arange(R.perm.shape[1]), (m, 1))
     signs = np.ones_like(perm)
     # ascending k multiplies every word's factors in its own order
     for k in range(m):
         rows = np.flatnonzero(holds[:, k])
         at = perm[rows]
-        perm[rows] = f.perm[k][at]
-        signs[rows] *= f.signs[k][at]
-    return _verified(_Factors(sign, perm, signs, f.sizes), character, D, P)
+        perm[rows] = R.perm[k][at]
+        signs[rows] *= R.signs[k][at]
+    rep = Representation(R.order, sign, perm, signs, R.sizes, R.character, D, P)
+    rep.verify()
+    return rep
 
 
 def pushforward(R: Representation) -> Representation:
@@ -303,25 +301,25 @@ def pushforward(R: Representation) -> Representation:
     Each original generator is a signed product of the decomposition
     generators; the exponents come from inverting the basis change over
     GF(2) and the sign from the presentation.  The product is formed
-    block by block on ``R``'s Kronecker factors, so ``R`` must come from
-    :func:`build_irrep`; ``R`` itself need not be verified.
+    block by block on ``R``'s Kronecker factors; ``R`` itself need not be
+    verified, but its order must be ``classify(D).irrep_order``.
 
     The one :meth:`Representation.verify` at the end covers everything the
-    returned object claims.  It checks every square of P, the transpose
-    law and every commutation relation of P on the returned images, so
-    they define a representation of the algebra of P.  Its order is
-    ``R.order``, which :func:`_assemble` (and so :func:`build_irrep`)
-    checks equals ``classify(D).irrep_order``.  Every irreducible of the algebra has
-    that order, and every representation is a sum of irreducibles, so a
-    representation of that order is irreducible.  No check pins which
-    irreducible (the character) it is.
+    returned object claims.  It certifies every square of P, the
+    transpose law and every commutation relation of P for the returned
+    images, so they define a representation of the algebra of P.  Its
+    order is ``R.order``, checked here to equal ``classify(D).irrep_order``.
+    Every irreducible of the algebra has that order, and every
+    representation is a sum of irreducibles, so a representation of that
+    order is irreducible.  No check pins which irreducible (the
+    character) it is.
     """
     D = R.decomposition
     if R.presentation != D.normal_presentation():
         raise ValueError("pushforward expects images of the decomposition generators")
-    if R._factors is None:
-        raise ValueError("pushforward expects the factored images of build_irrep")
-    return _push(D, R.character, R._factors)
+    if R.order != classify(D).irrep_order:
+        raise ValueError(f"pushforward expects an irreducible, not order {R.order}")
+    return _push(R)
 
 
 def minimal_images(P: AlgebraPresentation,
@@ -330,9 +328,9 @@ def minimal_images(P: AlgebraPresentation,
     """Decompose, assemble the irrep and push it forward in one call.
 
     A caller that has already decomposed ``P`` passes the result as
-    ``decomposition``.  The normal-form images are never expanded; the
-    pushed-forward ones are, once, and verified once by
-    :func:`pushforward` on the original generators of ``P``.
+    ``decomposition``.  The images are verified once, by
+    :func:`pushforward` on the original generators of ``P``, and not
+    expanded: that waits for a read of ``generator_images``.
     """
     from .decompose import decompose
 
@@ -343,4 +341,4 @@ def minimal_images(P: AlgebraPresentation,
     else:
         raise ValueError("decomposition is not of the presentation P")
     character = zero_character(D) if character is None else _character(D, character)
-    return _push(D, character, _assemble(D, character))
+    return _push(_assemble(D, character))

@@ -19,12 +19,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .decompose import decompose
+from .decompose import Decomposition, decompose
 from .errors import CapExceeded, VerificationError
 from .matrices import MonomialMatrix, pair_lambdas
 from .presentation import AlgebraPresentation
 from .represent import minimal_images
-from .structure import StructureCase, WedderburnType, classify, classify_presentation
+from .structure import StructureCase, WedderburnType, classify
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,6 @@ class LambdaPattern:
         if missing:
             raise ValueError(f"missing lambda pairs: {missing}")
         return cls(n, tuple(tuple(r) for r in rows))
-
-    @classmethod
-    def constant(cls, n: int, value: int) -> "LambdaPattern":
-        return cls.from_pairs(
-            n, {(j, k): value for j in range(n) for k in range(j + 1, n)}
-        )
 
     def get(self, j: int, k: int) -> int:
         if j == k:
@@ -148,8 +142,9 @@ def _lex_first(E: AlgebraPresentation, basis: Sequence[int], h: Sequence[int],
     return tuple(k)
 
 
-def _minimal_kappa(lam: LambdaPattern) -> tuple[tuple[int, ...], int]:
-    """The least minimal-order sign assignment and its order b.
+def _minimal_kappa(lam: LambdaPattern) -> tuple[tuple[int, ...], int, Optional[Decomposition]]:
+    """The least minimal-order sign assignment, its order b and, when the
+    sweep has made it, the decomposition of ``presentation_from(lam, kappa)``.
 
     Candidates have ``kappa_0 = +1`` and are ordered by the bits
     ``k_i = [kappa_i == -1]``, ``k_1`` most significant.  Write q and B
@@ -179,7 +174,8 @@ def _minimal_kappa(lam: LambdaPattern) -> tuple[tuple[int, ...], int]:
     """
     n = lam.n
     rows = lam.rows
-    order_l = classify_presentation(presentation_from(lam, (1,) * n)).irrep_order
+    plus = decompose(presentation_from(lam, (1,) * n))
+    order_l = classify(plus).irrep_order
     even = AlgebraPresentation(
         [rows[0][i] for i in range(1, n)],
         [
@@ -194,7 +190,7 @@ def _minimal_kappa(lam: LambdaPattern) -> tuple[tuple[int, ...], int]:
     # The fast exit: the bit fixing below would find kappa = +1 too, but
     # one classification is far cheaper than _lex_first at large n.
     if wt.irrep_order != order_l // 2:
-        return (1,) * n, order_l
+        return (1,) * n, order_l, plus
     basis = [m for p in D.pairs for m in (p.first.mask, p.second.mask)]
     neg0 = [1 if rows[0][i] == -1 else 0 for i in range(1, n)]
     pieces = [(neg0, 0 if wt.case is StructureCase.REAL else None)]
@@ -206,17 +202,19 @@ def _minimal_kappa(lam: LambdaPattern) -> tuple[tuple[int, ...], int]:
         quat = sum(1 for p in D.pairs if p.first_square == p.second_square == -1)
         pieces.append(([t ^ s for t, s in zip(neg0, tau)], quat % 2))
     k = min(_lex_first(even, basis, h, a) for h, a in pieces)
-    return (1,) + tuple(-1 if bit else 1 for bit in k), wt.irrep_order
+    return (1,) + tuple(-1 if bit else 1 for bit in k), wt.irrep_order, None
 
 
-def _realize(lam: LambdaPattern, kappa: tuple[int, ...], b: int) -> SolveResult:
-    """Build and certify the family for ``kappa``: one decomposition, a
-    classification that must give order ``b``, the images (verified by
-    :func:`minimal_images`) and the pair check of :func:`verify_solution`.
-    The last is kept on purpose: it alone compares the images with ``lam``,
-    so it alone sees a wrong translation into ``presentation_from``."""
-    pres = presentation_from(lam, kappa)
-    D = decompose(pres)
+def _realize(lam: LambdaPattern, kappa: tuple[int, ...], b: int,
+             D: Optional[Decomposition]) -> SolveResult:
+    """Build and certify the family for ``kappa``: one decomposition (``D``
+    when :func:`_minimal_kappa` made it), a classification that must give
+    order ``b``, the images (verified by :func:`minimal_images`) and the
+    pair check of :func:`verify_solution`.  The last is kept on purpose:
+    it alone compares the images with ``lam``, so it alone sees a wrong
+    translation into ``presentation_from``."""
+    D = D or decompose(presentation_from(lam, kappa))
+    pres = D.presentation
     wt = classify(D)
     if wt.irrep_order != b:
         raise VerificationError(
@@ -239,10 +237,10 @@ def solve(lam: LambdaPattern, max_order: Optional[int] = None) -> SolveResult:
     """
     if lam.n < 2:
         raise ValueError("need at least two matrices")
-    kappa, b = _minimal_kappa(lam)
+    kappa, b, D = _minimal_kappa(lam)
     if max_order is not None and b > max_order:
         raise CapExceeded(f"irreducible order {b} exceeds the cap {max_order}")
-    return _realize(lam, kappa, b)
+    return _realize(lam, kappa, b, D)
 
 
 def verify_solution(lam: LambdaPattern, result: SolveResult) -> None:

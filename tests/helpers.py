@@ -8,17 +8,71 @@ exercises none of the closed-form sign machinery in the package.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from qcliff import AlgebraPresentation, MonomialMatrix, SignedMonomial
-from qcliff.decompose import Decomposition
+from qcliff import (
+    AlgebraPresentation,
+    LambdaPattern,
+    MonomialMatrix,
+    SignedMonomial,
+    VerificationError,
+)
+from qcliff.decompose import Decomposition, form_matrix
 from qcliff.gf2 import Gf2Matrix
 from qcliff.matrices import pair_lambdas
 from qcliff.represent import Representation, character_length
 from qcliff.solve import rho
+
+
+def quaternion_presentation() -> AlgebraPresentation:
+    """Two anticommuting generators squaring to -1 (the quaternions)."""
+    return AlgebraPresentation((-1, -1), [(0, 1)])
+
+
+def clifford_presentation(p: int, q: int) -> AlgebraPresentation:
+    """``p + q`` pairwise anticommuting generators, ``p`` squaring to +1."""
+    if p < 0 or q < 0 or p + q == 0:
+        raise ValueError("need p, q >= 0 with p + q >= 1")
+    m = p + q
+    kappa = (1,) * p + (-1,) * q
+    return AlgebraPresentation(kappa, [(i, j) for i in range(m) for j in range(i + 1, m)])
+
+
+# Bott periodicity: the real Clifford algebra with p generators squaring
+# to +1 and q to -1 is, by (p - q) mod 8, a full matrix algebra over the
+# division algebra of this real dimension, one copy or two.
+BOTT_TABLE = {0: (1, 1), 1: (1, 2), 2: (1, 1), 3: (2, 1),
+              4: (4, 1), 5: (4, 2), 6: (4, 1), 7: (2, 1)}
+
+
+def bott_label(p: int, q: int) -> str:
+    """``"^copies D(N)"`` of the Clifford algebra of ``(p, q)``, from the table.
+
+    Each copy has real dimension ``2**(p + q) / copies = N^2 d`` for the
+    division algebra D of real dimension d.
+    """
+    d, copies = BOTT_TABLE[(p - q) % 8]
+    square = (1 << (p + q)) // (copies * d)
+    size = 1 << ((square.bit_length() - 1) // 2)
+    assert size * size == square
+    return f"^{copies} {'RCH'[d.bit_length() - 1]}({size})"
+
+
+def radical_dimension(P: AlgebraPresentation) -> int:
+    """Dimension of the kernel of the anticommutation form.
+
+    Equals the number of central generators produced by ``decompose``;
+    the centre of the algebra has dimension ``2**radical_dimension(P)``.
+    """
+    return P.m - form_matrix(P).rank()
+
+
+def constant_pattern(n: int, value: int) -> LambdaPattern:
+    """The pattern with ``value`` at every pair."""
+    return LambdaPattern.from_pairs(n, {(j, k): value for j in range(n) for k in range(j + 1, n)})
 
 
 def word_mul(P: AlgebraPresentation, *words: list[int]) -> tuple[int, tuple[int, ...]]:
@@ -213,17 +267,55 @@ def all_characters(D: Decomposition):
 
 
 def tensor_with_identity(R: Representation, copies: int) -> Representation:
-    """Non-minimal representation: every image tensored with ``I(copies)``."""
+    """Non-minimal representation: every image tensored with ``I(copies)``,
+    one more identity block of that size."""
     if copies < 1:
         raise ValueError("copies must be >= 1")
-    ident = MonomialMatrix.identity(copies)
-    return Representation(
-        order=R.order * copies,
-        generator_images=tuple(tensor(img, ident) for img in R.generator_images),
-        character=R.character,
-        decomposition=R.decomposition,
-        presentation=R.presentation,
-    )
+    m, width = R.perm.shape
+    ident = np.tile(np.arange(width, width + copies), (m, 1))
+    return replace(R, order=R.order * copies, perm=np.hstack([R.perm, ident]),
+                   signs=np.hstack([R.signs, np.ones_like(ident)]), sizes=R.sizes + (copies,))
+
+
+def block_of(R: Representation, i: int, t: int) -> MonomialMatrix:
+    """Block ``t`` of image ``i`` of ``R``."""
+    perm, signs = R.blocks()[t]
+    return MonomialMatrix(perm[i], signs[i])
+
+
+def with_block(R: Representation, i: int, t: int, block: MonomialMatrix) -> Representation:
+    """``R`` with block ``t`` of image ``i`` replaced by ``block``."""
+    start, size = sum(R.sizes[:t]), R.sizes[t]
+    perm, signs = R.perm.copy(), R.signs.copy()
+    perm[i, start:start + size] = block.perm + start
+    signs[i, start:start + size] = block.signs
+    return replace(R, perm=perm, signs=signs)
+
+
+def dense_verify(P: AlgebraPresentation, order: int, images: Sequence[MonomialMatrix]) -> None:
+    """Dense re-check of ``P``'s relations on order-``order`` images.
+
+    The oracle for ``Representation.verify``, with its error messages:
+    the transpose law ``X^T == kappa X`` per image by transposing it, then
+    every pair from one whole-matrix ``pair_lambdas`` table.  Given the
+    transpose law, ``X_i X_j == c X_j X_i`` holds exactly when the table
+    gives ``c kappa_i kappa_j`` for ``(i, j)``.  O(m^2 order).
+    """
+    if len(images) != P.m:
+        raise VerificationError("wrong number of generator images")
+    for i, img in enumerate(images):
+        if img.order != order:
+            raise VerificationError(f"image {i} has order {img.order} != {order}")
+        if img.transpose() != P.kappa[i] * img:
+            raise VerificationError(f"image {i} breaks the transpose law")
+    kappa = np.array(P.kappa)
+    want = np.outer(kappa, kappa)
+    for i, j in P.anticommuting_pairs():
+        want[i, j] = -want[i, j]
+    bad = np.argwhere(np.triu(pair_lambdas(images) != want, 1)).tolist()
+    if bad:
+        i, j = bad[0]
+        raise VerificationError(f"images {i},{j} break the commutation relation")
 
 
 def pushforward_by_products(R: Representation) -> tuple[MonomialMatrix, ...]:

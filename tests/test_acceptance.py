@@ -15,9 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcliff import AlgebraPresentation, LambdaPattern, classify_presentation, complete, rho
+from qcliff import AlgebraPresentation, classify_presentation, complete, rho
 from qcliff.decompose import decompose
-from qcliff.presentation import quaternion_presentation
 from qcliff.represent import build_irrep, pushforward
 from qcliff.solve import presentation_from, solve
 from qcliff.structure import classification_grid, classify, irrep_dimension_rows
@@ -26,8 +25,10 @@ from helpers import (
     all_characters,
     all_presentations,
     check_hr_bound,
+    constant_pattern,
     grow_anti_amicable_family,
     popcount_gram,
+    quaternion_presentation,
     random_block_word,
     random_monomial_matrix,
     random_sym_or_skew_monomial,
@@ -137,7 +138,7 @@ def test_criterion_6_anti_amicable_minimum():
     start = time.perf_counter()
     expected = {4: 4, 8: 8, 16: 128}
     for n, want in expected.items():
-        result = solve(LambdaPattern.constant(n, -1))
+        result = solve(constant_pattern(n, -1))
         assert result.b == want
         assert rho(result.b) == n
         hr = check_hr_bound(result.D)
@@ -145,7 +146,7 @@ def test_criterion_6_anti_amicable_minimum():
     # brute-force certification for the small sizes: sweep every kappa
     # without the global-flip quotient
     for n in (2, 3, 4):
-        lam = LambdaPattern.constant(n, -1)
+        lam = constant_pattern(n, -1)
         brute = min(
             classify_presentation(
                 presentation_from(

@@ -8,12 +8,19 @@ from qcliff.decompose import (
     HyperbolicPair,
     decompose,
     form_matrix,
-    radical_dimension,
     symplectic_reduce,
 )
-from qcliff.presentation import clifford_presentation, quaternion_presentation
 
-from helpers import all_presentations, gf2_from_rows, random_presentation, word_mul, word_of
+from helpers import (
+    all_presentations,
+    clifford_presentation,
+    gf2_from_rows,
+    quaternion_presentation,
+    radical_dimension,
+    random_presentation,
+    word_mul,
+    word_of,
+)
 
 
 def reference_validate(D):

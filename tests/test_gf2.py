@@ -45,7 +45,6 @@ def test_rank_against_numpy_mod2_elimination():
                     a[r] = (a[r] + a[rank]) % 2
             rank += 1
         assert mat.rank() == rank
-        assert mat.nullity() == cols - rank
 
 
 def test_inverse_round_trip():

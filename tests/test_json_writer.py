@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from qcliff import cli, complete, minimal_images
 from qcliff.cli import INT_ARRAY_KERNEL_MIN, _write_json, main
-from qcliff.presentation import quaternion_presentation
 from qcliff.serialize import (
     _IntArray,
     bundle_to_dict,
@@ -28,7 +27,9 @@ from qcliff.serialize import (
     representation_to_dict,
     solve_result_to_dict,
 )
-from qcliff.solve import LambdaPattern, solve
+from qcliff.solve import solve
+
+from helpers import constant_pattern, quaternion_presentation
 
 
 def written(obj) -> str:
@@ -186,7 +187,7 @@ class TestPublicFormsArePlain:
 
     @pytest.mark.parametrize("n", [4, 18])
     def test_solve(self, n):
-        lam = LambdaPattern.constant(n, -1)
+        lam = constant_pattern(n, -1)
         d = solve_result_to_dict(lam, solve(lam))
         assert_plain(d)
         assert_monomials_plain(d["D"])

@@ -7,6 +7,7 @@ family or of a minimal representation is reported with the pair it breaks.
 """
 
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -16,12 +17,16 @@ from qcliff.matrices import pair_lambdas, z2
 from qcliff.solve import solve, verify_solution
 
 from helpers import (
+    block_of,
     dense,
     dense_lambda,
+    dense_verify,
     random_block_word,
     random_monomial_matrix,
     random_presentation,
     random_sym_or_skew_monomial,
+    tensor,
+    with_block,
 )
 
 
@@ -47,6 +52,13 @@ def mutate(rng, x):
     return MonomialMatrix(perm, signs)
 
 
+def direct_sum(blocks):
+    """The block-diagonal signed permutation with ``blocks`` down the diagonal."""
+    starts = np.cumsum([0] + [x.order for x in blocks[:-1]])
+    return MonomialMatrix(np.concatenate([x.perm + a for x, a in zip(blocks, starts)]),
+                          np.concatenate([x.signs for x in blocks]))
+
+
 def product_lambda(x, y):
     """B-side sign of a pair by forming x y^T and y x^T."""
     p, q = x @ y.transpose(), y @ x.transpose()
@@ -55,6 +67,24 @@ def product_lambda(x, y):
     if p == -q:
         return -1
     return 0
+
+
+def dense_break(P, images):
+    """What the dense products of ``images`` break first: ``("image", (j,))``
+    for a square or transpose, ``("images", (a, c))`` for a commutation
+    relation of ``P``, or None."""
+    mats = [dense(x) for x in images]
+    eye = np.eye(len(mats[0]), dtype=np.int64)
+    for j, (x, k) in enumerate(zip(mats, P.kappa)):
+        if not (np.array_equal(x @ x, k * eye) and np.array_equal(x.T, k * x)):
+            return "image", (j,)
+    anti = set(P.anticommuting_pairs())
+    for a in range(P.m):
+        for c in range(a + 1, P.m):
+            sign = -1 if (a, c) in anti else 1
+            if not np.array_equal(mats[c] @ mats[a], sign * mats[a] @ mats[c]):
+                return "images", (a, c)
+    return None
 
 
 def first_pair(mask):
@@ -96,6 +126,23 @@ class TestKernel:
             pair_lambdas([])
         with pytest.raises(ValueError, match="order mismatch"):
             pair_lambdas([z2(), MonomialMatrix.identity(3)])
+        with pytest.raises(ValueError, match="do not cut"):
+            pair_lambdas([z2(), z2()], (1, 2))
+
+    def test_segments_give_the_sign_of_the_kronecker_products(self):
+        # members as their blocks side by side, one segment per block,
+        # against the dense table of the expanded Kronecker products
+        rng = np.random.default_rng(89)
+        seen = set()
+        for _ in range(60):
+            n = int(rng.integers(1, 8))
+            sizes = tuple(int(s) for s in rng.integers(1, 5, size=rng.integers(1, 4)))
+            sampler = random_sym_or_skew_monomial if rng.integers(4) else random_monomial_matrix
+            members = [[sampler(rng, s) for s in sizes] for _ in range(n)]
+            got = pair_lambdas([direct_sum(blocks) for blocks in members], sizes)
+            assert np.array_equal(got, dense_table([reduce(tensor, b) for b in members]))
+            seen.update(got[np.triu_indices(n, 1)].tolist())
+        assert seen == {1, -1, 0}
 
 
 class TestMutations:
@@ -125,6 +172,9 @@ class TestMutations:
         assert caught > 0
 
     def test_representation_verify_names_the_pair_a_mutation_breaks(self):
+        # one block of an image mutated, for the certificate, and the same
+        # image mutated at full order, for the dense oracle; dense products
+        # decide what each must report
         rng = np.random.default_rng(907)
         by_pair = 0
         for _ in range(60):
@@ -133,29 +183,20 @@ class TestMutations:
             if R.order == 1:
                 continue
             j = int(rng.integers(P.m))
+            t = int(rng.integers(len(R.sizes)))
+            bad = with_block(R, j, t, mutate(rng, block_of(R, j, t)))
             imgs = list(R.generator_images)
             imgs[j] = mutate(rng, imgs[j])
-            bad = replace(R, generator_images=tuple(imgs))
-            mats = [dense(x) for x in imgs]
-            k = P.kappa[j]
-            if not (np.array_equal(mats[j] @ mats[j], k * np.eye(R.order))
-                    and np.array_equal(mats[j].T, k * mats[j])):
-                with pytest.raises(VerificationError, match=rf"image {j} "):
-                    bad.verify()
-                continue
-            broken = np.zeros((P.m, P.m), dtype=bool)
-            anti = set(P.anticommuting_pairs())
-            for a in range(P.m):
-                for c in range(a + 1, P.m):
-                    sign = -1 if (a, c) in anti else 1
-                    broken[a, c] = not np.array_equal(mats[c] @ mats[a],
-                                                      sign * mats[a] @ mats[c])
-            pair = first_pair(broken)
-            if pair is None:
-                bad.verify()
-                continue
-            with pytest.raises(VerificationError, match=rf"images {pair[0]},{pair[1]} "):
-                bad.verify()
-            assert j in pair
-            by_pair += 1
+            for check, images in ((bad.verify, bad.generator_images),
+                                  (lambda: dense_verify(P, R.order, imgs), imgs)):
+                broken = dense_break(P, images)
+                if broken is None:
+                    check()
+                    continue
+                kind, where = broken
+                with pytest.raises(VerificationError,
+                                   match=rf"{kind} {','.join(map(str, where))} "):
+                    check()
+                assert j in where
+                by_pair += kind == "images"
         assert by_pair > 0

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from qcliff import AlgebraPresentation, SignedMonomial
-from qcliff.presentation import clifford_presentation, quaternion_presentation
 
-from helpers import random_monomial, random_presentation, word_mul, word_of
+from helpers import (
+    clifford_presentation,
+    quaternion_presentation,
+    random_monomial,
+    random_presentation,
+    word_mul,
+    word_of,
+)
 
 
 class TestMul:

@@ -7,7 +7,6 @@ import pytest
 
 from qcliff import (
     AlgebraPresentation,
-    LambdaPattern,
     MonomialMatrix,
     VerificationError,
     minimal_images,
@@ -15,8 +14,7 @@ from qcliff import (
 )
 from qcliff.cli import main
 from qcliff.decompose import decompose
-from qcliff.matrices import j2, pair_lambdas, x2, z2
-from qcliff.presentation import clifford_presentation, quaternion_presentation
+from qcliff.matrices import j2, pair_lambdas, stacked_kron, x2, z2
 from qcliff.represent import (
     C_MINUS,
     CH,
@@ -39,11 +37,17 @@ from qcliff.structure import classify, tensor_presentation
 from helpers import (
     all_characters,
     all_presentations,
+    block_of,
+    clifford_presentation,
+    constant_pattern,
     dense,
+    dense_verify,
     pushforward_by_products,
+    quaternion_presentation,
     random_presentation,
     tensor,
     tensor_with_identity,
+    with_block,
 )
 
 
@@ -182,37 +186,52 @@ class TestPushforward:
             pushforward(rep)
 
 
+def flip_first_sign(img):
+    signs = img.signs.copy()
+    signs[0] = -signs[0]
+    return MonomialMatrix(img.perm, signs)
+
+
 def block_families(rep):
     """Per block, the family of its ``m`` factor rows as monomial matrices."""
     return [[MonomialMatrix._closed(p, s) for p, s in zip(perm, signs)]
-            for perm, signs in rep._factors.blocks()]
+            for perm, signs in rep.blocks()]
+
+
+def swept_decompositions(rng):
+    """``(P, decompose(P), characters)``: every presentation up to m = 3
+    with every character, then 12 seeded ones at each m = 4..8 with up to
+    4 characters each.  Only the seeded ones reach the fused HH block,
+    which needs two quaternionic pairs."""
+    exhaustive = (P for m in range(1, 4) for P in all_presentations(m))
+    seeded = (random_presentation(rng, m) for m in range(4, 9) for _ in range(12))
+    for P in itertools.chain(exhaustive, seeded):
+        D = decompose(P)
+        characters = list(all_characters(D))
+        if P.m > 3 and len(characters) > 4:
+            characters = [characters[i] for i in rng.choice(len(characters), 4, replace=False)]
+        yield P, D, characters
+
+
+def fused_blocks(D):
+    """Whether the irreps of ``D`` use the fused CH block, a reused complex
+    central and the fused HH block."""
+    neg = sum(c.square == -1 for c in D.centrals)
+    quat = sum(p.first_square == p.second_square == -1 for p in D.pairs)
+    return np.array([neg > 0 and quat % 2 == 1, neg > 1, quat >= 2])
 
 
 class TestFactoredPath:
     def test_pushforward_matches_products_of_the_expanded_images(self):
-        # every presentation up to m = 3 with every character, then seeded
-        # ones at m = 4..8 with up to 4 characters each: only those reach
-        # the fused HH block, which needs two quaternionic pairs
-        rng = np.random.default_rng(1013)
-        exhaustive = (P for m in range(1, 4) for P in all_presentations(m))
-        seeded = (random_presentation(rng, m) for m in range(4, 9) for _ in range(12))
-        fused_ch = reused_complex = fused_hh = 0
-        for P in itertools.chain(exhaustive, seeded):
-            D = decompose(P)
-            neg = sum(c.square == -1 for c in D.centrals)
-            quat = sum(p.first_square == p.second_square == -1 for p in D.pairs)
-            fused_ch += neg > 0 and quat % 2 == 1
-            reused_complex += neg > 1
-            fused_hh += quat >= 2
-            characters = list(all_characters(D))
-            if P.m > 3 and len(characters) > 4:
-                characters = [characters[i] for i in rng.choice(len(characters), 4, replace=False)]
+        used = np.zeros(3, dtype=np.int64)
+        for P, D, characters in swept_decompositions(np.random.default_rng(1013)):
+            used += fused_blocks(D)
             for ch in characters:
                 R = build_irrep(D, ch)
                 pushed = pushforward(R)
                 assert pushed.generator_images == pushforward_by_products(R)
                 assert pushed == minimal_images(P, ch, D)
-        assert fused_ch and reused_complex and fused_hh
+        assert used.all()
 
     def test_pair_signs_are_the_product_of_the_block_pair_signs(self):
         for m in range(1, 4):
@@ -225,12 +244,79 @@ class TestFactoredPath:
                     upper = np.triu_indices(m, 1)
                     assert np.array_equal(lam[upper], pair_lambdas(rep.generator_images)[upper])
 
-    def test_pushforward_refuses_images_without_factors(self):
+    def test_pushforward_refuses_a_representation_of_non_minimal_order(self):
+        # the irreducibility argument of pushforward needs the minimal order
         D = decompose(RANDOM5)
         R = build_irrep(D, zero_character(D))
-        for bare in (tensor_with_identity(R, 2), replace(R, character=R.character)):
-            with pytest.raises(ValueError, match="factored"):
-                pushforward(bare)
+        with pytest.raises(ValueError, match=rf"expects an irreducible, not order {2 * R.order}"):
+            pushforward(tensor_with_identity(R, 2))
+        assert pushforward(replace(R, character=R.character)) == pushforward(R)
+
+
+def verify_outcome(check):
+    """The message of the ``VerificationError`` that ``check()`` raises, or None."""
+    try:
+        check()
+    except VerificationError as exc:
+        return str(exc)
+    return None
+
+
+def agreed_outcome(R):
+    """What ``R.verify`` and the dense oracle both report for ``R``."""
+    got = verify_outcome(R.verify)
+    assert got == verify_outcome(lambda: dense_verify(R.presentation, R.order,
+                                                      R.generator_images))
+    return got
+
+
+def mutated_blocks(rng, R):
+    """``R`` with one block sign flipped, one block transposed, and one block
+    perm swapped between two images (each at a random image and block)."""
+    i, t = int(rng.integers(R.presentation.m)), int(rng.integers(len(R.sizes)))
+    block = block_of(R, i, t)
+    yield "sign", with_block(R, i, t, flip_first_sign(block))
+    yield "transpose", with_block(R, i, t, block.transpose())
+    k = int(rng.integers(R.presentation.m))
+    other = block_of(R, k, t)
+    swapped = with_block(R, i, t, MonomialMatrix(other.perm, block.signs))
+    yield "swap", with_block(swapped, k, t, MonomialMatrix(block.perm, other.signs))
+
+
+class TestCertificate:
+    """``Representation.verify`` reads only the factors, ``helpers.dense_verify``
+    the expanded images; they must give the same verdict and message."""
+
+    def test_agrees_with_the_dense_oracle_on_irreps_and_mutated_blocks(self):
+        rng = np.random.default_rng(1019)
+        used = np.zeros(3, dtype=np.int64)
+        refused = dict.fromkeys(("sign", "transpose", "swap"), 0)
+        for P, D, characters in swept_decompositions(rng):
+            used += fused_blocks(D)
+            for ch in characters:
+                for R in (build_irrep(D, ch), minimal_images(P, ch, D)):
+                    assert agreed_outcome(R) is None
+                    for name, bad in mutated_blocks(rng, R):
+                        refused[name] += agreed_outcome(bad) is not None
+        assert used.all()
+        # every block of an irreducible is symmetric or skew, so its
+        # transpose changes at most the sign of the image, which no
+        # relation sees: that mutation must be accepted by both
+        assert refused["sign"] and refused["swap"] and not refused["transpose"], refused
+
+    def test_malformed_factors_are_refused(self):
+        R = minimal_images(RANDOM5)
+        outside = R.perm.copy()
+        outside[0, :2] = outside[0, 2:4]
+        for bad, message in [
+            (replace(R, order=2 * R.order), "have order"),
+            (replace(R, sign=R.sign[1:]), "wrong number of generator images"),
+            (replace(R, perm=outside), "not signed permutations"),
+            (replace(R, perm=R.perm[:, ::-1]), "not signed permutations"),
+            (replace(R, signs=2 * R.signs), "not signed permutations"),
+        ]:
+            with pytest.raises(VerificationError, match=message):
+                bad.verify()
 
 
 class TestSoundnessSweep:
@@ -277,8 +363,11 @@ class TestSoundnessSweep:
 
     def test_an_image_with_the_wrong_square_is_refused_by_name(self):
         # verify has no square check: X X^T == I makes X X == -kappa I
-        # break the transpose law X^T == kappa X
+        # break the transpose law X^T == kappa X.  The wrong image is made
+        # from blocks, for the certificate, and at full order, for the
+        # dense oracle
         rng = np.random.default_rng(109)
+        skew = {2: j2(), 4: QUAT_LEFT_I}
         refused = 0
         for _ in range(40):
             P = random_presentation(rng, int(rng.integers(1, 6)))
@@ -286,13 +375,20 @@ class TestSoundnessSweep:
             if R.order % 2:
                 continue
             j = int(rng.integers(P.m))
+            bad = R
+            for t, size in enumerate(R.sizes):
+                block = skew[size] if P.kappa[j] == 1 and t == 0 else MonomialMatrix.identity(size)
+                bad = with_block(bad, j, t, block)
             half = MonomialMatrix.identity(R.order // 2)
             wrong = tensor(half, j2()) if P.kappa[j] == 1 else MonomialMatrix.identity(R.order)
-            assert np.array_equal(dense(wrong) @ dense(wrong), -P.kappa[j] * np.eye(R.order))
+            for x in (bad.generator_images[j], wrong):
+                assert np.array_equal(dense(x) @ dense(x), -P.kappa[j] * np.eye(R.order))
             imgs = list(R.generator_images)
             imgs[j] = wrong
             with pytest.raises(VerificationError, match=rf"image {j} "):
-                replace(R, generator_images=tuple(imgs)).verify()
+                bad.verify()
+            with pytest.raises(VerificationError, match=rf"image {j} "):
+                dense_verify(P, R.order, imgs)
             refused += 1
         assert refused > 10
 
@@ -302,6 +398,8 @@ class TestInflate:
         rep = minimal_images(quaternion_presentation())
         fat = tensor_with_identity(rep, 3)
         assert fat.order == 12
+        ident = MonomialMatrix.identity(3)
+        assert fat.generator_images == tuple(tensor(x, ident) for x in rep.generator_images)
         fat.verify()
 
     def test_copies_validated(self):
@@ -350,7 +448,7 @@ class TestOneVerification:
         assert verified == [D.normal_presentation()]
 
     def test_solve(self, verified):
-        result = solve(LambdaPattern.constant(8, -1))
+        result = solve(constant_pattern(8, -1))
         assert verified == [result.presentation]
 
     def test_represent_command(self, verified, tmp_path, capsys):
@@ -360,18 +458,31 @@ class TestOneVerification:
 
 
 class TestOneDecomposition:
-    def test_represent_command(self, tmp_path, capsys, monkeypatch):
+    @pytest.fixture
+    def decomposed(self, monkeypatch):
+        """Presentations passed to ``decompose``, in call order."""
         calls = []
 
         def counting(P):
             calls.append(P)
             return decompose(P)
 
-        monkeypatch.setattr("qcliff.decompose.decompose", counting)
-        monkeypatch.setattr("qcliff.cli.decompose", counting)
+        for where in ("qcliff.decompose", "qcliff.cli", "qcliff.solve"):
+            monkeypatch.setattr(f"{where}.decompose", counting)
+        return calls
+
+    def test_represent_command(self, decomposed, tmp_path, capsys):
         path = presentation_file(tmp_path, RANDOM5)
         assert main(["represent", path, "--format", "json"]) == 0
-        assert calls == [RANDOM5]
+        assert decomposed == [RANDOM5]
+
+    def test_solve_realizes_the_plus_presentation_of_its_sweep(self, decomposed):
+        # kappa = +1 wins through the fast exit of the sweep, which has
+        # decomposed that presentation already; the other call is the even
+        # subalgebra's
+        result = solve(constant_pattern(13, 1))
+        assert result.kappa == (1,) * 13
+        assert len(decomposed) == 2 and decomposed[0] is result.presentation
 
     def test_minimal_images_takes_the_decomposition(self):
         D = decompose(RANDOM5)
@@ -382,10 +493,6 @@ class TestOneDecomposition:
             minimal_images(quaternion_presentation(), decomposition=D)
 
 
-def flip_first_sign(img):
-    signs = img.signs.copy()
-    signs[0] = -signs[0]
-    return MonomialMatrix(img.perm, signs)
 
 
 # (block constant, PAIR_BLOCKS key, a presentation whose irreducible uses it)
@@ -428,3 +535,35 @@ class TestBrokenBlockIsCaught:
         self.break_block(monkeypatch, name, key)
         assert main(["represent", path]) == 3
         assert "verification failure" in capsys.readouterr().err
+
+
+class TestExpansion:
+    """The order-b images are formed only when a caller reads them."""
+
+    @pytest.fixture
+    def expanded(self, monkeypatch):
+        """Number of images per ``stacked_kron`` call of ``qcliff.represent``."""
+        calls = []
+
+        def counting(sign, blocks):
+            calls.append(len(sign))
+            return stacked_kron(sign, blocks)
+
+        monkeypatch.setattr("qcliff.represent.stacked_kron", counting)
+        return calls
+
+    def test_factors_are_read_only(self):
+        # generator_images is cached from them
+        R = minimal_images(RANDOM5)
+        assert not any(arr.flags.writeable for arr in (R.sign, R.perm, R.signs))
+
+    def test_building_and_verifying_expand_nothing(self, expanded):
+        D = decompose(RANDOM5)
+        pushforward(build_irrep(D, zero_character(D))).verify()
+        minimal_images(RANDOM5, None, D).verify()
+        assert expanded == []
+
+    def test_represent_json_expands_once(self, expanded, tmp_path, capsys):
+        path = presentation_file(tmp_path, RANDOM5)
+        assert main(["represent", path, "--format", "json"]) == 0
+        assert expanded == [RANDOM5.m]

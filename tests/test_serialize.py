@@ -3,7 +3,6 @@ import pytest
 
 from qcliff import AlgebraPresentation, LambdaPattern, MonomialMatrix, complete
 from qcliff.matrices import DenseSignMatrix, sylvester
-from qcliff.presentation import quaternion_presentation
 from qcliff.serialize import (
     bundle_from_dict,
     bundle_to_dict,
@@ -17,6 +16,8 @@ from qcliff.serialize import (
     sign_matrix_from_text_rows,
     sign_text_rows,
 )
+
+from helpers import quaternion_presentation
 
 
 class TestPresentationFormat:

@@ -17,7 +17,7 @@ from qcliff.matrices import ident2, j2, pair_lambdas, z2
 from qcliff.solve import _minimal_kappa, presentation_from, solve, verify_solution
 from qcliff.structure import tensor_presentation
 
-from helpers import check_hr_bound, random_monomial_matrix
+from helpers import check_hr_bound, constant_pattern, random_monomial_matrix
 
 
 def random_pattern(rng, n):
@@ -41,31 +41,31 @@ class TestLambdaPattern:
             LambdaPattern.from_pairs(3, {(0, 1): 1})
 
     def test_diagonal_never_defined(self):
-        lam = LambdaPattern.constant(3, -1)
+        lam = constant_pattern(3, -1)
         with pytest.raises(ValueError):
             lam.get(1, 1)
 
 
 class TestPresentationFrom:
     def test_all_anti_all_plus_gives_full_anticommutation(self):
-        lam = LambdaPattern.constant(4, -1)
+        lam = constant_pattern(4, -1)
         P = presentation_from(lam, (1, 1, 1, 1))
         assert P.kappa == (1, 1, 1, 1)
         assert len(P.anticommuting_pairs()) == 6
 
     def test_all_anti_split_signs_gives_the_tensor_presentation(self):
-        lam = LambdaPattern.constant(5, -1)
+        lam = constant_pattern(5, -1)
         P = presentation_from(lam, (1, 1, -1, -1, -1))
         assert P == tensor_presentation(2, 3)
 
     def test_amicable_plus_pair_commutes(self):
-        lam = LambdaPattern.constant(2, 1)
+        lam = constant_pattern(2, 1)
         P = presentation_from(lam, (1, 1))
         assert P.anticommuting_pairs() == []
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            presentation_from(LambdaPattern.constant(3, -1), (1, 1))
+            presentation_from(constant_pattern(3, -1), (1, 1))
 
     def test_round_trip_through_generator_images(self):
         # realized pattern of the generator images must reproduce lambda,
@@ -138,11 +138,19 @@ def biased_pattern(rng, n):
     )
 
 
+def minimal_kappa(lam):
+    """``_minimal_kappa``'s kappa and b, after checking the decomposition
+    it hands on, when it has one, is of ``presentation_from(lam, kappa)``."""
+    kappa, b, D = _minimal_kappa(lam)
+    assert D is None or D.presentation == presentation_from(lam, kappa)
+    return kappa, b
+
+
 class TestOrderFloor:
     def test_floor_is_the_minimum_for_every_pattern_up_to_n5(self):
         for n in range(2, 6):
             for lam in all_patterns(n):
-                assert _minimal_kappa(lam) == full_sweep_reference(lam), lam
+                assert minimal_kappa(lam) == full_sweep_reference(lam), lam
 
     def test_b_is_the_even_order_and_the_first_row_reaches_it(self):
         # pins the _minimal_kappa docstring: b is always the irrep order of
@@ -157,7 +165,7 @@ class TestOrderFloor:
                     [(i, j) for i, j in itertools.combinations(range(n - 1), 2)
                      if P.commute_sign_masks(x[i], x[j]) == -1],
                 )
-                kappa, b = _minimal_kappa(lam)
+                kappa, b = minimal_kappa(lam)
                 assert b == classify_presentation(even).irrep_order, lam
                 first_row = (1,) + lam.rows[0][1:]
                 assert classify_presentation(presentation_from(lam, first_row)).irrep_order == b
@@ -168,7 +176,7 @@ class TestOrderFloor:
         for n in range(6, 11):
             for _ in range(6):
                 lam = biased_pattern(rng, n)
-                assert _minimal_kappa(lam) == full_sweep_reference(lam), lam
+                assert minimal_kappa(lam) == full_sweep_reference(lam), lam
 
     def test_quadratic_term_of_the_feasibility_test_decides(self):
         # only the B(w, w') term of the feasibility test shows that
@@ -179,12 +187,12 @@ class TestOrderFloor:
             7, {(j, k): -1 if (j, k) in neg else 1 for j in range(7) for k in range(j + 1, 7)}
         )
         want = ((1, 1, 1, 1, 1, -1, 1), 8)
-        assert _minimal_kappa(lam) == full_sweep_reference(lam) == want
+        assert minimal_kappa(lam) == full_sweep_reference(lam) == want
 
     def test_solve_matches_the_full_sweep_reference(self):
         rng = np.random.default_rng(103)
         patterns = [random_pattern(rng, n) for n in range(2, 13) for _ in range(3)]
-        patterns += [LambdaPattern.constant(n, v) for n in (2, 5, 9, 12) for v in (1, -1)]
+        patterns += [constant_pattern(n, v) for n in (2, 5, 9, 12) for v in (1, -1)]
         patterns += [
             lambda_of_transversal(transversal(TransversalSpec.default(m))) for m in (1, 2, 3)
         ]
@@ -196,22 +204,22 @@ class TestOrderFloor:
 
 class TestSolve:
     def test_all_anti_n4(self):
-        result = solve(LambdaPattern.constant(4, -1))
+        result = solve(constant_pattern(4, -1))
         assert result.b == 4
-        verify_solution(LambdaPattern.constant(4, -1), result)
+        verify_solution(constant_pattern(4, -1), result)
 
     def test_all_anti_n8(self):
-        result = solve(LambdaPattern.constant(8, -1))
+        result = solve(constant_pattern(8, -1))
         assert result.b == 8
 
     def test_two_anti_amicable(self):
-        result = solve(LambdaPattern.constant(2, -1))
+        result = solve(constant_pattern(2, -1))
         assert result.b == 2
         assert result.kappa == (1, 1)
 
     def test_minimum_certified_by_unquotiented_sweep(self):
         rng = np.random.default_rng(71)
-        patterns = [LambdaPattern.constant(n, -1) for n in (2, 3, 4)]
+        patterns = [constant_pattern(n, -1) for n in (2, 3, 4)]
         patterns += [random_pattern(rng, n) for n in (2, 3, 4) for _ in range(3)]
         for lam in patterns:
             best = min(
@@ -235,7 +243,7 @@ class TestSolve:
     def test_cap(self):
         # all -1 at n = 6 needs b = 8
         with pytest.raises(CapExceeded):
-            solve(LambdaPattern.constant(6, -1), max_order=4)
+            solve(constant_pattern(6, -1), max_order=4)
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_long_sweep_family(self, n):
@@ -250,7 +258,7 @@ class TestSolve:
 
     def test_too_small(self):
         with pytest.raises(ValueError):
-            solve(LambdaPattern.constant(1, -1))
+            solve(constant_pattern(1, -1))
 
     def test_a_mistranslated_lambda_is_refused(self, monkeypatch):
         # one anticommutation bit of the lambda -> presentation translation
@@ -304,7 +312,7 @@ class TestRho:
 
 class TestHurwitzRadonBound:
     def test_solver_family_meets_the_bound_with_equality(self):
-        result = solve(LambdaPattern.constant(8, -1))
+        result = solve(constant_pattern(8, -1))
         report = check_hr_bound(result.D)
         assert report.passed
         assert report.size == report.rho == 8

@@ -2,7 +2,6 @@ import pytest
 
 from qcliff import AlgebraPresentation, classify_presentation
 from qcliff.decompose import decompose
-from qcliff.presentation import quaternion_presentation
 from qcliff.structure import (
     StructureCase,
     classify,
@@ -11,7 +10,7 @@ from qcliff.structure import (
     tensor_presentation,
 )
 
-from helpers import all_presentations
+from helpers import all_presentations, bott_label, clifford_presentation, quaternion_presentation
 
 
 class TestClassify:
@@ -54,6 +53,23 @@ class TestClassify:
             for kappa in itertools.product((1, -1), repeat=m):
                 wt = classify_presentation(AlgebraPresentation(kappa, anti))
                 assert wt.r <= 1
+
+
+class TestBottPeriodicity:
+    """``classify`` on Clifford presentations against ``helpers.BOTT_TABLE``,
+    the (p - q) mod 8 table, which uses no qcliff code."""
+
+    def test_every_clifford_algebra_up_to_16_generators(self):
+        for n in range(1, 17):
+            for p in range(n + 1):
+                P = clifford_presentation(p, n - p)
+                assert classify_presentation(P).label == bott_label(p, n - p), (p, n - p)
+
+    @pytest.mark.parametrize("residue", range(8))
+    def test_near_300_generators(self, residue):
+        n = 300 + residue % 2
+        p, q = (n + residue) // 2, (n - residue) // 2
+        assert classify_presentation(clifford_presentation(p, q)).label == bott_label(p, q)
 
 
 class TestTensorPresentation:
