@@ -18,7 +18,10 @@ Resource caps can be overridden by flags or environment variables:
 ``QCLIFF_MAX_N`` (cap on the ``2**M`` outer matrices of ``hadamard``)
 and ``QCLIFF_MAX_ORDER`` (order cap of the irreducible that
 ``represent`` or ``solve`` builds, or, with a smaller default, of an
-assembled dense Hadamard matrix).
+assembled dense Hadamard matrix).  One cap is fixed, with no flag: a
+presentation file of more than ``MAX_M`` = 2048 generators is refused as
+it is read, before any m x m table is allocated, and ``solve`` refuses a
+pattern of more than 2048 matrices when it decomposes it.
 """
 
 from __future__ import annotations

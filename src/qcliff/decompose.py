@@ -18,8 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .gf2 import Gf2Matrix, xor_rows
+import numpy as np
+
+from .errors import CapExceeded
+from .gf2 import Gf2Matrix, bit_table, gram_parity, row_masks, xor_rows
 from .presentation import AlgebraPresentation, SignedMonomial
+
+# Largest number of generators decomposed (or read from a file): the
+# checks hold m x m tables, and one uint64 table at m = 2048 is 32 MiB.
+MAX_M = 2048
 
 
 class Central(NamedTuple):
@@ -91,45 +98,69 @@ class Decomposition:
         return AlgebraPresentation(self.new_generator_squares, anti)
 
     def validate(self) -> None:
-        """Re-check every structural invariant; raises ``ValueError``."""
+        """Re-check every structural invariant; raises ``ValueError``.
+
+        Let G be the basis change (row i the exponent mask of the new
+        generator g_i) and M the presentation's own product-sign table:
+        its strict upper anticommutation table with the generators that
+        square to -1 on the diagonal, so that (+1, x)(+1, y) has sign
+        (-1)^(y^T M x).  M is read from the presentation, not from
+        :func:`form_matrix`, so the check shares no step with
+        :func:`decompose`.  The Gram matrix Q = G M G^T over GF(2) then
+        holds every pair at once: Q[i, i] is the sign of g_i squared, and
+        g_i and g_j anticommute exactly when Q[i, j] + Q[j, i] is odd (the
+        diagonal of M adds 2 |g_i & g_j & kneg| to that sum).  Q is two
+        :func:`~qcliff.gf2.gram_parity` products, G (M G^T), each reduced
+        mod 2 as it is formed.  They use integer bit operations only, so
+        Q is exact at every m: no float64 sum is formed, so no 2**53 bound
+        applies, and the popcounts are of single 64-bit words.
+
+        The checks run in order: r + 2s = m, then the GF(2) rank of the
+        basis change, then each generator in row order (its sign, then
+        its square), then the commutation pattern, which must be exactly
+        the hyperbolic pairs; the first failing pair (i, j), i < j, is
+        named in row-major order.
+        """
         P = self.presentation
-        if self.r + 2 * self.s != P.m:
-            raise ValueError(f"r + 2s = {self.r + 2 * self.s} differs from m = {P.m}")
+        m = P.m
+        if self.r + 2 * self.s != m:
+            raise ValueError(f"r + 2s = {self.r + 2 * self.s} differs from m = {m}")
         basis_change = self.basis_change
         if not basis_change.is_invertible():
             raise ValueError("basis_change is singular over GF(2)")
-        gens = self.new_generators
-        squares = self.new_generator_squares
-        for row, g in enumerate(gens):
-            if g.sign != 1:
-                raise ValueError("new generators must carry sign +1")
-            if P.square_sign(g) != squares[row]:
-                raise ValueError(f"recorded square of generator {row} is wrong")
-        # pair (i, j) anticommutes iff g_i^T D g_j + g_j^T D g_i is odd,
-        # D the presentation's own upper-triangle table; c_i = g_i^T D.
         masks = basis_change.bits
-        c = [xor_rows(P._delta_gt, g) for g in masks]
-        for i in range(len(gens)):
-            ci, gi = c[i], masks[i]
-            partner = i + 1 if i >= self.r and (i - self.r) % 2 == 0 else -1
-            for j in range(i + 1, len(gens)):
-                anti = ((ci & masks[j]).bit_count() + (c[j] & gi).bit_count()) & 1
-                if anti != (j == partner):
-                    raise ValueError(
-                        f"generators {i}, {j} have commutation sign "
-                        f"{-1 if anti else 1}, expected {-1 if j == partner else 1}"
-                    )
+        kneg = P._kneg
+        M = [row | (kneg & 1 << i) for i, row in enumerate(P._delta_gt)]
+        # C = M G^T, then G C: the rows of C^T are the columns of C
+        Q = gram_parity(masks, row_masks(gram_parity(M, masks, m).T), m)
+        bad_sign = np.array([g.sign != 1 for g in self.new_generators])
+        squares = np.where(Q.diagonal(), -1, 1)
+        bad = bad_sign | (np.array(self.new_generator_squares) != squares)
+        if bad.any():
+            row = int(np.argmax(bad))
+            if bad_sign[row]:
+                raise ValueError("new generators must carry sign +1")
+            raise ValueError(f"recorded square of generator {row} is wrong")
+        # anti is symmetric with a zero diagonal, so it is the hyperbolic
+        # pattern when its superdiagonal is and it has no other set cell
+        anti = Q ^ Q.T
+        pattern = np.zeros(m - 1, dtype=np.uint8)
+        pattern[self.r::2] = 1
+        if np.count_nonzero(anti) != 2 * self.s or np.any(anti.diagonal(1) != pattern):
+            wrong = np.triu(anti, 1)
+            wrong[np.arange(m - 1), np.arange(1, m)] ^= pattern
+            i, j = divmod(int(np.argmax(wrong)), m)
+            got = -1 if anti[i, j] else 1
+            raise ValueError(
+                f"generators {i}, {j} have commutation sign {got}, expected {-got}"
+            )
 
 
 def form_matrix(P: AlgebraPresentation) -> Gf2Matrix:
-    """Symmetric zero-diagonal GF(2) matrix of the anticommutation form."""
-    rows = []
-    for i in range(P.m):
-        mask = P._delta_gt[i]
-        for lo in range(i):
-            mask |= ((P._delta_gt[lo] >> i) & 1) << lo
-        rows.append(mask)
-    return Gf2Matrix(P.m, P.m, tuple(rows))
+    """Symmetric zero-diagonal GF(2) matrix of the anticommutation form:
+    ``T | T^T`` for the presentation's strict upper table ``T``."""
+    T = bit_table(P._delta_gt, P.m)
+    return Gf2Matrix(P.m, P.m, row_masks(T | T.T))
 
 
 def symplectic_reduce(frows: tuple[int, ...], m: int) -> tuple[list[int], list[tuple[int, int]]]:
@@ -175,9 +206,12 @@ def symplectic_reduce(frows: tuple[int, ...], m: int) -> tuple[list[int], list[t
 def decompose(P: AlgebraPresentation) -> Decomposition:
     """Symplectic Gram-Schmidt decomposition of a presentation.
 
-    Total and deterministic; the returned value passes
+    Total and deterministic up to ``m = MAX_M`` generators, past which it
+    raises :class:`~qcliff.errors.CapExceeded`; the returned value passes
     :meth:`Decomposition.validate`.
     """
+    if P.m > MAX_M:
+        raise CapExceeded(f"m = {P.m} generators exceeds the cap {MAX_M}")
     frows = tuple(form_matrix(P).bits)
     central_masks, pair_masks = symplectic_reduce(frows, P.m)
     m = P.m

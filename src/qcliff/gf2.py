@@ -8,12 +8,23 @@ word operations on the vectors themselves.
 row mask, the xor of the rows ``R[i]`` picked by the bits of ``u``.  A
 bilinear form ``u^T R v`` is that mask ANDed with ``v``, and a caller
 that pairs one ``u`` with many ``v`` computes the mask once.
+
+Work on every pair of rows at once runs in numpy instead, on the masks'
+little-endian bytes, so that no step walks the bits in Python.
+:func:`bit_table` and :func:`row_masks` are the one bridge between masks
+and a dense ``uint8`` 0/1 table (bit ``j`` of a mask is column ``j``),
+for work such as a transpose; :func:`gram_parity`, the Gram product of
+two lists of masks over GF(2), runs on the same bytes read as 64-bit
+words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
+
+import numpy as np
 
 
 def xor_rows(rows: Sequence[int], u: int) -> int:
@@ -34,6 +45,45 @@ def bilinear_parity(rows: Sequence[int], u: int, v: int) -> int:
     is this one sum over a different ``R``.
     """
     return (xor_rows(rows, u) & v).bit_count() & 1
+
+
+def _words(masks: Sequence[int], cols: int) -> np.ndarray:
+    """The row masks as little-endian 64-bit words, one row of at least one
+    word per mask; every mask must be below ``2**cols``."""
+    width = max(cols + 63, 64) // 64
+    raw = b"".join(map(int.to_bytes, masks, repeat(8 * width), repeat("little")))
+    return np.frombuffer(raw, "<u8").reshape(len(masks), width)
+
+
+def bit_table(masks: Sequence[int], cols: int) -> np.ndarray:
+    """The row bitmasks ``masks`` as a ``(len(masks), cols)`` uint8 0/1 table.
+
+    Every mask must be below ``2**cols``.
+    """
+    packed = _words(masks, cols).view(np.uint8)
+    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
+
+
+def row_masks(table: np.ndarray) -> tuple[int, ...]:
+    """The rows of a 2-d 0/1 table as bitmasks; inverts :func:`bit_table`."""
+    packed = np.packbits(table, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+def gram_parity(x: Sequence[int], y: Sequence[int], cols: int) -> np.ndarray:
+    """``X Y^T`` over GF(2) for row masks below ``2**cols``, as a uint8 0/1 table.
+
+    Entry ``(i, j)`` is the parity of ``|x[i] & y[j]|``.  The ANDs of every
+    pair of rows are xored across the 64-bit words of the rows, and the
+    parity of the popcount of that xor is the parity of the sum of the
+    popcounts.  Only integer bit operations: exact at any size, with one
+    ``(len(x), len(y))`` uint64 table per word.
+    """
+    wx, wy = _words(x, cols), _words(y, cols)
+    acc = np.bitwise_and.outer(wx[:, 0], wy[:, 0])
+    for t in range(1, wx.shape[1]):
+        acc ^= np.bitwise_and.outer(wx[:, t], wy[:, t])
+    return np.bitwise_count(acc) & 1
 
 
 @dataclass(frozen=True)

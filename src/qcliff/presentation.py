@@ -82,6 +82,21 @@ class AlgebraPresentation:
         self._delta_gt = tuple(rows)
         self._kneg = sum(1 << i for i, k in enumerate(kappa) if k < 0)
 
+    @classmethod
+    def from_upper_rows(cls, kappa: Sequence[int], rows: Sequence[int]) -> "AlgebraPresentation":
+        """The presentation whose generator ``i`` anticommutes with a ``j > i``
+        exactly when bit ``j`` of ``rows[i]`` is set.
+
+        ``rows`` is the table the constructor builds from its pairs, so a
+        reader holding the table skips the walk over pairs.
+        """
+        P = cls(kappa)
+        rows = tuple(rows)
+        if len(rows) != P.m or any(r >> P.m or r & ((2 << i) - 1) for i, r in enumerate(rows)):
+            raise ValueError(f"expected {P.m} strictly upper triangular row masks")
+        P._delta_gt = rows
+        return P
+
     # -- presentation table -------------------------------------------------
 
     def anticommuting_pairs(self) -> list[tuple[int, int]]:

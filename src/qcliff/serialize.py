@@ -20,7 +20,9 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .decompose import Decomposition
+from .decompose import MAX_M, Decomposition
+from .errors import CapExceeded
+from .gf2 import row_masks
 from .hadamard import REPORT_CHECKS, HadamardBundle, VerificationReport
 from .matrices import DenseSignMatrix, MonomialMatrix
 from .presentation import AlgebraPresentation, SignedMonomial
@@ -120,26 +122,79 @@ def presentation_from_dict(obj: dict) -> AlgebraPresentation:
     m = obj["m"]
     if not _is_int(m) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
+    if m > MAX_M:
+        raise CapExceeded(f"m = {m} generators exceeds the cap {MAX_M}")
     kappa = obj["kappa"]
     if not isinstance(kappa, list) or len(kappa) != m:
         raise ValueError(f"kappa must be a list of length m={m}")
     kappa = tuple(_sign(k, "kappa entry") for k in kappa)
-    anti = []
-    seen: dict[tuple[int, int], int] = {}
-    for triple in _list(obj.get("delta", []), "delta"):
-        if not isinstance(triple, list) or len(triple) != 3:
-            raise ValueError(f"delta entries must be [i, j, bit] triples, got {triple!r}")
-        i, j, bit = triple
-        if not (_is_int(i) and _is_int(j) and 1 <= i < j <= m):
+    rows = _delta_rows(_list(obj.get("delta", []), "delta"), m)
+    return AlgebraPresentation.from_upper_rows(kappa, rows)
+
+
+def _json_ints(values: list) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` as int64, and the mask of the entries that are JSON
+    integers within int64 range; the other entries read 0.
+
+    The types are scanned by ``map`` in C: NumPy would read a boolean as
+    an integer, and a float or a digit string as one under an int64 dtype.
+    """
+    n = len(values)
+    if set(map(type, values)) <= {int}:
+        try:
+            return np.array(values, dtype=np.int64), np.ones(n, dtype=bool)
+        except OverflowError:
+            pass
+    objs = np.fromiter(values, object, n)
+    ok = np.fromiter(map(type, values), object, n) == int
+    ok[ok] = (objs[ok] >= -(1 << 63)) & (objs[ok] < 1 << 63)
+    return np.where(ok, objs, 0).astype(np.int64), ok
+
+
+def _delta_rows(delta: list, m: int) -> tuple[int, ...]:
+    """The row masks of the strict upper anticommutation table ``delta``
+    lists, read as one ``m x m`` table.
+
+    ``delta`` holds 1-based ``[i, j, bit]`` triples, ``i < j``; a pair may
+    repeat with the same bit.  Shapes, ranges and bits are checked as
+    masks over all triples at once, and a pair listed with both bits
+    shows as a cell hit by both.  The error names the first offending
+    triple, and for one triple the checks run in the order shape, pair,
+    bit, then conflict with an earlier triple.
+    """
+    n = len(delta)
+    # triples before the first malformed one, k, are read; k itself fails
+    # only if none of those does
+    k = n
+    if set(map(type, delta)) - {list} or set(map(len, delta)) - {3}:
+        is_list = np.fromiter(map(type, delta), object, n) == list
+        k = int(np.argmin(is_list)) if not is_list.all() else n
+        short = np.fromiter(map(len, delta[:k]), np.int64, k) != 3
+        k = int(np.argmax(short)) if short.any() else k
+    values, ok = _json_ints(list(chain.from_iterable(delta[:k])))
+    i, j, bit = values.reshape(k, 3).T
+    ok = ok.reshape(k, 3)
+    bad_pair = ~(ok[:, 0] & ok[:, 1] & (1 <= i) & (i < j) & (j <= m))
+    bad = bad_pair | ~ok[:, 2] | (bit & ~1 != 0)
+    e = int(np.argmax(bad)) if bad.any() else k
+    key, bit = (i[:e] - 1) * m + j[:e] - 1, bit[:e]
+    hit = np.zeros((2, m * m), dtype=bool)
+    hit[bit, key] = True
+    clash = (hit[0] & hit[1])[key]
+    if clash.any():
+        # the first triple whose bit differs from its pair's first listing
+        idx = np.flatnonzero(clash)
+        _, first, back = np.unique(key[idx], return_index=True, return_inverse=True)
+        t = int(idx[bit[idx] != bit[idx][first][back]].min())
+        raise ValueError(f"conflicting delta entries for pair ({i[t]}, {j[t]})")
+    if e < k:
+        i, j, bit = delta[e]
+        if bad_pair[e]:
             raise ValueError(f"delta pair ({i}, {j}) must satisfy 1 <= i < j <= m")
-        if not _is_int(bit) or bit not in (0, 1):
-            raise ValueError(f"delta bit must be 0 or 1, got {bit!r}")
-        if (i, j) in seen and seen[(i, j)] != bit:
-            raise ValueError(f"conflicting delta entries for pair ({i}, {j})")
-        seen[(i, j)] = bit
-        if bit:
-            anti.append((i - 1, j - 1))
-    return AlgebraPresentation(kappa, anti)
+        raise ValueError(f"delta bit must be 0 or 1, got {bit!r}")
+    if k < n:
+        raise ValueError(f"delta entries must be [i, j, bit] triples, got {delta[k]!r}")
+    return row_masks(hit[1].reshape(m, m))
 
 
 # -- matrices ---------------------------------------------------------------

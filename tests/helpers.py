@@ -24,6 +24,7 @@ from qcliff.decompose import Decomposition, form_matrix
 from qcliff.gf2 import Gf2Matrix
 from qcliff.matrices import pair_lambdas
 from qcliff.represent import Representation, character_length
+from qcliff.serialize import _is_int, _list, _require_keys, _sign
 from qcliff.solve import rho
 
 
@@ -68,6 +69,49 @@ def radical_dimension(P: AlgebraPresentation) -> int:
     the centre of the algebra has dimension ``2**radical_dimension(P)``.
     """
     return P.m - form_matrix(P).rank()
+
+
+def reference_form_matrix(P: AlgebraPresentation) -> Gf2Matrix:
+    """The anticommutation form by transposing the upper table bit by bit."""
+    rows = []
+    for i in range(P.m):
+        mask = P._delta_gt[i]
+        for lo in range(i):
+            mask |= ((P._delta_gt[lo] >> i) & 1) << lo
+        rows.append(mask)
+    return Gf2Matrix(P.m, P.m, tuple(rows))
+
+
+def reference_presentation_from_dict(obj: dict) -> AlgebraPresentation:
+    """The presentation reader that checks ``delta`` one triple at a time.
+
+    Each triple is checked in order (shape, pair, bit, then conflict with
+    an earlier triple), so the first offending one raises.
+    """
+    _require_keys(obj, ["m", "kappa"], ["delta"])
+    m = obj["m"]
+    if not _is_int(m) or m < 1:
+        raise ValueError(f"m must be a positive integer, got {m!r}")
+    kappa = obj["kappa"]
+    if not isinstance(kappa, list) or len(kappa) != m:
+        raise ValueError(f"kappa must be a list of length m={m}")
+    kappa = tuple(_sign(k, "kappa entry") for k in kappa)
+    anti = []
+    seen: dict[tuple[int, int], int] = {}
+    for triple in _list(obj.get("delta", []), "delta"):
+        if not isinstance(triple, list) or len(triple) != 3:
+            raise ValueError(f"delta entries must be [i, j, bit] triples, got {triple!r}")
+        i, j, bit = triple
+        if not (_is_int(i) and _is_int(j) and 1 <= i < j <= m):
+            raise ValueError(f"delta pair ({i}, {j}) must satisfy 1 <= i < j <= m")
+        if not _is_int(bit) or bit not in (0, 1):
+            raise ValueError(f"delta bit must be 0 or 1, got {bit!r}")
+        if (i, j) in seen and seen[(i, j)] != bit:
+            raise ValueError(f"conflicting delta entries for pair ({i}, {j})")
+        seen[(i, j)] = bit
+        if bit:
+            anti.append((i - 1, j - 1))
+    return AlgebraPresentation(kappa, anti)
 
 
 def constant_pattern(n: int, value: int) -> LambdaPattern:

@@ -5,6 +5,7 @@ import pytest
 
 from qcliff import cli
 from qcliff.cli import build_parser, main
+from qcliff.decompose import MAX_M
 from qcliff.serialize import bundle_to_dict
 from qcliff import complete
 
@@ -30,6 +31,14 @@ class TestClassify:
         out = json.loads(capsys.readouterr().out)
         assert out["label"] == "^1 H(1)"
         assert out["irrep_order"] == 4
+
+    @pytest.mark.parametrize("command", ["classify", "decompose", "represent"])
+    def test_more_than_max_m_generators_exit_2_at_once(self, tmp_path, capsys, command):
+        m = MAX_M + 1
+        # a delta that a reader would refuse shows that the cap comes first
+        path = write_json(tmp_path, "big.json", {"m": m, "kappa": [1] * m, "delta": [[2, 1, 1]]})
+        assert main([command, path]) == 2
+        assert f"m = {m} generators exceeds the cap {MAX_M}" in capsys.readouterr().err
 
     def test_single_plus_generator(self, tmp_path, capsys):
         path = write_json(tmp_path, "c1.json", {"m": 1, "kappa": [1]})

@@ -3,6 +3,7 @@ import pytest
 
 from qcliff import AlgebraPresentation, SignedMonomial
 from qcliff.decompose import (
+    MAX_M,
     Central,
     Decomposition,
     HyperbolicPair,
@@ -10,6 +11,8 @@ from qcliff.decompose import (
     form_matrix,
     symplectic_reduce,
 )
+from qcliff.errors import CapExceeded
+from qcliff.gf2 import xor_rows
 
 from helpers import (
     all_presentations,
@@ -18,13 +21,19 @@ from helpers import (
     quaternion_presentation,
     radical_dimension,
     random_presentation,
+    reference_form_matrix,
     word_mul,
     word_of,
 )
 
 
 def reference_validate(D):
-    """The pairwise ``commutation_sign`` form of ``Decomposition.validate``."""
+    """``Decomposition.validate`` one pair at a time.
+
+    Squares come from ``square_sign``, and pair (i, j) anticommutes when
+    ``g_i^T D g_j + g_j^T D g_i`` is odd, ``D`` the presentation's upper
+    table, from the row masks ``c_i = g_i^T D``.
+    """
     P = D.presentation
     if D.r + 2 * D.s != P.m:
         raise ValueError(f"r + 2s = {D.r + 2 * D.s} differs from m = {P.m}")
@@ -42,10 +51,13 @@ def reference_validate(D):
         if P.square_sign(g) != squares[row]:
             raise ValueError(f"recorded square of generator {row} is wrong")
     anti = set(D.normal_presentation().anticommuting_pairs())
+    masks = [g.mask for g in gens]
+    c = [xor_rows(P._delta_gt, g) for g in masks]
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             want = -1 if (i, j) in anti else 1
-            got = P.commutation_sign(gens[i], gens[j])
+            odd = ((c[i] & masks[j]).bit_count() + (c[j] & masks[i]).bit_count()) & 1
+            got = -1 if odd else 1
             if got != want:
                 raise ValueError(
                     f"generators {i}, {j} have commutation sign {got}, expected {want}"
@@ -91,9 +103,12 @@ def rebuild(D, masks, squares):
     return Decomposition(P, centrals, pairs)
 
 
-def mutants(rng, D):
+def mutants(rng, D, pair_swaps=None):
     """Seeded corruptions: a flipped basis bit with its square recomputed,
-    two swapped generators, a swapped pair, and a wrong recorded square."""
+    two swapped generators, a swapped pair, and a wrong recorded square.
+
+    Every pair is swapped in turn, or ``pair_swaps`` seeded ones.
+    """
     P, m = D.presentation, D.presentation.m
     masks, squares = list(D.basis_change.bits), list(D.new_generator_squares)
     for _ in range(4):
@@ -109,8 +124,9 @@ def mutants(rng, D):
             g, sq = list(masks), list(squares)
             g[i], g[j], sq[i], sq[j] = g[j], g[i], sq[j], sq[i]
             yield rebuild(D, g, sq)
-    for t in range(D.s):
-        k = D.r + 2 * t
+    swapped = range(D.s) if pair_swaps is None else rng.choice(D.s, pair_swaps, replace=False)
+    for t in swapped:
+        k = D.r + 2 * int(t)
         g, sq = list(masks), list(squares)
         g[k], g[k + 1], sq[k], sq[k + 1] = g[k + 1], g[k], sq[k + 1], sq[k]
         yield rebuild(D, g, sq)
@@ -139,6 +155,12 @@ class TestFormMatrix:
     def test_three_anticommuting(self):
         P = clifford_presentation(3, 0)
         assert form_matrix(P).to_rows() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+
+    def test_matches_the_transposition_loop(self):
+        rng = np.random.default_rng(47)
+        for m in [*range(1, 71), 144]:
+            P = random_presentation(rng, m)
+            assert form_matrix(P) == reference_form_matrix(P)
 
 
 class TestDecompose:
@@ -219,6 +241,15 @@ class TestValidate:
                     got = verdict(Decomposition.validate, bad)
                     assert got == verdict(reference_validate, bad)
                     outcomes.append(got)
+        # one presentation each at the benchmark's size (m = 144) and past it
+        for m in (144, 300):
+            P = random_presentation(rng, m)
+            D = decompose(P)
+            assert verdict(Decomposition.validate, D) is None
+            for bad in mutants(rng, D, pair_swaps=3):
+                got = verdict(Decomposition.validate, bad)
+                assert got == verdict(reference_validate, bad)
+                outcomes.append(got)
         # every stage of the check is reached, including the pairwise one
         assert any(o is None for o in outcomes)
         assert any(o and o.startswith("basis_change is singular") for o in outcomes)
@@ -232,6 +263,12 @@ class TestValidate:
         message = "generators 0, 1 have commutation sign 1, expected -1"
         with pytest.raises(ValueError, match=message):
             rebuild(D, masks, squares).validate()
+
+
+class TestCap:
+    def test_past_max_m_raises_before_any_table(self):
+        with pytest.raises(CapExceeded, match=f"exceeds the cap {MAX_M}"):
+            decompose(AlgebraPresentation((1,) * (MAX_M + 1)))
 
 
 class TestSymplecticReduce:

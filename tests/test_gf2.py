@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcliff.gf2 import Gf2Matrix, bilinear_parity, xor_rows
+from qcliff.gf2 import Gf2Matrix, bilinear_parity, bit_table, gram_parity, row_masks, xor_rows
 
 from helpers import gf2_from_rows
 
@@ -98,3 +98,29 @@ def test_xor_rows_against_dense_product():
 def test_row_mask_width_enforced():
     with pytest.raises(ValueError):
         Gf2Matrix(1, 2, (0b100,))
+
+
+@pytest.mark.parametrize("cols", [1, 7, 8, 9, 63, 64, 65, 144])
+def test_bit_table_round_trips(cols):
+    rng = np.random.default_rng(cols)
+    full = (1 << cols) - 1
+    masks = (0, full, 1, 1 << (cols - 1),
+             *(int.from_bytes(rng.bytes(cols // 8 + 1), "little") & full for _ in range(20)))
+    table = bit_table(masks, cols)
+    assert table.dtype == np.uint8 and table.shape == (len(masks), cols)
+    assert table.tolist() == [[(mask >> j) & 1 for j in range(cols)] for mask in masks]
+    assert row_masks(table) == masks
+
+
+@pytest.mark.parametrize("cols", [1, 8, 63, 64, 65, 130])
+def test_gram_parity_equals_the_int64_product_mod_2(cols):
+    rng = np.random.default_rng(100 + cols)
+    for rows_x, rows_y in ((1, 1), (5, 9), (70, 33)):
+        x = rng.integers(0, 2, size=(rows_x, cols))
+        y = rng.integers(0, 2, size=(rows_y, cols))
+        got = gram_parity(row_masks(x), row_masks(y), cols)
+        assert got.shape == (rows_x, rows_y)
+        assert np.array_equal(got, (x @ y.T) % 2)
+    # all-ones rows, whose popcounts fill every word
+    ones = ((1 << cols) - 1,) * 3
+    assert np.array_equal(gram_parity(ones, ones, cols), np.full((3, 3), cols % 2))

@@ -17,7 +17,53 @@ from qcliff.serialize import (
     sign_text_rows,
 )
 
-from helpers import quaternion_presentation
+from helpers import quaternion_presentation, reference_presentation_from_dict
+
+
+def outcome(reader, obj):
+    """What ``reader`` makes of ``obj``: the presentation, or the error text."""
+    try:
+        return reader(obj)
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+def bad_triple(rng, m):
+    """A seeded ``[i, j, bit]`` entry that breaks exactly one rule."""
+    kind = int(rng.integers(14))
+    i = int(rng.integers(1, m))
+    j = int(rng.integers(i + 1, m + 1))
+    slot = int(rng.integers(3))
+    if kind < 5:
+        # a non-integer in one slot: a boolean, a float, a string, a nested
+        # list, or an integer past int64
+        value = (True, float(i), str(i), [i], 2**70)[kind]
+        return [value if s == slot else v for s, v in enumerate((i, j, 1))]
+    return (
+        [i, j], [i, j, 1, 0], i, {"i": i}, "1 2 1",  # ragged or not a list
+        [j, i, 1], [i, i, 0], [0, j, 1], [i, m + 1, 1],  # i >= j, index 0, j > m
+        [i, j, 2 if slot else -1],  # bit 2 or -1
+    )[kind - 5]
+
+
+def delta_mutants(rng, m, delta):
+    """Seeded variants of a valid ``delta``: one bad triple, several bad
+    triples, agreeing and conflicting repeats of a pair."""
+    for _ in range(12):
+        out = list(delta)
+        out.insert(int(rng.integers(len(out) + 1)), bad_triple(rng, m))
+        yield out
+    for _ in range(3):
+        out = list(delta)
+        for _ in range(int(rng.integers(2, 5))):
+            out.insert(int(rng.integers(len(out) + 1)), bad_triple(rng, m))
+        yield out
+    if delta:
+        for flip in (0, 1):
+            i, j, bit = delta[int(rng.integers(len(delta)))]
+            out = list(delta)
+            out.insert(int(rng.integers(len(out) + 1)), [i, j, bit ^ flip])
+            yield out
 
 
 class TestPresentationFormat:
@@ -61,6 +107,45 @@ class TestPresentationFormat:
             presentation_from_dict(
                 {"m": 2, "kappa": [1, 1], "delta": [[1, 2, 1], [1, 2, 0]]}
             )
+
+
+class TestDeltaReader:
+    def test_seeded_mutations_match_the_per_triple_reference(self):
+        rng = np.random.default_rng(53)
+        outcomes = []
+        for m in (2, 3, 5, 9, 17):
+            for _ in range(4):
+                kappa = [int(k) for k in rng.choice([-1, 1], size=m)]
+                delta = [[i + 1, j + 1, int(rng.integers(2))]
+                         for i in range(m) for j in range(i + 1, m) if rng.integers(3)]
+                docs = [{"m": m, "kappa": kappa, "delta": d}
+                        for d in (delta, [], *delta_mutants(rng, m, delta))]
+                docs.append({"m": m, "kappa": kappa})
+                for obj in docs:
+                    got = outcome(presentation_from_dict, obj)
+                    assert got == outcome(reference_presentation_from_dict, obj)
+                    outcomes.append(got if isinstance(got, str) else "ok")
+        # every message, and the repeat that agrees, is reached
+        for start in ("ok", "error: delta entries", "error: delta pair",
+                      "error: delta bit", "error: conflicting"):
+            assert sum(o.startswith(start) for o in outcomes) >= 5, start
+
+    def test_first_offending_triple_is_named(self):
+        obj = {"m": 3, "kappa": [1, 1, 1],
+               "delta": [[1, 2, 1], [1, 3, 1], [1, 2, 0], [3, 1, 1], [1, 2]]}
+        with pytest.raises(ValueError, match=r"conflicting delta entries for pair \(1, 2\)"):
+            presentation_from_dict(obj)
+        # of two conflicting pairs, the one whose second listing comes first
+        two = {"m": 3, "kappa": [1, 1, 1],
+               "delta": [[1, 2, 1], [1, 3, 0], [1, 3, 1], [1, 2, 0]]}
+        with pytest.raises(ValueError, match=r"conflicting delta entries for pair \(1, 3\)"):
+            presentation_from_dict(two)
+        obj["delta"][2] = [1, 2, 1]
+        with pytest.raises(ValueError, match=r"delta pair \(3, 1\)"):
+            presentation_from_dict(obj)
+        obj["delta"][3] = [2, 3, 1]
+        with pytest.raises(ValueError, match=r"triples, got \[1, 2\]"):
+            presentation_from_dict(obj)
 
 
 class TestMatrixFormats:
