@@ -19,9 +19,9 @@ Resource caps can be overridden by flags or environment variables:
 and ``QCLIFF_MAX_ORDER`` (order cap of the irreducible that
 ``represent`` or ``solve`` builds, or, with a smaller default, of an
 assembled dense Hadamard matrix).  One cap is fixed, with no flag: a
-presentation file of more than ``MAX_M`` = 2048 generators is refused as
-it is read, before any m x m table is allocated, and ``solve`` refuses a
-pattern of more than 2048 matrices when it decomposes it.
+presentation file of more than ``MAX_M`` = 2048 generators, or a pattern
+file of more than 2048 matrices, is refused as it is read, before any
+m x m table is allocated.
 """
 
 from __future__ import annotations
@@ -227,13 +227,14 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if args.format == "json":
         _write_json(sys.stdout, decomposition_to_dict(D))
     else:
-        sys.stdout.write(f"r: {D.r}\ns: {D.s}\n")
-        for c in D.centrals:
-            sys.stdout.write(f"central: {c.element} square={c.square:+d}\n")
-        for p in D.pairs:
+        r, gens, squares = D.r, D.new_generators, D.squares
+        sys.stdout.write(f"r: {r}\ns: {D.s}\n")
+        for i in range(r):
+            sys.stdout.write(f"central: {gens[i]} square={squares[i]:+d}\n")
+        for k in range(r, len(gens), 2):
             sys.stdout.write(
-                f"pair: {p.first} square={p.first_square:+d}, "
-                f"{p.second} square={p.second_square:+d}\n"
+                f"pair: {gens[k]} square={squares[k]:+d}, "
+                f"{gens[k + 1]} square={squares[k + 1]:+d}\n"
             )
     return 0
 

@@ -8,15 +8,14 @@ pairs that anticommute within the pair and commute with all the rest,
 with ``r + 2s = m``.  The tensor factorization of the algebra into
 single-generator and pair subalgebras reads off directly.
 
-The reduction runs on exponent-vector bitmasks, and its output keeps
-them: each new generator is a :class:`SignedMonomial` holding its mask,
-and the basis change is those masks stacked as rows.
+The reduction runs on exponent-vector bitmasks, and its output is
+them: a :class:`Decomposition` records each new generator as its mask
+and its square, and the basis change is those masks stacked as rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,63 +28,38 @@ from .presentation import AlgebraPresentation, SignedMonomial
 MAX_M = 2048
 
 
-class Central(NamedTuple):
-    element: SignedMonomial
-    square: int
-
-
-class HyperbolicPair(NamedTuple):
-    first: SignedMonomial
-    first_square: int
-    second: SignedMonomial
-    second_square: int
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """Result of the symplectic reduction of a presentation.
 
-    The new generators are ordered centrals first, then the pairs
-    interleaved ``(first_1, second_1, first_2, ...)``;
-    :attr:`basis_change` stacks their exponent masks as rows in that
-    order.  It is invertible over GF(2), so the new monomials generate
-    the whole algebra.
+    ``masks[i]`` is the exponent mask of new generator ``g_i`` (the
+    monomial of sign +1 with that mask) and ``squares[i]`` its square.
+    Both have length m, in one order: the ``r`` centrals first, then the
+    ``s`` hyperbolic pairs interleaved, pair ``t`` being
+    ``(g_{r+2t}, g_{r+2t+1})``.  :attr:`basis_change` stacks the masks as
+    rows in that order.  It is invertible over GF(2), so the new
+    monomials generate the whole algebra.
     """
 
     presentation: AlgebraPresentation
-    centrals: tuple[Central, ...]
-    pairs: tuple[HyperbolicPair, ...]
-
-    @property
-    def r(self) -> int:
-        return len(self.centrals)
+    r: int
+    masks: tuple[int, ...]
+    squares: tuple[int, ...]
 
     @property
     def s(self) -> int:
-        return len(self.pairs)
+        return (len(self.masks) - self.r) // 2
 
     @property
     def new_generators(self) -> tuple[SignedMonomial, ...]:
         """New generators in basis_change row order."""
-        out: list[SignedMonomial] = [c.element for c in self.centrals]
-        for p in self.pairs:
-            out.append(p.first)
-            out.append(p.second)
-        return tuple(out)
+        m = self.presentation.m
+        return tuple(SignedMonomial(1, g, m) for g in self.masks)
 
     @property
     def basis_change(self) -> Gf2Matrix:
         """The new generators' exponent masks as the rows of an m x m matrix."""
-        masks = tuple(g.mask for g in self.new_generators)
-        return Gf2Matrix(len(masks), self.presentation.m, masks)
-
-    @property
-    def new_generator_squares(self) -> tuple[int, ...]:
-        out: list[int] = [c.square for c in self.centrals]
-        for p in self.pairs:
-            out.append(p.first_square)
-            out.append(p.second_square)
-        return tuple(out)
+        return Gf2Matrix(len(self.masks), self.presentation.m, self.masks)
 
     def normal_presentation(self) -> AlgebraPresentation:
         """The presentation satisfied by the new generators.
@@ -95,7 +69,7 @@ class Decomposition:
         ``(r + 2i, r + 2i + 1)``.
         """
         anti = [(self.r + 2 * i, self.r + 2 * i + 1) for i in range(self.s)]
-        return AlgebraPresentation(self.new_generator_squares, anti)
+        return AlgebraPresentation(self.squares, anti)
 
     def validate(self) -> None:
         """Re-check every structural invariant; raises ``ValueError``.
@@ -115,38 +89,45 @@ class Decomposition:
         Q is exact at every m: no float64 sum is formed, so no 2**53 bound
         applies, and the popcounts are of single 64-bit words.
 
-        The checks run in order: r + 2s = m, then the GF(2) rank of the
-        basis change, then each generator in row order (its sign, then
-        its square), then the commutation pattern, which must be exactly
-        the hyperbolic pairs; the first failing pair (i, j), i < j, is
-        named in row-major order.
+        Once Q + Q^T is the hyperbolic pattern, only the central rows of G
+        need an elimination for invertibility.  Let sum_i c_i g_i = 0 be a
+        dependency of the rows.  The form B(x, y) = x^T (M + M^T) y is
+        bilinear, and B(g_i, g_j) = (Q + Q^T)[i, j], so pairing the
+        dependency with v_t = g_{r+2t+1} leaves only c_{r+2t} (u_t is the
+        one row that v_t pairs with), and pairing it with u_t leaves only
+        c_{r+2t+1}: both are 0.  So G is invertible exactly when its r
+        central rows are independent.
+
+        The checks run in order: the record's shape (m masks below 2**m,
+        m squares, 0 <= r <= m with m - r even), then each square in row
+        order, then the commutation pattern, which must be exactly the
+        hyperbolic pairs (the first failing pair (i, j), i < j, is named
+        in row-major order), then the GF(2) rank of the central rows.
         """
         P = self.presentation
         m = P.m
-        if self.r + 2 * self.s != m:
-            raise ValueError(f"r + 2s = {self.r + 2 * self.s} differs from m = {m}")
-        basis_change = self.basis_change
-        if not basis_change.is_invertible():
-            raise ValueError("basis_change is singular over GF(2)")
-        masks = basis_change.bits
+        masks, r = self.masks, self.r
+        if len(masks) != m:
+            raise ValueError(f"{len(masks)} masks recorded for m = {m} generators")
+        if len(self.squares) != m:
+            raise ValueError(f"{len(self.squares)} squares recorded for m = {m} generators")
+        if not 0 <= r <= m or (m - r) % 2:
+            raise ValueError(f"r = {r} leaves no whole pairs among m = {m} generators")
+        if min(masks) < 0 or max(masks) >> m:
+            raise ValueError(f"a recorded mask is out of range for m = {m}")
         kneg = P._kneg
         M = [row | (kneg & 1 << i) for i, row in enumerate(P._delta_gt)]
         # C = M G^T, then G C: the rows of C^T are the columns of C
         Q = gram_parity(masks, row_masks(gram_parity(M, masks, m).T), m)
-        bad_sign = np.array([g.sign != 1 for g in self.new_generators])
-        squares = np.where(Q.diagonal(), -1, 1)
-        bad = bad_sign | (np.array(self.new_generator_squares) != squares)
+        bad = np.array(self.squares) != np.where(Q.diagonal(), -1, 1)
         if bad.any():
-            row = int(np.argmax(bad))
-            if bad_sign[row]:
-                raise ValueError("new generators must carry sign +1")
-            raise ValueError(f"recorded square of generator {row} is wrong")
+            raise ValueError(f"recorded square of generator {int(np.argmax(bad))} is wrong")
         # anti is symmetric with a zero diagonal, so it is the hyperbolic
         # pattern when its superdiagonal is and it has no other set cell
         anti = Q ^ Q.T
         pattern = np.zeros(m - 1, dtype=np.uint8)
-        pattern[self.r::2] = 1
-        if np.count_nonzero(anti) != 2 * self.s or np.any(anti.diagonal(1) != pattern):
+        pattern[r::2] = 1
+        if np.count_nonzero(anti) != m - r or np.any(anti.diagonal(1) != pattern):
             wrong = np.triu(anti, 1)
             wrong[np.arange(m - 1), np.arange(1, m)] ^= pattern
             i, j = divmod(int(np.argmax(wrong)), m)
@@ -154,6 +135,8 @@ class Decomposition:
             raise ValueError(
                 f"generators {i}, {j} have commutation sign {got}, expected {-got}"
             )
+        if Gf2Matrix(r, m, masks[:r]).rank() != r:
+            raise ValueError("basis_change is singular over GF(2)")
 
 
 def form_matrix(P: AlgebraPresentation) -> Gf2Matrix:
@@ -167,13 +150,13 @@ def symplectic_reduce(frows: tuple[int, ...], m: int) -> tuple[list[int], list[t
     """Core Gram-Schmidt pass over exponent-vector bitmasks.
 
     ``frows`` are the row bitmasks of a symmetric GF(2) matrix, as
-    :func:`form_matrix` and the solver's rank-2 update both give; the
-    symmetry lets ``B(w, v)`` be read as ``(v^T F) w``, one row sum per
-    pivot vector.  Pivots are always the lowest-index remaining vector,
-    and its partner the lowest-index remaining vector pairing with it, so
-    the output is deterministic.  After extracting a pair ``(u, v)`` every
-    remaining ``w`` is replaced by ``w + B(w,v)u + B(w,u)v``, which
-    removes its components against the pair and keeps the span intact.
+    :func:`form_matrix` gives; the symmetry lets ``B(w, v)`` be read as
+    ``(v^T F) w``, one row sum per pivot vector.  Pivots are always the
+    lowest-index remaining vector, and its partner the lowest-index
+    remaining vector pairing with it, so the output is deterministic.
+    After extracting a pair ``(u, v)`` every remaining ``w`` is replaced
+    by ``w + B(w,v)u + B(w,u)v``, which removes its components against
+    the pair and keeps the span intact.
     """
     remaining = [1 << i for i in range(m)]
     centrals: list[int] = []
@@ -213,20 +196,9 @@ def decompose(P: AlgebraPresentation) -> Decomposition:
     if P.m > MAX_M:
         raise CapExceeded(f"m = {P.m} generators exceeds the cap {MAX_M}")
     frows = tuple(form_matrix(P).bits)
-    central_masks, pair_masks = symplectic_reduce(frows, P.m)
-    m = P.m
-    centrals = tuple(
-        Central(SignedMonomial(1, c, m), P.square_sign_mask(c)) for c in central_masks
-    )
-    pairs = tuple(
-        HyperbolicPair(
-            SignedMonomial(1, g, m),
-            P.square_sign_mask(g),
-            SignedMonomial(1, d, m),
-            P.square_sign_mask(d),
-        )
-        for g, d in pair_masks
-    )
-    out = Decomposition(P, centrals, pairs)
+    centrals, pairs = symplectic_reduce(frows, P.m)
+    masks = (*centrals, *(g for pair in pairs for g in pair))
+    squares = tuple(P.square_sign_mask(g) for g in masks)
+    out = Decomposition(P, len(centrals), masks, squares)
     out.validate()
     return out

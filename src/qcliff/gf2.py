@@ -120,9 +120,6 @@ class Gf2Matrix:
             rows = [r for r in rows if r]
         return rank
 
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
-
     def inverse(self) -> "Gf2Matrix":
         """Gauss-Jordan inverse; raises ``ValueError`` if singular."""
         if self.rows != self.cols:

@@ -151,8 +151,7 @@ class Representation:
 
 def character_length(D: Decomposition) -> int:
     """Number of free central sign choices for irreps of ``D``."""
-    has_complex = any(c.square == -1 for c in D.centrals)
-    return D.r - 1 if has_complex else D.r
+    return D.r - 1 if -1 in D.squares[:D.r] else D.r
 
 
 def zero_character(D: Decomposition) -> tuple[int, ...]:
@@ -181,18 +180,14 @@ def _assemble(D: Decomposition, character: tuple[int, ...]) -> Representation:
     relations are left to the caller.
     """
     wt = classify(D)
-    r = D.r
-    neg_centrals = [i for i, c in enumerate(D.centrals) if c.square == -1]
-    first_neg = neg_centrals[0] if neg_centrals else None
-
-    quat_ids = [
-        t for t, p in enumerate(D.pairs)
-        if p.first_square == -1 and p.second_square == -1
-    ]
-    other_ids = [t for t in range(D.s) if t not in quat_ids]
+    r, squares = D.r, D.squares
+    first_neg = squares.index(-1) if -1 in squares[:r] else None
 
     def pair_indices(t: int) -> tuple[int, int]:
         return r + 2 * t, r + 2 * t + 1
+
+    quat_ids = [t for t in range(D.s) if squares[r + 2 * t] == squares[r + 2 * t + 1] == -1]
+    other_ids = [t for t in range(D.s) if t not in quat_ids]
 
     blocks: list[dict[int, MonomialMatrix]] = []
     for u in range(len(quat_ids) // 2):
@@ -208,9 +203,8 @@ def _assemble(D: Decomposition, character: tuple[int, ...]) -> Representation:
         else:
             blocks.append(dict(zip(pair_indices(leftover), PAIR_BLOCKS[(-1, -1)])))
     for t in other_ids:
-        pair = D.pairs[t]
-        squares = (pair.first_square, pair.second_square)
-        blocks.append(dict(zip(pair_indices(t), PAIR_BLOCKS[squares])))
+        u, v = pair_indices(t)
+        blocks.append(dict(zip((u, v), PAIR_BLOCKS[squares[u], squares[v]])))
     if first_neg is not None and consumed_central is None:
         blocks.append({first_neg: C_MINUS})
     blocks.sort(key=min)
@@ -242,7 +236,7 @@ def _assemble(D: Decomposition, character: tuple[int, ...]) -> Representation:
         if i in covered:
             continue
         sign[i] = -1 if character[k] else 1
-        if D.centrals[i].square == -1:
+        if squares[i] == -1:
             perm[i], signs[i] = perm[first_neg], signs[first_neg]
     return Representation(total, sign, perm, signs, sizes, character, D,
                           D.normal_presentation())

@@ -253,22 +253,21 @@ def monomial_element_to_dict(x: SignedMonomial) -> dict:
 
 
 def decomposition_to_dict(D: Decomposition) -> dict:
+    gens = [monomial_element_to_dict(g) for g in D.new_generators]
+    r, squares = D.r, D.squares
     return {
         "presentation": presentation_to_dict(D.presentation),
-        "r": D.r,
+        "r": r,
         "s": D.s,
-        "centrals": [
-            {"element": monomial_element_to_dict(c.element), "square": c.square}
-            for c in D.centrals
-        ],
+        "centrals": [{"element": gens[i], "square": squares[i]} for i in range(r)],
         "pairs": [
             {
-                "first": monomial_element_to_dict(p.first),
-                "first_square": p.first_square,
-                "second": monomial_element_to_dict(p.second),
-                "second_square": p.second_square,
+                "first": gens[k],
+                "first_square": squares[k],
+                "second": gens[k + 1],
+                "second_square": squares[k + 1],
             }
-            for p in D.pairs
+            for k in range(r, len(gens), 2)
         ],
         "basis_change": D.basis_change.to_rows(),
     }
@@ -317,6 +316,9 @@ def lambda_from_dict(obj: dict) -> LambdaPattern:
     n = obj["n"]
     if not _is_int(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
+    # solve decomposes an n-generator presentation, so the same cap holds
+    if n > MAX_M:
+        raise CapExceeded(f"n = {n} matrices exceeds the cap {MAX_M}")
     entries = _list(obj["entries"], "entries")
     # every pair must be listed, so n is bounded by the file before any table
     if n * (n - 1) // 2 > len(entries):

@@ -143,8 +143,9 @@ def _lex_first(E: AlgebraPresentation, basis: Sequence[int], h: Sequence[int],
 
 
 def _minimal_kappa(lam: LambdaPattern) -> tuple[tuple[int, ...], int, Optional[Decomposition]]:
-    """The least minimal-order sign assignment, its order b and, when the
-    sweep has made it, the decomposition of ``presentation_from(lam, kappa)``.
+    """The least minimal-order sign assignment, its order b and, when it
+    is ``kappa = +1`` (the fast exit), the decomposition of
+    ``presentation_from(lam, kappa)``, which that exit has already made.
 
     Candidates have ``kappa_0 = +1`` and are ordered by the bits
     ``k_i = [kappa_i == -1]``, ``k_1`` most significant.  Write q and B
@@ -191,15 +192,16 @@ def _minimal_kappa(lam: LambdaPattern) -> tuple[tuple[int, ...], int, Optional[D
     # one classification is far cheaper than _lex_first at large n.
     if wt.irrep_order != order_l // 2:
         return (1,) * n, order_l, plus
-    basis = [m for p in D.pairs for m in (p.first.mask, p.second.mask)]
+    basis = D.masks[D.r:]
     neg0 = [1 if rows[0][i] == -1 else 0 for i in range(1, n)]
     pieces = [(neg0, 0 if wt.case is StructureCase.REAL else None)]
     if wt.case is StructureCase.COMPLEX:
         # row i of the inverse basis change holds x_i's coordinates in the
         # new generators, centrals first
-        minus = sum(1 << j for j, c in enumerate(D.centrals) if c.square == -1)
+        r, squares = D.r, D.squares
+        minus = sum(1 << j for j in range(r) if squares[j] == -1)
         tau = [(row & minus).bit_count() & 1 for row in D.basis_change.inverse().bits]
-        quat = sum(1 for p in D.pairs if p.first_square == p.second_square == -1)
+        quat = sum(1 for a, b in zip(squares[r::2], squares[r + 1::2]) if a == b == -1)
         pieces.append(([t ^ s for t, s in zip(neg0, tau)], quat % 2))
     k = min(_lex_first(even, basis, h, a) for h, a in pieces)
     return (1,) + tuple(-1 if bit else 1 for bit in k), wt.irrep_order, None

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 from .decompose import Decomposition, decompose
 from .presentation import AlgebraPresentation
@@ -36,19 +36,19 @@ class StructureCase(enum.Enum):
         return 2**s if self is StructureCase.REAL else 2 ** (s + 1)
 
 
-def wedderburn_case(
-    central_squares: Iterable[int], pair_squares: Iterable[tuple[int, int]]
-) -> StructureCase:
-    """The R/C/H rule on the squares of a decomposition's new generators.
+def wedderburn_case(r: int, squares: Sequence[int]) -> StructureCase:
+    """The R/C/H rule on the squares of a decomposition's new generators,
+    in :class:`~qcliff.decompose.Decomposition` order (``r`` centrals,
+    then the pairs).
 
     A central generator squaring to -1 forces the complex case; otherwise
     an odd number of quaternionic pairs (both squares -1) leaves one
     quaternion factor standing and an even number cancels to the real
     case.
     """
-    if any(q == -1 for q in central_squares):
+    if -1 in squares[:r]:
         return StructureCase.COMPLEX
-    quat_pairs = sum(1 for a, b in pair_squares if a == -1 and b == -1)
+    quat_pairs = sum(1 for a, b in zip(squares[r::2], squares[r + 1::2]) if a == b == -1)
     return StructureCase.QUATERNION if quat_pairs % 2 else StructureCase.REAL
 
 
@@ -104,10 +104,7 @@ def compact_label(label: str) -> str:
 def classify(D: Decomposition) -> WedderburnType:
     """Wedderburn type of a decomposed algebra (see :func:`wedderburn_case`)."""
     r, s = D.r, D.s
-    case = wedderburn_case(
-        (c.square for c in D.centrals),
-        ((p.first_square, p.second_square) for p in D.pairs),
-    )
+    case = wedderburn_case(r, D.squares)
     num = 2 ** (r - 1) if case is StructureCase.COMPLEX else 2**r
     size = 2 ** (s - 1) if case is StructureCase.QUATERNION else 2**s
     wt = WedderburnType(

@@ -12,6 +12,21 @@ from qcliff import complete
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+# Presentations whose ``decompose`` output is pinned byte for byte, in both
+# formats, by the fixtures ``decompose_<name>.json`` / ``.txt``.
+PINNED_DECOMPOSITIONS = [
+    ("quaternion", {"m": 2, "kappa": [-1, -1], "delta": [[1, 2, 1]]}),
+    # helpers.random_presentation(np.random.default_rng(2), 5): r = 1,
+    # s = 2, three new generators that are not original generators
+    ("random5", {"m": 5, "kappa": [1, -1, -1, -1, -1], "delta": [
+        [1, 2, 1], [2, 3, 1], [2, 4, 1], [2, 5, 1], [3, 4, 1], [4, 5, 1],
+    ]}),
+    ("clifford_2_3", {"m": 5, "kappa": [1, 1, -1, -1, -1], "delta": [
+        [i, j, 1] for i in range(1, 6) for j in range(i + 1, 6)
+    ]}),
+]
+
+
 def write_json(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -39,6 +54,14 @@ class TestClassify:
         path = write_json(tmp_path, "big.json", {"m": m, "kappa": [1] * m, "delta": [[2, 1, 1]]})
         assert main([command, path]) == 2
         assert f"m = {m} generators exceeds the cap {MAX_M}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [MAX_M + 1, 10**9])
+    def test_more_than_max_m_matrices_exit_2_at_once(self, tmp_path, capsys, n):
+        # one entry cannot cover the pairs: a reader would refuse it, so
+        # the cap comes first
+        path = write_json(tmp_path, "big.json", {"n": n, "entries": [[2, 1, 1]]})
+        assert main(["solve", path]) == 2
+        assert f"n = {n} matrices exceeds the cap {MAX_M}" in capsys.readouterr().err
 
     def test_single_plus_generator(self, tmp_path, capsys):
         path = write_json(tmp_path, "c1.json", {"m": 1, "kappa": [1]})
@@ -73,21 +96,18 @@ class TestDecomposeAndRepresent:
         out = json.loads(capsys.readouterr().out)
         assert out["r"] == 0 and out["s"] == 1
 
-    @pytest.mark.parametrize("name, presentation", [
-        ("quaternion", {"m": 2, "kappa": [-1, -1], "delta": [[1, 2, 1]]}),
-        # helpers.random_presentation(np.random.default_rng(2), 5): r = 1,
-        # s = 2, three new generators that are not original generators
-        ("random5", {"m": 5, "kappa": [1, -1, -1, -1, -1], "delta": [
-            [1, 2, 1], [2, 3, 1], [2, 4, 1], [2, 5, 1], [3, 4, 1], [4, 5, 1],
-        ]}),
-        ("clifford_2_3", {"m": 5, "kappa": [1, 1, -1, -1, -1], "delta": [
-            [i, j, 1] for i in range(1, 6) for j in range(i + 1, 6)
-        ]}),
-    ])
+    @pytest.mark.parametrize("name, presentation", PINNED_DECOMPOSITIONS)
     def test_decompose_json_bytes_are_pinned(self, tmp_path, capsys, name, presentation):
         path = write_json(tmp_path, f"{name}.json", presentation)
         assert main(["decompose", path, "--format", "json"]) == 0
         want = (FIXTURES / f"decompose_{name}.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("name, presentation", PINNED_DECOMPOSITIONS)
+    def test_decompose_text_bytes_are_pinned(self, tmp_path, capsys, name, presentation):
+        path = write_json(tmp_path, f"{name}.json", presentation)
+        assert main(["decompose", path]) == 0
+        want = (FIXTURES / f"decompose_{name}.txt").read_text(encoding="utf-8")
         assert capsys.readouterr().out == want
 
     def test_represent_default_character(self, tmp_path, capsys):

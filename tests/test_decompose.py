@@ -1,12 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qcliff import AlgebraPresentation, SignedMonomial
 from qcliff.decompose import (
     MAX_M,
-    Central,
     Decomposition,
-    HyperbolicPair,
     decompose,
     form_matrix,
     symplectic_reduce,
@@ -28,33 +28,21 @@ from helpers import (
 
 
 def reference_validate(D):
-    """``Decomposition.validate`` one pair at a time.
+    """``Decomposition.validate`` one pair at a time, on a well-formed record.
 
     Squares come from ``square_sign``, and pair (i, j) anticommutes when
     ``g_i^T D g_j + g_j^T D g_i`` is odd, ``D`` the presentation's upper
-    table, from the row masks ``c_i = g_i^T D``.
+    table, from the row masks ``c_i = g_i^T D``.  Invertibility is the
+    rank of the whole basis change, checked last as ``validate`` does.
     """
-    P = D.presentation
-    if D.r + 2 * D.s != P.m:
-        raise ValueError(f"r + 2s = {D.r + 2 * D.s} differs from m = {P.m}")
-    if D.basis_change.rows != P.m or D.basis_change.cols != P.m:
-        raise ValueError("basis_change has the wrong shape")
-    if not D.basis_change.is_invertible():
-        raise ValueError("basis_change is singular over GF(2)")
-    gens = D.new_generators
-    squares = D.new_generator_squares
-    for row, g in enumerate(gens):
-        if D.basis_change.row_mask(row) != g.mask:
-            raise ValueError(f"basis_change row {row} does not match generator")
-        if g.sign != 1:
-            raise ValueError("new generators must carry sign +1")
-        if P.square_sign(g) != squares[row]:
+    P, masks = D.presentation, D.masks
+    for row, g in enumerate(D.new_generators):
+        if P.square_sign(g) != D.squares[row]:
             raise ValueError(f"recorded square of generator {row} is wrong")
     anti = set(D.normal_presentation().anticommuting_pairs())
-    masks = [g.mask for g in gens]
     c = [xor_rows(P._delta_gt, g) for g in masks]
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
+    for i in range(P.m):
+        for j in range(i + 1, P.m):
             want = -1 if (i, j) in anti else 1
             odd = ((c[i] & masks[j]).bit_count() + (c[j] & masks[i]).bit_count()) & 1
             got = -1 if odd else 1
@@ -62,6 +50,8 @@ def reference_validate(D):
                 raise ValueError(
                     f"generators {i}, {j} have commutation sign {got}, expected {want}"
                 )
+    if D.basis_change.rank() != P.m:
+        raise ValueError("basis_change is singular over GF(2)")
 
 
 def reference_reduce(frows, m):
@@ -91,49 +81,67 @@ def reference_reduce(frows, m):
     return centrals, pairs
 
 
-def rebuild(D, masks, squares):
-    """``D`` with its generators (in basis_change row order) replaced."""
-    P, r = D.presentation, D.r
-    mono = [SignedMonomial(1, g, P.m) for g in masks]
-    centrals = tuple(Central(mono[i], squares[i]) for i in range(r))
-    pairs = tuple(
-        HyperbolicPair(mono[k], squares[k], mono[k + 1], squares[k + 1])
-        for k in range(r, P.m, 2)
-    )
-    return Decomposition(P, centrals, pairs)
+def replaced(D, k, mask):
+    """``D`` with new generator ``k`` replaced by ``mask``, its square
+    recomputed so that only the basis or the pattern can be wrong."""
+    P = D.presentation
+    masks, squares = list(D.masks), list(D.squares)
+    masks[k], squares[k] = mask, P.square_sign_mask(mask)
+    return Decomposition(P, D.r, tuple(masks), tuple(squares))
+
+
+def dependent_central(rng, D):
+    """``D`` with one central replaced by the xor of a seeded subset of the
+    others (0 for the empty one): every commutation and square still holds,
+    and only the rank fails."""
+    k = int(rng.integers(D.r))
+    subset = [i for i in range(D.r) if i != k and rng.integers(2)]
+    mask = 0
+    for i in subset:
+        mask ^= D.masks[i]
+    return replaced(D, k, mask)
+
+
+def duplicated_pair_row(rng, D):
+    """``D`` with a seeded pair generator copied over another generator:
+    the copy pairs with the original's partner, so the pattern fails."""
+    src = D.r + int(rng.integers(2 * D.s))
+    dst = int(rng.choice([k for k in range(D.presentation.m) if k != src]))
+    return replaced(D, dst, D.masks[src])
 
 
 def mutants(rng, D, pair_swaps=None):
     """Seeded corruptions: a flipped basis bit with its square recomputed,
-    two swapped generators, a swapped pair, and a wrong recorded square.
+    two swapped generators, a swapped pair, a wrong recorded square, a
+    central that is the xor of other centrals, and a duplicated pair row.
 
     Every pair is swapped in turn, or ``pair_swaps`` seeded ones.
     """
     P, m = D.presentation, D.presentation.m
-    masks, squares = list(D.basis_change.bits), list(D.new_generator_squares)
+    masks, squares = list(D.masks), list(D.squares)
     for _ in range(4):
         k, bit = int(rng.integers(m)), int(rng.integers(m))
-        g = list(masks)
-        g[k] ^= 1 << bit
-        sq = list(squares)
-        sq[k] = P.square_sign_mask(g[k])
-        yield rebuild(D, g, sq)
+        yield replaced(D, k, masks[k] ^ 1 << bit)
     if m > 1:
         for _ in range(3):
             i, j = (int(x) for x in rng.choice(m, size=2, replace=False))
             g, sq = list(masks), list(squares)
             g[i], g[j], sq[i], sq[j] = g[j], g[i], sq[j], sq[i]
-            yield rebuild(D, g, sq)
+            yield Decomposition(P, D.r, tuple(g), tuple(sq))
     swapped = range(D.s) if pair_swaps is None else rng.choice(D.s, pair_swaps, replace=False)
     for t in swapped:
         k = D.r + 2 * int(t)
         g, sq = list(masks), list(squares)
         g[k], g[k + 1], sq[k], sq[k + 1] = g[k + 1], g[k], sq[k + 1], sq[k]
-        yield rebuild(D, g, sq)
+        yield Decomposition(P, D.r, tuple(g), tuple(sq))
     k = int(rng.integers(m))
     sq = list(squares)
     sq[k] = -sq[k]
-    yield rebuild(D, masks, sq)
+    yield Decomposition(P, D.r, D.masks, tuple(sq))
+    if D.r:
+        yield dependent_central(rng, D)
+    if D.s:
+        yield duplicated_pair_row(rng, D)
 
 
 def verdict(check, D):
@@ -167,14 +175,14 @@ class TestDecompose:
     def test_quaternions_are_one_pair(self):
         D = decompose(quaternion_presentation())
         assert (D.r, D.s) == (0, 1)
-        pair = D.pairs[0]
-        assert pair.first.exps == (1, 0) and pair.second.exps == (0, 1)
-        assert (pair.first_square, pair.second_square) == (-1, -1)
+        first, second = D.new_generators
+        assert first.exps == (1, 0) and second.exps == (0, 1)
+        assert D.squares == (-1, -1)
 
     def test_commuting_generators_are_all_central(self):
         D = decompose(AlgebraPresentation((1, -1)))
         assert (D.r, D.s) == (2, 0)
-        assert [(c.element.exps, c.square) for c in D.centrals] == [
+        assert [(g.exps, q) for g, q in zip(D.new_generators, D.squares)] == [
             ((1, 0), 1),
             ((0, 1), -1),
         ]
@@ -183,21 +191,20 @@ class TestDecompose:
         P = clifford_presentation(3, 0)
         D = decompose(P)
         assert (D.r, D.s) == (1, 1)
-        beta = D.centrals[0]
-        assert beta.element.exps == (1, 1, 1)
-        assert beta.square == -1
+        beta, first, second = D.new_generators
+        assert beta.exps == (1, 1, 1)
+        assert D.squares[0] == -1
         # independent oracle: the central element commutes with every
         # basis monomial under stepwise rewriting
         for bits in range(1 << P.m):
             z = SignedMonomial(1, bits, P.m)
-            left = word_mul(P, word_of(beta.element), word_of(z))
-            right = word_mul(P, word_of(z), word_of(beta.element))
+            left = word_mul(P, word_of(beta), word_of(z))
+            right = word_mul(P, word_of(z), word_of(beta))
             assert left == right
         # and its square matches the oracle
         sign, word = word_mul(P, [0, 1, 2], [0, 1, 2])
-        assert (sign, word) == (beta.square, ())
-        for g, square in ((D.pairs[0].first, D.pairs[0].first_square),
-                          (D.pairs[0].second, D.pairs[0].second_square)):
+        assert (sign, word) == (D.squares[0], ())
+        for g, square in ((first, D.squares[1]), (second, D.squares[2])):
             sign, word = word_mul(P, word_of(g), word_of(g))
             assert (sign, word) == (square, ())
 
@@ -205,7 +212,7 @@ class TestDecompose:
         P = clifford_presentation(2, 2)
         a, b = decompose(P), decompose(P)
         assert a.basis_change == b.basis_change
-        assert a.centrals == b.centrals and a.pairs == b.pairs
+        assert (a.r, a.masks, a.squares) == (b.r, b.masks, b.squares)
 
     def test_exhaustive_small_presentations_validate(self):
         for m in range(1, 5):
@@ -258,11 +265,47 @@ class TestValidate:
 
     def test_wrong_pair_is_named(self):
         D = decompose(clifford_presentation(2, 2))
-        masks, squares = list(D.basis_change.bits), list(D.new_generator_squares)
+        masks, squares = list(D.masks), list(D.squares)
         masks[1], masks[2], squares[1], squares[2] = masks[2], masks[1], squares[2], squares[1]
         message = "generators 0, 1 have commutation sign 1, expected -1"
         with pytest.raises(ValueError, match=message):
-            rebuild(D, masks, squares).validate()
+            Decomposition(D.presentation, D.r, tuple(masks), tuple(squares)).validate()
+
+    def test_dependent_central_is_singular_and_duplicated_pair_row_breaks_the_pattern(self):
+        rng = np.random.default_rng(53)
+        singular = pattern = 0
+        for m in range(2, 13):
+            for _ in range(8):
+                D = decompose(random_presentation(rng, m))
+                if D.r:
+                    bad = dependent_central(rng, D)
+                    got = verdict(Decomposition.validate, bad)
+                    assert got == "basis_change is singular over GF(2)"
+                    assert got == verdict(reference_validate, bad)
+                    singular += 1
+                if D.s:
+                    bad = duplicated_pair_row(rng, D)
+                    got = verdict(Decomposition.validate, bad)
+                    assert got.startswith("generators ")
+                    assert got == verdict(reference_validate, bad)
+                    pattern += 1
+        assert singular > 10 and pattern > 10
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("masks", (0b10011, 0b1100, 0b1111, 0b110), "4 masks recorded for m = 5"),
+        ("squares", (1, 1, 1, 1, 1, 1), "6 squares recorded for m = 5"),
+        ("r", -1, "r = -1 leaves no whole pairs among m = 5"),
+        ("r", 7, "r = 7 leaves no whole pairs among m = 5"),
+        ("r", 2, "r = 2 leaves no whole pairs among m = 5"),
+        ("masks", (0b11111, 0b1, 0b10, 0b100, 0b1000 | 1 << 5), "out of range for m = 5"),
+        ("masks", (0b11111, 0b1, 0b10, 0b100, -1), "out of range for m = 5"),
+    ])
+    def test_malformed_record_is_refused(self, field, value, message):
+        D = decompose(clifford_presentation(2, 3))
+        assert (D.r, D.s) == (1, 2)
+        bad = dataclasses.replace(D, **{field: value})
+        with pytest.raises(ValueError, match=message):
+            bad.validate()
 
 
 class TestCap:

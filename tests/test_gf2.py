@@ -53,7 +53,7 @@ def test_inverse_round_trip():
     while found < 50:
         n = int(rng.integers(1, 9))
         mat = random_gf2(rng, n, n)
-        if not mat.is_invertible():
+        if mat.rank() != n:
             continue
         found += 1
         inv = mat.inverse()

@@ -216,8 +216,9 @@ def swept_decompositions(rng):
 def fused_blocks(D):
     """Whether the irreps of ``D`` use the fused CH block, a reused complex
     central and the fused HH block."""
-    neg = sum(c.square == -1 for c in D.centrals)
-    quat = sum(p.first_square == p.second_square == -1 for p in D.pairs)
+    r, squares = D.r, D.squares
+    neg = sum(q == -1 for q in squares[:r])
+    quat = sum(a == b == -1 for a, b in zip(squares[r::2], squares[r + 1::2]))
     return np.array([neg > 0 and quat % 2 == 1, neg > 1, quat >= 2])
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from qcliff import complete
 from qcliff.cli import main
+from qcliff.decompose import MAX_M
 from qcliff.hadamard import TransversalSpec, lambda_of_transversal, transversal
 from qcliff.serialize import bundle_to_dict, lambda_to_dict
 from qcliff.solve import _minimal_kappa
@@ -75,10 +76,11 @@ def test_ragged_sign_rows_fail_with_code_1(tmp_path, capsys, cut):
 
 
 def test_lambda_order_is_bounded_by_its_entries(tmp_path, capsys):
-    # a table for n = 10**9 would be allocated before the missing pairs showed
-    path = write(tmp_path / "big.json", {"n": 10**9, "entries": [[1, 2, 1]]})
+    # an n x n table would be allocated before the missing pairs showed;
+    # past MAX_M the cap refuses n first (test_cli.py)
+    path = write(tmp_path / "big.json", {"n": MAX_M, "entries": [[1, 2, 1]]})
     assert main(["solve", path]) == 1
-    assert "cannot cover the pairs of n=1000000000" in capsys.readouterr().err
+    assert f"cannot cover the pairs of n={MAX_M}" in capsys.readouterr().err
 
 
 def _paths(obj, prefix=()):
