@@ -9,7 +9,9 @@ JSON output, on stdout or in a ``hadamard --output`` bundle, is byte for
 byte ``json.dumps(obj, indent=2)`` plus a newline (see :func:`_write_json`).
 Integer arrays of at least 512 entries (the ``perm`` / ``signs`` arrays of
 large monomial matrices) are formatted from numpy, not from Python lists;
-the bytes are the same.
+a perm or sign array is gathered from one table of digit rows per output,
+and the signs of a representation's images are joined from the texts of
+their Kronecker blocks.  The bytes are the same.
 
 Exit codes: 0 success (all verifications passing), 1 usage or parse
 error, 2 resource cap exceeded, 3 verification failure.
@@ -43,6 +45,7 @@ from .represent import character_length, minimal_images
 from .serialize import (
     _bundle_tree,
     _IntArray,
+    _KronRow,
     _representation_tree,
     _solve_result_tree,
     bundle_from_dict,
@@ -93,30 +96,27 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _int_array_text(arr: np.ndarray, indent: str) -> str:
-    """The text ``json.dumps(arr.tolist(), indent=2)`` gives at ``indent``,
-    without its brackets and their line breaks.
+def _digit_rows(values: np.ndarray, sep: bytes) -> np.ndarray:
+    """Row ``i`` of the result, one fixed-width void item, is ``values[i]``
+    as ``json.dumps`` writes it, followed by ``sep``.
 
-    Entry ``i`` is row ``i`` of a uint8 block: its characters right-aligned
-    in a zero-filled field as wide as the widest entry, then the separator
-    (none on the last row).  The digits come column by column from ``//``
-    by 10; a zero left of the leading digit is cleared, and the ``-`` of a
+    Each entry is right-aligned in a zero-filled field as wide as the
+    widest entry.  The digits come column by column from ``//`` by 10; a
+    zero left of the leading digit is cleared, and the ``-`` of a
     negative entry goes in the cleared cell next to it.  Dropping the zero
-    bytes leaves the text.
+    bytes of a row leaves its text.
     """
-    arr = np.asarray(arr, dtype=np.int64)
-    n = len(arr)
-    neg = arr < 0
+    n = len(values)
+    neg = values < 0
     signed = bool(neg.any())
     # abs(-2**63) wraps to -2**63, whose uint64 view is 2**63
-    mag = np.abs(arr).view(np.uint64)
+    mag = np.abs(values).view(np.uint64)
     top = int(mag.max())
     width = len(str(top)) + signed
     if top < 1 << 32:
         mag = mag.astype(np.uint32)  # divides faster
-    row = b"\0" * width + (",\n" + indent + "  ").encode()
+    row = b"\0" * width + sep
     block = np.frombuffer(bytearray(row * n), np.uint8).reshape(n, len(row))
-    block[-1, width:] = 0
     shown = np.ones(n, dtype=bool)  # the units digit always shows
     for col in range(width - 1, -1, -1):
         rest = mag // 10
@@ -129,25 +129,72 @@ def _int_array_text(arr: np.ndarray, indent: str) -> str:
                 digit += (lead & neg).view(np.uint8) * np.uint8(ord("-"))
         block[:, col] = digit
         mag = rest
-    return block.tobytes().replace(b"\0", b"").decode("ascii")
+    return block.view(np.dtype((np.void, len(row)))).ravel()
 
 
-def _encode(obj, indent: str, out: list[str]) -> None:
+def _int_array_text(arr: np.ndarray, indent: str, tables: dict) -> str:
+    """The text ``json.dumps(arr.tolist(), indent=2)`` gives at ``indent``,
+    without its brackets and their line breaks.
+
+    An array whose range ``max - min`` is below its length (every perm,
+    every sign array) is gathered from the digit rows of the whole range
+    ``[min, max]``.  Those rows are formed once per
+    :func:`_write_json` call and kept in ``tables`` under
+    ``(min, max, indent)``, so every perm of one order shares the rows of
+    ``0 .. order - 1``.  Any other array is formatted row by row itself.
+    """
+    arr = np.asarray(arr, dtype=np.int64)
+    sep = (",\n" + indent + "  ").encode()
+    lo, hi = int(arr.min()), int(arr.max())
+    if hi - lo < len(arr):
+        key = (lo, hi, indent)
+        if key not in tables:
+            tables[key] = _digit_rows(np.arange(hi - lo + 1) + lo, sep)
+        rows = tables[key].take(arr - lo if lo else arr)
+    else:
+        rows = _digit_rows(arr, sep)
+    text = rows.view(np.uint8)
+    text[-len(sep):] = 0  # no separator after the last entry
+    return text.tobytes().replace(b"\0", b"").decode("ascii")
+
+
+def _kron_sign_text(sign: int, blocks: Sequence[np.ndarray], indent: str) -> str:
+    """The text :func:`_int_array_text` gives the signs ``sign * (x)_t blocks[t]``
+    of a Kronecker product, the first block most significant.
+
+    The entries of a product over blocks ``t..`` are those over ``t+1..``
+    times each entry of block ``t`` in turn, so its text joins the text of
+    the ``+`` or the ``-`` product over ``t+1..`` once per entry.  Both
+    texts are built from the innermost block out; the outermost block
+    takes ``sign`` and builds the one text asked for.
+    """
+    sep = ",\n" + indent + "  "
+    plus, minus = "1", "-1"
+    for block in reversed(blocks[1:]):
+        up = block.tolist()
+        plus, minus = (sep.join([plus if s > 0 else minus for s in up]),
+                       sep.join([minus if s > 0 else plus for s in up]))
+    return sep.join([plus if s > 0 else minus for s in (sign * blocks[0]).tolist()])
+
+
+def _encode(obj, indent: str, out: list[str], tables: dict) -> None:
     """Append the text ``json.dumps`` gives ``obj`` at nesting ``indent``.
 
     ``json.dumps`` with ``indent`` runs the standard library's pure-Python
     encoder; this walk keeps its layout but formats the parts in C: keys
     and strings by the same escaper, and a list of plain ints by one
     ``repr``.  The ``perm`` / ``signs`` arrays, nearly all of the bytes,
-    come as :class:`~qcliff.serialize._IntArray`; one of at least
-    ``INT_ARRAY_KERNEL_MIN`` entries is formatted from numpy by
-    :func:`_int_array_text`, a shorter one as its list.  Either way the
-    bytes are those of the list.  Scalars other than str and int go
-    through ``json.dumps``, so floats read the same and a value it
-    refuses (a bare numpy array or integer too) raises the same
-    ``TypeError``.  Keys must be str (every command's are);
-    ``json.dumps`` would also convert number, bool and None keys, which
-    this refuses.
+    come as :class:`~qcliff.serialize._IntArray` or, for a
+    representation's images, as :class:`~qcliff.serialize._KronRow`.  One
+    of at least ``INT_ARRAY_KERNEL_MIN`` entries is formatted from numpy
+    by :func:`_int_array_text` (``tables`` holds its digit rows), the
+    signs of a ``_KronRow`` from their blocks by :func:`_kron_sign_text`;
+    a shorter one is written as its list.  Either way the bytes are those
+    of the list.  Scalars other than str and int go through
+    ``json.dumps``, so floats read the same and a value it refuses (a bare
+    numpy array or integer too) raises the same ``TypeError``.  Keys must
+    be str (every command's are); ``json.dumps`` would also convert
+    number, bool and None keys, which this refuses.
     """
     if isinstance(obj, str):
         out.append(_quote(obj))
@@ -161,7 +208,7 @@ def _encode(obj, indent: str, out: list[str]) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             out.append(sep + _quote(key) + ": ")
-            _encode(value, inner, out)
+            _encode(value, inner, out, tables)
             sep = ",\n" + inner
         out.append("\n" + indent + "}")
     elif isinstance(obj, (list, tuple)):
@@ -177,15 +224,18 @@ def _encode(obj, indent: str, out: list[str]) -> None:
         sep = "[\n" + inner
         for value in obj:
             out.append(sep)
-            _encode(value, inner, out)
+            _encode(value, inner, out, tables)
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
-    elif type(obj) is _IntArray:
-        if len(obj.array) < INT_ARRAY_KERNEL_MIN:
-            _encode(obj.array.tolist(), indent, out)
+    elif type(obj) in (_IntArray, _KronRow):
+        if len(obj) < INT_ARRAY_KERNEL_MIN:
+            _encode(obj.array.tolist(), indent, out, tables)
+            return
+        if type(obj) is _KronRow and obj.sign is not None:
+            text = _kron_sign_text(obj.sign, obj.blocks, indent)
         else:
-            out += ("[\n" + indent + "  ", _int_array_text(obj.array, indent),
-                    "\n" + indent + "]")
+            text = _int_array_text(obj.array, indent, tables)
+        out += ("[\n" + indent + "  ", text, "\n" + indent + "]")
     elif isinstance(obj, int) and not isinstance(obj, bool):
         out.append(int.__repr__(obj))
     else:
@@ -194,11 +244,17 @@ def _encode(obj, indent: str, out: list[str]) -> None:
 
 def _write_json(fh, obj: dict) -> None:
     """The one JSON format of every command: the bytes of
-    ``json.dumps(obj, indent=2)`` plus a final newline, in one write."""
+    ``json.dumps(obj, indent=2)`` plus a final newline.
+
+    Every piece is formatted before the first is written, so nothing is
+    written if formatting raises; the pieces then go to ``fh`` as they
+    are, with no joined copy.  The digit rows :func:`_int_array_text`
+    gathers from are formed once per call.
+    """
     out: list[str] = []
-    _encode(obj, "", out)
+    _encode(obj, "", out, {})
     out.append("\n")
-    fh.write("".join(out))
+    fh.writelines(out)
 
 
 def _parse_character(raw: Optional[str], expected: int) -> tuple[int, ...]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded
-from .gf2 import Gf2Matrix, bit_table, gram_parity, row_masks, xor_rows
+from .gf2 import Gf2Matrix, bit_table, gram_parity, row_masks
 from .presentation import AlgebraPresentation, SignedMonomial
 
 # Largest number of generators decomposed (or read from a file): the
@@ -146,44 +146,65 @@ def form_matrix(P: AlgebraPresentation) -> Gf2Matrix:
     return Gf2Matrix(P.m, P.m, row_masks(T | T.T))
 
 
-def symplectic_reduce(frows: tuple[int, ...], m: int) -> tuple[list[int], list[tuple[int, int]]]:
+def symplectic_reduce(frows: tuple[int, ...], m: int, kneg: int = 0
+                      ) -> tuple[list[int], list[tuple[int, int]], tuple[int, ...]]:
     """Core Gram-Schmidt pass over exponent-vector bitmasks.
 
-    ``frows`` are the row bitmasks of a symmetric GF(2) matrix, as
-    :func:`form_matrix` gives; the symmetry lets ``B(w, v)`` be read as
-    ``(v^T F) w``, one row sum per pivot vector.  Pivots are always the
+    ``frows`` are the row bitmasks of a symmetric zero-diagonal GF(2)
+    matrix F, as :func:`form_matrix` gives, and bit ``i`` of ``kneg`` is
+    set when generator ``i`` squares to -1.  Pivots are always the
     lowest-index remaining vector, and its partner the lowest-index
     remaining vector pairing with it, so the output is deterministic.
     After extracting a pair ``(u, v)`` every remaining ``w`` is replaced
     by ``w + B(w,v)u + B(w,u)v``, which removes its components against
-    the pair and keeps the span intact.
+    the pair and keeps the span intact.  Returns the centrals, the pairs
+    and the squares (+1 or -1) of the centrals and then of the pair
+    members in order.
+
+    Each remaining ``w`` carries its row sum ``fw = w^T F`` and its square
+    bit ``q(w)``, starting from ``frows[i]`` and bit ``i`` of ``kneg`` for
+    ``w = e_i``, so that ``B(w, x)`` is the parity of ``fw & x`` and no
+    row sum is formed again.  Both follow ``w`` through its updates:
+    ``(w + x)^T F = fw + fx``, and ``q(w + x) = q(w) + q(x) + B(w, x)``,
+    since ``(XY)^2 = (-1)^B(w,x) X^2 Y^2`` for the monomials ``X``, ``Y``
+    of ``w``, ``x`` and the sign of a product cancels in its square.  So
+    ``w += u`` adds ``fu`` and ``q(u) + B(w, u)``; after it ``B(w, v)`` is
+    0, because ``B(u, v) = 1``, so ``w += v`` adds ``fv`` and ``q(v)``.
+    The three are packed in one int, ``w | fw << m | q(w) << 2m``, and
+    each update is one xor of packs.
+
+    A pivot ``u`` is central exactly when ``fu == 0``.  Every remaining
+    vector is orthogonal to the pairs already extracted, and every
+    central so far has a zero row sum; so a pivot that pairs with no
+    remaining vector is orthogonal to all of those vectors, which with
+    the remaining ones span GF(2)^m.
     """
-    remaining = [1 << i for i in range(m)]
+    low, q_bit = (1 << m) - 1, 1 << 2 * m
+    remaining = [1 << i | frows[i] << m | (kneg >> i & 1) << 2 * m for i in range(m)]
     centrals: list[int] = []
     pairs: list[tuple[int, int]] = []
     while remaining:
-        u = remaining.pop(0)
-        fu = xor_rows(frows, u)
-        partner = None
-        for idx, v in enumerate(remaining):
-            if (fu & v).bit_count() & 1:
-                partner = idx
-                break
-        if partner is None:
-            centrals.append(u)
+        U = remaining.pop(0)
+        fu = U >> m & low
+        if not fu:
+            centrals.append(U)
             continue
-        v = remaining.pop(partner)
-        pairs.append((u, v))
-        fv = xor_rows(frows, v)
+        partner = next(k for k, V in enumerate(remaining) if (fu & V).bit_count() & 1)
+        V = remaining.pop(partner)
+        fv = V >> m & low
+        pairs.append((U, V))
         fixed = []
-        for w in remaining:
-            if (fv & w).bit_count() & 1:
-                w ^= u
-            if (fu & w).bit_count() & 1:
-                w ^= v
-            fixed.append(w)
+        for W in remaining:
+            bu = (fu & W).bit_count() & 1
+            if (fv & W).bit_count() & 1:
+                W ^= U ^ q_bit if bu else U
+            if bu:
+                W ^= V
+            fixed.append(W)
         remaining = fixed
-    return centrals, pairs
+    packs = centrals + [X for pair in pairs for X in pair]
+    return ([X & low for X in centrals], [(U & low, V & low) for U, V in pairs],
+            tuple(-1 if X >> 2 * m else 1 for X in packs))
 
 
 def decompose(P: AlgebraPresentation) -> Decomposition:
@@ -196,9 +217,8 @@ def decompose(P: AlgebraPresentation) -> Decomposition:
     if P.m > MAX_M:
         raise CapExceeded(f"m = {P.m} generators exceeds the cap {MAX_M}")
     frows = tuple(form_matrix(P).bits)
-    centrals, pairs = symplectic_reduce(frows, P.m)
+    centrals, pairs, squares = symplectic_reduce(frows, P.m, P._kneg)
     masks = (*centrals, *(g for pair in pairs for g in pair))
-    squares = tuple(P.square_sign_mask(g) for g in masks)
     out = Decomposition(P, len(centrals), masks, squares)
     out.validate()
     return out

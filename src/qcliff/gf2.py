@@ -110,15 +110,21 @@ class Gf2Matrix:
         return [[(r >> j) & 1 for j in range(self.cols)] for r in self.bits]
 
     def rank(self) -> int:
-        rows = [r for r in self.bits if r]
-        rank = 0
-        while rows:
-            pivot = rows.pop()
-            rank += 1
-            low = pivot & -pivot
-            rows = [r ^ pivot if r & low else r for r in rows]
-            rows = [r for r in rows if r]
-        return rank
+        """Size of a basis of the rows, each kept under its leading bit.
+
+        A row is reduced by the basis row with its leading bit until that
+        bit is new (the row joins the basis) or the row is zero; each step
+        lowers the leading bit.
+        """
+        basis: dict[int, int] = {}
+        for row in self.bits:
+            while row:
+                lead = row.bit_length()
+                if lead not in basis:
+                    basis[lead] = row
+                    break
+                row ^= basis[lead]
+        return len(basis)
 
     def inverse(self) -> "Gf2Matrix":
         """Gauss-Jordan inverse; raises ``ValueError`` if singular."""

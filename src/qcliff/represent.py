@@ -100,6 +100,11 @@ class Representation:
 
     @cached_property
     def generator_images(self) -> tuple[MonomialMatrix, ...]:
+        """The images expanded to order ``prod(sizes)``, formed on first read.
+
+        The JSON output does not read them: it is written from
+        :attr:`sign` and :meth:`blocks`.
+        """
         perm, signs = stacked_kron(self.sign, self.blocks())
         return tuple(MonomialMatrix._closed(p, s) for p, s in zip(perm, signs))
 

@@ -7,16 +7,21 @@ Hadamard matrices additionally support a compact text form with one
 ``+``/``-`` character per entry and one row per line.
 
 The forms holding monomial matrices have one private builder each, which
-leaves every ``perm`` / ``signs`` array as an :class:`_IntArray`; the
-command line writes those trees as they are (:func:`qcliff.cli._write_json`
-formats the arrays from numpy).  Each public ``*_to_dict`` is its builder
-followed by :func:`_plain`, so it returns plain lists of ints.
+leaves every ``perm`` / ``signs`` array as an :class:`_IntArray`, or, for
+a :class:`~qcliff.represent.Representation`, as a :class:`_KronRow`
+marker that holds the image's sign and block rows, so no image is
+expanded to its order.  The command line writes those trees as they are
+(:func:`qcliff.cli._write_json` formats the arrays from numpy and the
+factors).  Each public ``*_to_dict`` is its builder followed by
+:func:`_plain`, which expands every marker, so it returns plain lists of
+ints.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Sequence
+from math import prod
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -92,14 +97,51 @@ class _IntArray:
     def __init__(self, array: np.ndarray):
         self.array = array
 
+    def __len__(self) -> int:
+        return len(self.array)
+
+
+class _KronRow:
+    """The ``perm`` or ``signs`` of one Kronecker product image, standing for
+    its JSON list in a built tree without being expanded.
+
+    ``blocks`` are the image's block rows, the first most significant.  A
+    perm has ``sign`` None: entry ``i1 * N2 + i2`` of ``X (x) Y`` is
+    ``px[i1] * N2 + py[i2]``.  Signs have the image sign, which multiplies
+    the product of the block entries.  :attr:`array` expands the row.
+    """
+
+    __slots__ = ("sign", "blocks")
+
+    def __init__(self, sign: Optional[int], blocks: list[np.ndarray]):
+        self.sign, self.blocks = sign, blocks
+
+    def __len__(self) -> int:
+        return prod(map(len, self.blocks))
+
+    @property
+    def array(self) -> np.ndarray:
+        # from the last block inward, so the long axis stays innermost
+        if self.sign is None:
+            out, size = np.zeros(1, dtype=np.int64), 1
+            for block in reversed(self.blocks):
+                out = (block[:, None] * size + out).ravel()
+                size *= len(block)
+        else:
+            out = np.full(1, self.sign, dtype=np.int64)
+            for block in reversed(self.blocks):
+                out = (block[:, None] * out).ravel()
+        return out
+
 
 def _plain(tree):
-    """``tree`` with every :class:`_IntArray` replaced, in place, by its list.
+    """``tree`` with every :class:`_IntArray` and :class:`_KronRow` replaced,
+    in place, by its list.
 
     The builders make a fresh tree on every call, so nothing else sees it.
     """
     for key, value in tree.items() if isinstance(tree, dict) else enumerate(tree):
-        if type(value) is _IntArray:
+        if type(value) in (_IntArray, _KronRow):
             tree[key] = value.array.tolist()
         elif type(value) in (dict, list):
             _plain(value)
@@ -286,11 +328,14 @@ def wedderburn_to_dict(wt: WedderburnType) -> dict:
 
 
 def _representation_tree(rep: Representation) -> dict:
-    return {
-        "order": rep.order,
-        "images": [_monomial_tree(img) for img in rep.generator_images],
-        "character": list(rep.character),
-    }
+    blocks = rep.blocks()
+    images = [
+        {"order": rep.order,
+         "perm": _KronRow(None, [p[i] for p, _ in blocks]),
+         "signs": _KronRow(sign, [s[i] for _, s in blocks])}
+        for i, sign in enumerate(rep.sign.tolist())
+    ]
+    return {"order": rep.order, "images": images, "character": list(rep.character)}
 
 
 def representation_to_dict(rep: Representation) -> dict:

@@ -17,7 +17,6 @@ from qcliff.gf2 import xor_rows
 from helpers import (
     all_presentations,
     clifford_presentation,
-    gf2_from_rows,
     quaternion_presentation,
     radical_dimension,
     random_presentation,
@@ -315,16 +314,24 @@ class TestCap:
 
 
 class TestSymplecticReduce:
-    def test_matches_the_set_bit_reference_on_symmetric_forms(self):
+    def test_matches_the_set_bit_reference_and_the_square_signs(self):
+        # masks against the set-bit copy, squares against the presentation's
+        # own product signs, from commuting to fully anticommuting forms
         rng = np.random.default_rng(43)
         for m in range(1, 41):
-            for alternating in (True, False):
-                upper = np.triu(rng.integers(0, 2, size=(m, m)), 1 if alternating else 0)
-                F = upper | upper.T
-                frows = gf2_from_rows(F.tolist()).bits
-                assert symplectic_reduce(frows, m) == reference_reduce(frows, m)
-            frows = form_matrix(random_presentation(rng, m)).bits
-            assert symplectic_reduce(frows, m) == reference_reduce(frows, m)
+            for density in (0.0, 0.05, 0.5, 0.95, 1.0):
+                kappa = [int(k) for k in rng.choice([-1, 1], size=m)]
+                upper = np.triu(rng.random((m, m)) < density, 1)
+                anti = [tuple(ij) for ij in np.argwhere(upper).tolist()]
+                P = AlgebraPresentation(kappa, anti)
+                frows = form_matrix(P).bits
+                # without kneg every generator is read as squaring to +1
+                for (centrals, pairs, squares), P in (
+                        (symplectic_reduce(frows, m, P._kneg), P),
+                        (symplectic_reduce(frows, m), AlgebraPresentation((1,) * m, anti))):
+                    assert (centrals, pairs) == reference_reduce(frows, m)
+                    masks = (*centrals, *(g for pair in pairs for g in pair))
+                    assert squares == tuple(P.square_sign_mask(g) for g in masks)
 
 
 class TestRadicalDimension:

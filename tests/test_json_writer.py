@@ -3,9 +3,11 @@
 ``cli._write_json`` formats every JSON result of the command line.  Its
 bytes must equal the standard library's indented encoding, on generated
 documents, on integer arrays given as ``serialize._IntArray`` (formatted
-from numpy from ``cli.INT_ARRAY_KERNEL_MIN`` entries on) and on the
-output of every subcommand that writes JSON.  The public ``*_to_dict``
-forms hold plain lists in place of those arrays.
+from numpy from ``cli.INT_ARRAY_KERNEL_MIN`` entries on), on
+representations written from their Kronecker factors
+(``serialize._KronRow``) and on the output of every subcommand that
+writes JSON.  The public ``*_to_dict`` forms hold plain lists in place of
+those arrays.
 """
 
 from __future__ import annotations
@@ -18,16 +20,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcliff import cli, complete, minimal_images
+from qcliff import AlgebraPresentation, cli, complete, minimal_images
 from qcliff.cli import INT_ARRAY_KERNEL_MIN, _write_json, main
+from qcliff.decompose import decompose
+from qcliff.gf2 import Gf2Matrix
+from qcliff.represent import character_length
 from qcliff.serialize import (
     _IntArray,
+    _representation_tree,
     bundle_to_dict,
     presentation_from_dict,
     representation_to_dict,
     solve_result_to_dict,
 )
 from qcliff.solve import solve
+from qcliff.structure import classify
 
 from helpers import constant_pattern, quaternion_presentation
 
@@ -149,6 +156,16 @@ class TestIntArrays:
         plain = {name: value.array.tolist() for name, value in tree.items()}
         assert written([tree]) == reference([plain])
 
+    def test_digit_rows_are_kept_per_indent(self):
+        # one range at two nestings in one write: the rows carry the indent
+        rng = np.random.default_rng(9)
+        perms = [rng.permutation(INT_ARRAY_KERNEL_MIN) for _ in range(3)]
+        tree = {"a": _IntArray(perms[0]), "b": [{"c": _IntArray(perms[1])}],
+                "d": _IntArray(perms[2])}
+        plain = {"a": perms[0].tolist(), "b": [{"c": perms[1].tolist()}],
+                 "d": perms[2].tolist()}
+        assert written(tree) == reference(plain)
+
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), length=st.integers(0, 1100),
            bits=st.integers(1, 64), depth=st.integers(0, 4))
@@ -156,6 +173,70 @@ class TestIntArrays:
         bound = 1 << (bits - 1)
         arr = np.random.default_rng(seed).integers(-bound, bound, size=length, dtype=np.int64)
         assert matches_the_list(arr, depth)
+
+
+def fixed_type_presentation(rng: np.random.Generator, case: str, r: int,
+                            s: int) -> AlgebraPresentation:
+    """A presentation with ``r`` centrals and ``s`` hyperbolic pairs of
+    Wedderburn case ``case``, on random generators.
+
+    The normal form has the centrals first, squaring to +1 but for the
+    first one of the complex case, then the pairs, an odd number of them
+    squaring to (-1, -1) exactly in the quaternion case.  Generator ``i``
+    of the result is the normal-form monomial of mask ``T[i]``, for a
+    random invertible GF(2) matrix ``T``: the algebra and its irreducible
+    order stay, and the images become products of many blocks.
+    """
+    m = r + 2 * s
+    pairs = [tuple(int(x) for x in rng.choice([-1, 1], size=2)) for _ in range(s)]
+    if (case == "quaternion") != (pairs.count((-1, -1)) % 2 == 1):
+        pairs[-1] = (1, 1) if pairs[-1] == (-1, -1) else (-1, -1)
+    centrals = [-1 if case == "complex" and i == 0 else 1 for i in range(r)]
+    N = AlgebraPresentation(centrals + [x for pair in pairs for x in pair],
+                            [(r + 2 * t, r + 2 * t + 1) for t in range(s)])
+    while True:
+        T = tuple(int(v) for v in rng.integers(0, 1 << m, size=m))
+        if Gf2Matrix(m, m, T).rank() == m:
+            break
+    return AlgebraPresentation(
+        [N.square_sign_mask(u) for u in T],
+        [(i, j) for i in range(m) for j in range(i + 1, m)
+         if N.commute_sign_masks(T[i], T[j]) == -1])
+
+
+def expanded_dict(rep) -> dict:
+    """``representation_to_dict`` from the order-b images ``stacked_kron`` forms."""
+    return {"order": rep.order,
+            "images": [{"order": rep.order, "perm": img.perm.tolist(),
+                        "signs": img.signs.tolist()} for img in rep.generator_images],
+            "character": list(rep.character)}
+
+
+class TestFactoredImages:
+    """A representation's JSON from its Kronecker factors, with no expansion."""
+
+    @pytest.mark.parametrize("case, r, s, order", [
+        # 2**9 is the shortest length formatted from numpy
+        ("real", 2, 9, INT_ARRAY_KERNEL_MIN), ("real", 3, 13, 2**13),
+        ("complex", 3, 8, 2**9), ("complex", 2, 12, 2**13),
+        ("quaternion", 2, 8, 2**9), ("quaternion", 1, 12, 2**13),
+        ("real", 2, 8, INT_ARRAY_KERNEL_MIN // 2),
+        # no pairs: every image is its sign times one 1x1 block
+        ("real", 3, 0, 1),
+    ])
+    def test_matches_the_expanded_images(self, case, r, s, order):
+        rng = np.random.default_rng([r, s, order])
+        P = fixed_type_presentation(rng, case, r, s)
+        D = decompose(P)
+        assert classify(D).case.value == case
+        character = [int(b) for b in rng.integers(0, 2, size=character_length(D))]
+        character[0] = 1
+        rep = minimal_images(P, character, D)
+        assert rep.order == order
+        assert (rep.sign < 0).any()  # both image signs reach the writer
+        want = expanded_dict(rep)
+        assert representation_to_dict(rep) == want
+        assert written(_representation_tree(rep)) == reference(want)
 
 
 def assert_plain(tree) -> None:

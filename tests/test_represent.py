@@ -564,7 +564,8 @@ class TestExpansion:
         minimal_images(RANDOM5, None, D).verify()
         assert expanded == []
 
-    def test_represent_json_expands_once(self, expanded, tmp_path, capsys):
+    def test_represent_json_expands_nothing(self, expanded, tmp_path, capsys):
+        # the writer formats every image from its blocks
         path = presentation_file(tmp_path, RANDOM5)
         assert main(["represent", path, "--format", "json"]) == 0
-        assert expanded == [RANDOM5.m]
+        assert expanded == []
