@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CapExceeded, VerificationError
+from .gf2 import bit_table, row_masks
 from .matrices import (
     DenseSignMatrix,
     MonomialMatrix,
@@ -113,7 +114,7 @@ def lambda_of_transversal(A: Sequence[MonomialMatrix]) -> LambdaPattern:
             f"matrices {j} and {k} are neither amicable nor anti-amicable; "
             "not a valid transversal"
         )
-    return LambdaPattern(len(A), tuple(tuple(row) for row in lam.tolist()))
+    return LambdaPattern(len(A), row_masks(lam == -1))
 
 
 def plug_in(A: Sequence[MonomialMatrix], B: Sequence[DenseSignMatrix]) -> DenseSignMatrix:
@@ -208,9 +209,8 @@ def run_checks(
 
     ident_n = MonomialMatrix.identity(n)
     a_orth = all(a @ a.transpose() == ident_n for a in A)
-    table = np.array(lam.rows)
-    upper = np.triu_indices(n, 1)
-    a_lam = np.array_equal(-pair_lambdas(A)[upper], table[upper])
+    table = np.where(bit_table(lam.neg, lam.n), -1, 1)
+    a_lam = np.array_equal(np.triu(-pair_lambdas(A), 1), np.triu(table, 1))
 
     # pass j forms B_j B_k^T for k >= j only: B_k B_j^T is its transpose
     stacked = np.stack([x.array for x in B], dtype=np.float64)
@@ -291,8 +291,8 @@ def complete(
     plug-in sum and verify everything exactly.  Any failed check raises
     ``VerificationError`` naming the failing conditions.
     ``CapExceeded`` comes before the transversal if ``2**m > max_n``
-    and before any image if ``n*b > max_order``, with ``b`` the minimal
-    order of :func:`qcliff.solve._minimal_kappa`.
+    and before the kappa bit fixing and any image if ``n*b > max_order``,
+    with ``b`` the minimal order of :func:`qcliff.solve._minimal_kappa`.
     """
     if m < 1:
         raise ValueError("tensor depth m must be >= 1")
@@ -307,7 +307,7 @@ def complete(
         raise ValueError(f"spec has depth {spec.m}, requested m={m}")
     A = transversal(spec)
     lam = lambda_of_transversal(A)
-    kappa, b, D = _minimal_kappa(lam)
+    kappa, b, D = _minimal_kappa(lam, max_order // len(A))
     if len(A) * b > max_order:
         raise CapExceeded(f"assembled order {len(A) * b} exceeds the cap {max_order}")
     sol = _realize(lam, kappa, b, D)

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from itertools import chain
 from math import prod
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from .decompose import MAX_M, Decomposition
 from .errors import CapExceeded
-from .gf2 import row_masks
+from .gf2 import bit_table, row_masks
 from .hadamard import REPORT_CHECKS, HadamardBundle, VerificationReport
 from .matrices import DenseSignMatrix, MonomialMatrix
 from .presentation import AlgebraPresentation, SignedMonomial
@@ -170,8 +170,12 @@ def presentation_from_dict(obj: dict) -> AlgebraPresentation:
     if not isinstance(kappa, list) or len(kappa) != m:
         raise ValueError(f"kappa must be a list of length m={m}")
     kappa = tuple(_sign(k, "kappa entry") for k in kappa)
-    rows = _delta_rows(_list(obj.get("delta", []), "delta"), m)
-    return AlgebraPresentation.from_upper_rows(kappa, rows)
+    hit = _triple_hits(_list(obj.get("delta", []), "delta"), m, np.less, (0, 1), (
+        "delta entries must be [i, j, bit] triples, got {triple!r}",
+        "delta pair ({a}, {b}) must satisfy 1 <= i < j <= m",
+        "delta bit must be 0 or 1, got {value!r}",
+        "conflicting delta entries for pair ({a}, {b})"))
+    return AlgebraPresentation.from_upper_rows(kappa, row_masks(hit[1].reshape(m, m)))
 
 
 def _json_ints(values: list) -> tuple[np.ndarray, np.ndarray]:
@@ -193,50 +197,53 @@ def _json_ints(values: list) -> tuple[np.ndarray, np.ndarray]:
     return np.where(ok, objs, 0).astype(np.int64), ok
 
 
-def _delta_rows(delta: list, m: int) -> tuple[int, ...]:
-    """The row masks of the strict upper anticommutation table ``delta``
-    lists, read as one ``m x m`` table.
+def _triple_hits(triples: list, n: int, pair: Callable, values: tuple[int, int],
+                 messages: tuple[str, str, str, str]) -> np.ndarray:
+    """The ``(2, n * n)`` table of the cells that 1-based ``[a, b, value]``
+    ``triples`` set, row 0 for ``values[0]`` and row 1 for ``values[1]``.
 
-    ``delta`` holds 1-based ``[i, j, bit]`` triples, ``i < j``; a pair may
-    repeat with the same bit.  Shapes, ranges and bits are checked as
-    masks over all triples at once, and a pair listed with both bits
-    shows as a cell hit by both.  The error names the first offending
+    ``pair`` is the rule on ``a`` and ``b`` beyond ``1 <= a, b <= n``, and
+    ``messages`` are the ``str.format`` templates for a bad shape, pair or
+    value and a conflicting repeat, given ``triple``, ``a``, ``b``,
+    ``value`` and ``n``.  Every check is a mask over all triples at once; a
+    pair is keyed smaller index first, and one listed with both values
+    shows as a cell hit twice.  The error names the first offending
     triple, and for one triple the checks run in the order shape, pair,
-    bit, then conflict with an earlier triple.
+    value, then conflict with an earlier triple.
     """
-    n = len(delta)
+    count = len(triples)
     # triples before the first malformed one, k, are read; k itself fails
     # only if none of those does
-    k = n
-    if set(map(type, delta)) - {list} or set(map(len, delta)) - {3}:
-        is_list = np.fromiter(map(type, delta), object, n) == list
-        k = int(np.argmin(is_list)) if not is_list.all() else n
-        short = np.fromiter(map(len, delta[:k]), np.int64, k) != 3
+    k = count
+    if set(map(type, triples)) - {list} or set(map(len, triples)) - {3}:
+        is_list = np.fromiter(map(type, triples), object, count) == list
+        k = int(np.argmin(is_list)) if not is_list.all() else count
+        short = np.fromiter(map(len, triples[:k]), np.int64, k) != 3
         k = int(np.argmax(short)) if short.any() else k
-    values, ok = _json_ints(list(chain.from_iterable(delta[:k])))
-    i, j, bit = values.reshape(k, 3).T
+    flat, ok = _json_ints(list(chain.from_iterable(triples[:k])))
+    a, b, value = flat.reshape(k, 3).T
     ok = ok.reshape(k, 3)
-    bad_pair = ~(ok[:, 0] & ok[:, 1] & (1 <= i) & (i < j) & (j <= m))
-    bad = bad_pair | ~ok[:, 2] | (bit & ~1 != 0)
+    bad_pair = ~(ok[:, 0] & ok[:, 1] & (1 <= a) & (a <= n) & (1 <= b) & (b <= n)
+                 & pair(a, b))
+    bad = bad_pair | ~(ok[:, 2] & ((value == values[0]) | (value == values[1])))
     e = int(np.argmax(bad)) if bad.any() else k
-    key, bit = (i[:e] - 1) * m + j[:e] - 1, bit[:e]
-    hit = np.zeros((2, m * m), dtype=bool)
+    lo, hi = np.minimum(a[:e], b[:e]), np.maximum(a[:e], b[:e])
+    key, bit = (lo - 1) * n + hi - 1, (value[:e] == values[1]).view(np.int8)
+    hit = np.zeros((2, n * n), dtype=bool)
     hit[bit, key] = True
     clash = (hit[0] & hit[1])[key]
     if clash.any():
-        # the first triple whose bit differs from its pair's first listing
+        # the first triple whose value differs from its pair's first listing
         idx = np.flatnonzero(clash)
         _, first, back = np.unique(key[idx], return_index=True, return_inverse=True)
         t = int(idx[bit[idx] != bit[idx][first][back]].min())
-        raise ValueError(f"conflicting delta entries for pair ({i[t]}, {j[t]})")
+        raise ValueError(messages[3].format(a=lo[t], b=hi[t]))
     if e < k:
-        i, j, bit = delta[e]
-        if bad_pair[e]:
-            raise ValueError(f"delta pair ({i}, {j}) must satisfy 1 <= i < j <= m")
-        raise ValueError(f"delta bit must be 0 or 1, got {bit!r}")
-    if k < n:
-        raise ValueError(f"delta entries must be [i, j, bit] triples, got {delta[k]!r}")
-    return row_masks(hit[1].reshape(m, m))
+        a, b, value = triples[e]
+        raise ValueError(messages[1 if bad_pair[e] else 2].format(a=a, b=b, value=value, n=n))
+    if k < count:
+        raise ValueError(messages[0].format(triple=triples[k]))
+    return hit
 
 
 # -- matrices ---------------------------------------------------------------
@@ -346,14 +353,9 @@ def representation_to_dict(rep: Representation) -> dict:
 
 
 def lambda_to_dict(lam: LambdaPattern) -> dict:
-    return {
-        "n": lam.n,
-        "entries": [
-            [j + 1, k + 1, lam.rows[j][k]]
-            for j in range(lam.n)
-            for k in range(j + 1, lam.n)
-        ],
-    }
+    j, k = np.nonzero(~np.tri(lam.n, dtype=bool))
+    value = np.where(bit_table(lam.neg, lam.n)[j, k], -1, 1)
+    return {"n": lam.n, "entries": np.array([j + 1, k + 1, value]).T.tolist()}
 
 
 def lambda_from_dict(obj: dict) -> LambdaPattern:
@@ -368,19 +370,17 @@ def lambda_from_dict(obj: dict) -> LambdaPattern:
     # every pair must be listed, so n is bounded by the file before any table
     if n * (n - 1) // 2 > len(entries):
         raise ValueError(f"{len(entries)} entries cannot cover the pairs of n={n}")
-    pairs: dict[tuple[int, int], int] = {}
-    for triple in entries:
-        if not isinstance(triple, list) or len(triple) != 3:
-            raise ValueError(f"entries must be [j, k, value] triples, got {triple!r}")
-        j, k, v = triple
-        if not (_is_int(j) and _is_int(k) and 1 <= j <= n and 1 <= k <= n and j != k):
-            raise ValueError(f"bad pair indices ({j}, {k}) for n={n}")
-        lo, hi = (j, k) if j < k else (k, j)
-        v = _sign(v, f"lambda[{j}][{k}]")
-        if (lo - 1, hi - 1) in pairs and pairs[(lo - 1, hi - 1)] != v:
-            raise ValueError(f"conflicting lambda values for pair ({lo}, {hi})")
-        pairs[(lo - 1, hi - 1)] = v
-    return LambdaPattern.from_pairs(n, pairs)
+    hit = _triple_hits(entries, n, np.not_equal, (1, -1), (
+        "entries must be [j, k, value] triples, got {triple!r}",
+        "bad pair indices ({a}, {b}) for n={n}",
+        "lambda[{a}][{b}] must be +1 or -1, got {value!r}",
+        "conflicting lambda values for pair ({a}, {b})")).reshape(2, n, n)
+    # every hit lies above the diagonal, so the first unseen cell is j < k
+    seen = hit[0] | hit[1] | np.tri(n, dtype=bool)
+    if not seen.all():
+        j, k = divmod(int(np.argmin(seen)), n)
+        raise ValueError(f"missing lambda pair ({j + 1}, {k + 1})")
+    return LambdaPattern(n, row_masks(hit[1] | hit[1].T))
 
 
 def _solve_result_tree(lam: LambdaPattern, result: SolveResult) -> dict:

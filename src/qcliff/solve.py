@@ -4,10 +4,11 @@ Given a symmetric table ``lam`` of +1 (amicable) / -1 (anti-amicable)
 requirements ``D_j @ D_k.T == lam[j,k] * D_k @ D_j.T``, any family of
 orthogonal monomial matrices with ``D_j @ D_j == kappa_j * I`` realizes
 ``lam`` precisely when generator ``j`` and ``k`` anticommute iff
-``lam[j,k] * kappa_j * kappa_k == -1``.  The solver builds the first
-minimal-order sign assignment ``kappa`` directly, from the decomposition
-of the kappa-independent even subalgebra and a greedy GF(2) bit fixing
-(see :func:`_minimal_kappa`).  The matrices themselves come from the
+``lam[j,k] * kappa_j * kappa_k == -1``, a GF(2) row xor on the masks of
+:class:`LambdaPattern`.  The solver builds the first minimal-order sign
+assignment ``kappa`` directly, from the decomposition of the
+kappa-independent even subalgebra and a greedy GF(2) bit fixing (see
+:func:`_minimal_kappa`).  The matrices themselves come from the
 representation builder, and every pair is re-checked against ``lam`` in
 one :func:`~qcliff.matrices.pair_lambdas` table before returning.
 """
@@ -21,6 +22,7 @@ import numpy as np
 
 from .decompose import Decomposition, decompose
 from .errors import CapExceeded, VerificationError
+from .gf2 import bit_table
 from .matrices import MonomialMatrix, pair_lambdas
 from .presentation import AlgebraPresentation
 from .represent import minimal_images
@@ -29,50 +31,35 @@ from .structure import StructureCase, WedderburnType, classify
 
 @dataclass(frozen=True)
 class LambdaPattern:
-    """Symmetric n x n table of +1/-1 with an unread diagonal."""
+    """A symmetric amicability pattern as ``n`` GF(2) row masks: bit ``k``
+    of ``neg[j]`` is set when ``lam[j][k] == -1`` (anti-amicable), clear
+    when +1 (amicable) and on the unread diagonal.  Under squares with bits
+    ``k_i = [kappa_i == -1]`` a pair anticommutes iff ``neg_jk ^ k_j ^ k_k``.
+    """
 
     n: int
-    rows: tuple[tuple[int, ...], ...]
+    neg: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise ValueError("pattern needs n >= 1")
-        if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
-            raise ValueError("pattern table must be n x n")
-        for j in range(self.n):
-            for k in range(self.n):
-                if j == k:
-                    continue
-                v = self.rows[j][k]
-                if v not in (-1, 1):
-                    raise ValueError(f"lambda[{j}][{k}] must be +1 or -1, got {v!r}")
-                if v != self.rows[k][j]:
-                    raise ValueError(f"lambda table not symmetric at ({j}, {k})")
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs: dict[tuple[int, int], int]) -> "LambdaPattern":
-        """Build from 0-based pair values; every pair j < k must be given."""
-        rows = [[0] * n for _ in range(n)]
-        for (j, k), v in pairs.items():
-            if j == k or not (0 <= j < n and 0 <= k < n):
-                raise ValueError(f"bad pair ({j}, {k}) for n={n}")
-            lo, hi = (j, k) if j < k else (k, j)
-            if rows[lo][hi] not in (0, v):
-                raise ValueError(f"conflicting values for pair ({lo}, {hi})")
-            rows[lo][hi] = rows[hi][lo] = v
-        missing = [
-            (j, k) for j in range(n) for k in range(j + 1, n) if rows[j][k] == 0
-        ]
-        if missing:
-            raise ValueError(f"missing lambda pairs: {missing}")
-        return cls(n, tuple(tuple(r) for r in rows))
+        if len(self.neg) != n or any(r < 0 or r >> n for r in self.neg):
+            raise ValueError("pattern needs n row masks below 2**n")
+        table = bit_table(self.neg, n)
+        if table.diagonal().any():
+            raise ValueError("lambda row masks must leave the diagonal bits clear")
+        asym = table != table.T
+        if asym.any():
+            j, k = divmod(int(np.argmax(asym)), n)
+            raise ValueError(f"lambda table not symmetric at ({j}, {k})")
 
     def get(self, j: int, k: int) -> int:
         if j == k:
             raise ValueError("the diagonal of a lambda pattern is undefined")
         if not (0 <= j < self.n and 0 <= k < self.n):
             raise ValueError(f"index ({j}, {k}) out of range")
-        return self.rows[j][k]
+        return -1 if self.neg[j] >> k & 1 else 1
 
 
 @dataclass(frozen=True)
@@ -95,13 +82,28 @@ def presentation_from(lam: LambdaPattern, kappa: Sequence[int]) -> AlgebraPresen
     kappa = tuple(kappa)
     if len(kappa) != lam.n:
         raise ValueError(f"kappa has length {len(kappa)}, pattern has n={lam.n}")
-    anti = [
-        (j, k)
-        for j in range(lam.n)
-        for k in range(j + 1, lam.n)
-        if lam.rows[j][k] * kappa[j] * kappa[k] == -1
-    ]
-    return AlgebraPresentation(kappa, anti)
+    kneg = sum(1 << j for j, k in enumerate(kappa) if k == -1)
+    return AlgebraPresentation.from_upper_rows(kappa, _upper_rows(lam, kneg))
+
+
+def _upper_rows(lam: LambdaPattern, kneg: int) -> list[int]:
+    """Row masks of the strict upper anticommutation table for the square
+    bits ``kneg``: row j is ``neg_j ^ kneg``, complemented when bit j of
+    ``kneg`` is set, with the bits up to j cleared."""
+    full = (1 << lam.n) - 1
+    return [(r ^ kneg ^ (full if kneg >> j & 1 else 0)) & ~((2 << j) - 1)
+            for j, r in enumerate(lam.neg)]
+
+
+def _even_presentation(lam: LambdaPattern) -> AlgebraPresentation:
+    """The even subalgebra E of :func:`_minimal_kappa`: ``x_i = a_0 a_i``
+    squares to ``lam[0][i]``, and row i of the upper table for the square
+    bits ``neg_0``, shifted down one bit, is E's row ``i - 1``."""
+    neg0 = lam.neg[0]
+    return AlgebraPresentation.from_upper_rows(
+        [-1 if neg0 >> i & 1 else 1 for i in range(1, lam.n)],
+        [r >> 1 for r in _upper_rows(lam, neg0)[1:]],
+    )
 
 
 def _lex_first(E: AlgebraPresentation, basis: Sequence[int], h: Sequence[int],
@@ -142,10 +144,14 @@ def _lex_first(E: AlgebraPresentation, basis: Sequence[int], h: Sequence[int],
     return tuple(k)
 
 
-def _minimal_kappa(lam: LambdaPattern) -> tuple[tuple[int, ...], int, Optional[Decomposition]]:
+def _minimal_kappa(
+    lam: LambdaPattern, max_b: Optional[int] = None,
+) -> tuple[Optional[tuple[int, ...]], int, Optional[Decomposition]]:
     """The least minimal-order sign assignment, its order b and, when it
     is ``kappa = +1`` (the fast exit), the decomposition of
     ``presentation_from(lam, kappa)``, which that exit has already made.
+    When b is above ``max_b`` the assignment is not searched for and
+    comes back None, so a caller refuses the order before the bit fixing.
 
     Candidates have ``kappa_0 = +1`` and are ordered by the bits
     ``k_i = [kappa_i == -1]``, ``k_1`` most significant.  Write q and B
@@ -174,26 +180,19 @@ def _minimal_kappa(lam: LambdaPattern) -> tuple[tuple[int, ...], int, Optional[D
       order is E's too, that kappa is the least minimiser.
     """
     n = lam.n
-    rows = lam.rows
     plus = decompose(presentation_from(lam, (1,) * n))
     order_l = classify(plus).irrep_order
-    even = AlgebraPresentation(
-        [rows[0][i] for i in range(1, n)],
-        [
-            (i - 1, j - 1)
-            for i in range(1, n)
-            for j in range(i + 1, n)
-            if rows[0][i] * rows[0][j] * rows[i][j] == -1
-        ],
-    )
+    even = _even_presentation(lam)
     D = decompose(even)
     wt = classify(D)
     # The fast exit: the bit fixing below would find kappa = +1 too, but
     # one classification is far cheaper than _lex_first at large n.
     if wt.irrep_order != order_l // 2:
         return (1,) * n, order_l, plus
+    if max_b is not None and wt.irrep_order > max_b:
+        return None, wt.irrep_order, None
     basis = D.masks[D.r:]
-    neg0 = [1 if rows[0][i] == -1 else 0 for i in range(1, n)]
+    neg0 = [lam.neg[0] >> i & 1 for i in range(1, n)]
     pieces = [(neg0, 0 if wt.case is StructureCase.REAL else None)]
     if wt.case is StructureCase.COMPLEX:
         # row i of the inverse basis change holds x_i's coordinates in the
@@ -234,12 +233,12 @@ def solve(lam: LambdaPattern, max_order: Optional[int] = None) -> SolveResult:
     Takes the first minimal sign assignment of :func:`_minimal_kappa`
     (``kappa_0 = +1``, then lexicographic with +1 before -1), builds the
     generator images for it and re-verifies every pair condition exactly.
-    ``CapExceeded`` comes before any image if the order is above
-    ``max_order`` (no cap when None).
+    ``CapExceeded`` comes as soon as the order is known, before the bit
+    fixing and any image, if it is above ``max_order`` (no cap when None).
     """
     if lam.n < 2:
         raise ValueError("need at least two matrices")
-    kappa, b, D = _minimal_kappa(lam)
+    kappa, b, D = _minimal_kappa(lam, max_order)
     if max_order is not None and b > max_order:
         raise CapExceeded(f"irreducible order {b} exceeds the cap {max_order}")
     return _realize(lam, kappa, b, D)
@@ -256,7 +255,7 @@ def verify_solution(lam: LambdaPattern, result: SolveResult) -> None:
         if d.order != result.b:
             raise VerificationError(f"matrix {j} has order {d.order} != {result.b}")
     got = pair_lambdas(D)
-    bad = np.argwhere(np.triu(got != np.array(lam.rows), 1)).tolist()
+    bad = np.argwhere(np.triu(got != np.where(bit_table(lam.neg, lam.n), -1, 1), 1)).tolist()
     if bad:
         j, k = bad[0]
         realized = int(got[j, k]) or None

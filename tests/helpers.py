@@ -15,13 +15,15 @@ import numpy as np
 
 from qcliff import (
     AlgebraPresentation,
+    CapExceeded,
     LambdaPattern,
     MonomialMatrix,
     SignedMonomial,
     VerificationError,
 )
-from qcliff.decompose import Decomposition, form_matrix
+from qcliff.decompose import MAX_M, Decomposition, form_matrix
 from qcliff.gf2 import Gf2Matrix
+from qcliff.hadamard import TransversalSpec
 from qcliff.matrices import pair_lambdas
 from qcliff.represent import Representation, character_length
 from qcliff.serialize import _is_int, _list, _require_keys, _sign
@@ -114,9 +116,79 @@ def reference_presentation_from_dict(obj: dict) -> AlgebraPresentation:
     return AlgebraPresentation(kappa, anti)
 
 
+def reference_lambda_from_dict(obj: dict) -> LambdaPattern:
+    """The lambda reader that checks ``entries`` one triple at a time.
+
+    Each triple is checked in order (shape, pair, value, then conflict
+    with an earlier triple), so the first offending one raises; the pairs
+    are then completed by :func:`pattern_from_pairs`.
+    """
+    _require_keys(obj, ["n", "entries"])
+    n = obj["n"]
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if n > MAX_M:
+        raise CapExceeded(f"n = {n} matrices exceeds the cap {MAX_M}")
+    entries = _list(obj["entries"], "entries")
+    if n * (n - 1) // 2 > len(entries):
+        raise ValueError(f"{len(entries)} entries cannot cover the pairs of n={n}")
+    pairs: dict[tuple[int, int], int] = {}
+    for triple in entries:
+        if not isinstance(triple, list) or len(triple) != 3:
+            raise ValueError(f"entries must be [j, k, value] triples, got {triple!r}")
+        j, k, v = triple
+        if not (_is_int(j) and _is_int(k) and 1 <= j <= n and 1 <= k <= n and j != k):
+            raise ValueError(f"bad pair indices ({j}, {k}) for n={n}")
+        lo, hi = (j, k) if j < k else (k, j)
+        v = _sign(v, f"lambda[{j}][{k}]")
+        if (lo - 1, hi - 1) in pairs and pairs[(lo - 1, hi - 1)] != v:
+            raise ValueError(f"conflicting lambda values for pair ({lo}, {hi})")
+        pairs[(lo - 1, hi - 1)] = v
+    return pattern_from_pairs(n, pairs)
+
+
+def pattern_from_pairs(n: int, pairs: dict[tuple[int, int], int]) -> LambdaPattern:
+    """The pattern with the +-1 value ``pairs[(j, k)]`` at 0-based ``j < k``;
+    every pair must be given, and the first missing one is named 1-based."""
+    neg = [0] * n
+    for j in range(n):
+        for k in range(j + 1, n):
+            if (j, k) not in pairs:
+                raise ValueError(f"missing lambda pair ({j + 1}, {k + 1})")
+            if pairs[(j, k)] == -1:
+                neg[j] |= 1 << k
+                neg[k] |= 1 << j
+    return LambdaPattern(n, tuple(neg))
+
+
 def constant_pattern(n: int, value: int) -> LambdaPattern:
     """The pattern with ``value`` at every pair."""
-    return LambdaPattern.from_pairs(n, {(j, k): value for j in range(n) for k in range(j + 1, n)})
+    return pattern_from_pairs(n, {(j, k): value for j in range(n) for k in range(j + 1, n)})
+
+
+def transversal_lambda(spec: TransversalSpec) -> LambdaPattern:
+    """The pattern of ``transversal(spec)`` in closed form.
+
+    ``A_j A_k^T`` is a Kronecker product of per-position factors: ``I``
+    where members j and k make the same choice, and ``D O^T`` or its
+    transpose where ``j ^ k`` has a bit (D the diagonal, O the
+    off-diagonal choice).  ``D O^T`` is skew for (I, Y) and (Z, X) and
+    symmetric otherwise, so with N the mask of those positions, position
+    i at index bit ``m - 1 - i``, ``A_k A_j^T = (A_j A_k^T)^T`` is
+    ``(-1)^|(j ^ k) & N| A_j A_k^T`` and ``lam_jk = -(-1)^|(j ^ k) & N|``.
+    Shares no code with ``qcliff.matrices.pair_lambdas``.
+    """
+    m = spec.m
+    N = sum(1 << (m - 1 - i) for i, pair in enumerate(zip(spec.diag, spec.offdiag))
+            if pair in (("I", "Y"), ("Z", "X")))
+    neg = []
+    for j in range(1 << m):
+        row = 0
+        for k in range(1 << m):
+            if k != j and ((j ^ k) & N).bit_count() % 2 == 0:
+                row |= 1 << k
+        neg.append(row)
+    return LambdaPattern(1 << m, tuple(neg))
 
 
 def word_mul(P: AlgebraPresentation, *words: list[int]) -> tuple[int, tuple[int, ...]]:

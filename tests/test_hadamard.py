@@ -3,7 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from qcliff import CapExceeded, MonomialMatrix, VerificationError, complete, verify_bundle
+from qcliff import (
+    CapExceeded,
+    LambdaPattern,
+    MonomialMatrix,
+    VerificationError,
+    complete,
+    verify_bundle,
+)
 from qcliff.hadamard import (
     TransversalSpec,
     lambda_of_transversal,
@@ -14,7 +21,7 @@ from qcliff.hadamard import (
 from qcliff.matrices import DenseSignMatrix, ident2, pair_lambdas, sylvester, x2, y2, z2
 from qcliff.solve import _minimal_kappa
 
-from helpers import dense, dense_lambda, random_monomial_matrix, tensor
+from helpers import dense, dense_lambda, random_monomial_matrix, tensor, transversal_lambda
 
 
 class TestTransversal:
@@ -72,6 +79,16 @@ class TestLambdaOfTransversal:
         shift = MonomialMatrix([1, 2, 0], [1, 1, 1])
         with pytest.raises(ValueError):
             lambda_of_transversal([MonomialMatrix.identity(3), shift])
+
+    def test_matches_the_closed_form_for_every_spec_up_to_depth_four(self):
+        specs = 0
+        for m in range(1, 5):
+            for diag in itertools.product("IZ", repeat=m):
+                for off in itertools.product("XY", repeat=m):
+                    spec = TransversalSpec(diag, off)
+                    assert lambda_of_transversal(transversal(spec)) == transversal_lambda(spec)
+                    specs += 1
+        assert specs == 340
 
 
 class TestPlugIn:
@@ -157,6 +174,17 @@ class TestComplete:
             seen.add(got)
         assert seen == {True, False}
 
+    def test_a_flipped_lambda_pair_fails_both_lambda_checks(self):
+        bundle = complete(2)
+        neg = bundle.lam.neg
+        for j, k in itertools.combinations(range(bundle.n), 2):
+            flip = list(neg)
+            flip[j] ^= 1 << k
+            flip[k] ^= 1 << j
+            lam = LambdaPattern(bundle.n, tuple(flip))
+            report = run_checks(bundle.A, lam, bundle.B, bundle.H)
+            assert report.failures() == ["a_lambda", "b_lambda"], (j, k)
+
     def test_b_gram_sum(self):
         bundle = complete(2)
         total = sum(bk.array @ bk.array.T for bk in bundle.B)
@@ -173,9 +201,9 @@ class TestComplete:
     def test_order_floor_is_computed_once(self, monkeypatch):
         calls = []
 
-        def counting(lam):
+        def counting(lam, *cap):
             calls.append(lam)
-            return _minimal_kappa(lam)
+            return _minimal_kappa(lam, *cap)
 
         monkeypatch.setattr("qcliff.solve._minimal_kappa", counting)
         monkeypatch.setattr("qcliff.hadamard._minimal_kappa", counting)

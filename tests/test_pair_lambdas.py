@@ -12,7 +12,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from qcliff import LambdaPattern, MonomialMatrix, VerificationError, minimal_images
+from qcliff import MonomialMatrix, VerificationError, minimal_images
 from qcliff.matrices import pair_lambdas, z2
 from qcliff.solve import solve, verify_solution
 
@@ -21,6 +21,7 @@ from helpers import (
     dense,
     dense_lambda,
     dense_verify,
+    pattern_from_pairs,
     random_block_word,
     random_monomial_matrix,
     random_presentation,
@@ -150,11 +151,11 @@ class TestMutations:
     def test_verify_solution_names_the_pair_a_mutation_breaks(self, seed):
         rng = np.random.default_rng(900 + seed)
         n = int(rng.integers(3, 9))
-        lam = LambdaPattern.from_pairs(
+        lam = pattern_from_pairs(
             n, {(j, k): int(rng.choice([-1, 1])) for j in range(n) for k in range(j + 1, n)}
         )
         result = solve(lam)
-        want = np.array(lam.rows)
+        want = np.array([[lam.get(j, k) if j != k else 0 for k in range(n)] for j in range(n)])
         caught = 0
         for _ in range(12):
             j = int(rng.integers(lam.n))

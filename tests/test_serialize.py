@@ -17,7 +17,12 @@ from qcliff.serialize import (
     sign_text_rows,
 )
 
-from helpers import quaternion_presentation, reference_presentation_from_dict
+from helpers import (
+    pattern_from_pairs,
+    quaternion_presentation,
+    reference_lambda_from_dict,
+    reference_presentation_from_dict,
+)
 
 
 def outcome(reader, obj):
@@ -64,6 +69,49 @@ def delta_mutants(rng, m, delta):
             out = list(delta)
             out.insert(int(rng.integers(len(out) + 1)), [i, j, bit ^ flip])
             yield out
+
+
+def bad_lambda_triple(rng, n):
+    """A seeded ``[j, k, value]`` entry that breaks exactly one rule."""
+    kind = int(rng.integers(14))
+    j, k = (int(x) + 1 for x in rng.choice(n, size=2, replace=False))
+    slot = int(rng.integers(3))
+    if kind < 5:
+        # a non-integer in one slot: a boolean, a float, a string, a nested
+        # list, or an integer past int64
+        value = (True, float(j), str(j), [j], 2**70)[kind]
+        return [value if s == slot else v for s, v in enumerate((j, k, -1))]
+    return (
+        [j, k], [j, k, 1, 1], j, {"j": j}, "1 2 1",  # ragged or not a list
+        [j, j, 1], [0, k, 1], [j, n + 1, -1], [-j, k, 1],  # j == k, index 0, > n, < 0
+        [j, k, 0 if slot else 2],  # value 0 or 2
+    )[kind - 5]
+
+
+def lambda_mutants(rng, n, entries):
+    """Seeded variants of a valid ``entries``: one bad triple, several bad
+    triples, agreeing and conflicting repeats of a pair in either order,
+    a pair replaced by a repeat (missing) and a pair dropped (count)."""
+    for _ in range(12):
+        out = list(entries)
+        out.insert(int(rng.integers(len(out) + 1)), bad_lambda_triple(rng, n))
+        yield out
+    for _ in range(3):
+        out = list(entries)
+        for _ in range(int(rng.integers(2, 5))):
+            out.insert(int(rng.integers(len(out) + 1)), bad_lambda_triple(rng, n))
+        yield out
+    for flip in (1, -1, 1, -1):
+        j, k, value = entries[int(rng.integers(len(entries)))]
+        if rng.integers(2):
+            j, k = k, j
+        out = list(entries)
+        out.insert(int(rng.integers(len(out) + 1)), [j, k, value * flip])
+        yield out
+    out = list(entries)
+    out[int(rng.integers(len(out)))] = list(out[int(rng.integers(len(out)))])
+    yield out
+    yield entries[:-1]
 
 
 class TestPresentationFormat:
@@ -184,9 +232,44 @@ class TestMatrixFormats:
             sign_matrix_from_text_rows(["++-", "+-+"])
 
 
+class TestLambdaReader:
+    def test_seeded_mutations_match_the_per_triple_reference(self):
+        rng = np.random.default_rng(59)
+        outcomes = []
+        for n in (2, 3, 5, 9, 17):
+            for _ in range(4):
+                entries = [[j + 1, k + 1, int(rng.choice([-1, 1]))]
+                           for j in range(n) for k in range(j + 1, n)]
+                entries = [[k, j, v] if rng.integers(2) else [j, k, v] for j, k, v in entries]
+                entries = [entries[t] for t in rng.permutation(len(entries))]
+                for e in (entries, *lambda_mutants(rng, n, entries)):
+                    obj = {"n": n, "entries": e}
+                    got = outcome(lambda_from_dict, obj)
+                    assert got == outcome(reference_lambda_from_dict, obj)
+                    outcomes.append(got if isinstance(got, str) else "ok")
+        # every message is reached
+        for part in ("ok", "entries must be", "bad pair", "lambda[", "conflicting",
+                     "cannot cover", "missing lambda pair"):
+            assert sum(part in o for o in outcomes) >= 5, part
+
+    def test_first_offending_triple_is_named(self):
+        obj = {"n": 3, "entries": [[2, 1, 1], [1, 3, 1], [1, 2, -1], [3, 3, 1], [1, 2]]}
+        with pytest.raises(ValueError, match=r"conflicting lambda values for pair \(1, 2\)"):
+            lambda_from_dict(obj)
+        obj["entries"][2] = [1, 2, 1]
+        with pytest.raises(ValueError, match=r"bad pair indices \(3, 3\) for n=3"):
+            lambda_from_dict(obj)
+        obj["entries"][3] = [2, 3, 0]
+        with pytest.raises(ValueError, match=r"lambda\[2\]\[3\] must be \+1 or -1, got 0"):
+            lambda_from_dict(obj)
+        obj["entries"][3] = [3, 2, -1]
+        with pytest.raises(ValueError, match=r"triples, got \[1, 2\]"):
+            lambda_from_dict(obj)
+
+
 class TestLambdaFormat:
     def test_round_trip(self):
-        lam = LambdaPattern.from_pairs(3, {(0, 1): -1, (0, 2): 1, (1, 2): -1})
+        lam = pattern_from_pairs(3, {(0, 1): -1, (0, 2): 1, (1, 2): -1})
         assert lambda_from_dict(lambda_to_dict(lam)) == lam
 
     def test_symmetric_completion(self):
@@ -196,6 +279,22 @@ class TestLambdaFormat:
     def test_missing_pairs_rejected(self):
         with pytest.raises(ValueError):
             lambda_from_dict({"n": 3, "entries": [[1, 2, -1]]})
+
+    def test_first_missing_pair_is_named_one_based(self):
+        with pytest.raises(ValueError) as info:
+            lambda_from_dict({"n": 4, "entries": [[1, 2, 1]] * 6})
+        assert str(info.value) == "missing lambda pair (1, 3)"
+        entries = [[j, k, 1] for j in range(1, 5) for k in range(j + 1, 5) if (j, k) != (2, 4)]
+        with pytest.raises(ValueError) as info:
+            lambda_from_dict({"n": 4, "entries": entries + [[4, 3, 1]]})
+        assert str(info.value) == "missing lambda pair (2, 4)"
+
+    def test_missing_pair_message_does_not_grow_with_n(self):
+        # before, every missing pair was listed: 2,090,524 characters here
+        n = 600
+        with pytest.raises(ValueError) as info:
+            lambda_from_dict({"n": n, "entries": [[1, 2, 1]] * (n * (n - 1) // 2)})
+        assert str(info.value) == "missing lambda pair (1, 3)"
 
     def test_conflicting_entries_rejected(self):
         with pytest.raises(ValueError):

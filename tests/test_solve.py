@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcliff import (
     AlgebraPresentation,
@@ -12,16 +14,23 @@ from qcliff import (
     minimal_images,
     rho,
 )
-from qcliff.hadamard import TransversalSpec, lambda_of_transversal, transversal
+from qcliff.hadamard import TransversalSpec, complete, lambda_of_transversal, transversal
 from qcliff.matrices import ident2, j2, pair_lambdas, z2
-from qcliff.solve import _minimal_kappa, presentation_from, solve, verify_solution
+from qcliff.solve import (
+    _even_presentation,
+    _lex_first,
+    _minimal_kappa,
+    presentation_from,
+    solve,
+    verify_solution,
+)
 from qcliff.structure import tensor_presentation
 
-from helpers import check_hr_bound, constant_pattern, random_monomial_matrix
+from helpers import check_hr_bound, constant_pattern, pattern_from_pairs, random_monomial_matrix
 
 
 def random_pattern(rng, n):
-    return LambdaPattern.from_pairs(
+    return pattern_from_pairs(
         n,
         {
             (j, k): int(rng.choice([-1, 1]))
@@ -33,12 +42,19 @@ def random_pattern(rng, n):
 
 class TestLambdaPattern:
     def test_symmetry_enforced(self):
-        with pytest.raises(ValueError):
-            LambdaPattern(2, ((0, 1), (-1, 0)))
+        with pytest.raises(ValueError, match=r"not symmetric at \(0, 1\)"):
+            LambdaPattern(2, (0b10, 0))
 
     def test_missing_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            LambdaPattern.from_pairs(3, {(0, 1): 1})
+        with pytest.raises(ValueError, match="row masks"):
+            LambdaPattern(3, (0b110, 0b001))
+
+    def test_masks_must_be_a_table(self):
+        for neg in ((0b1000, 0, 0), (-1, 0, 0)):
+            with pytest.raises(ValueError, match="below 2"):
+                LambdaPattern(3, neg)
+        with pytest.raises(ValueError, match="diagonal"):
+            LambdaPattern(3, (0b001, 0, 0))
 
     def test_diagonal_never_defined(self):
         lam = constant_pattern(3, -1)
@@ -66,6 +82,27 @@ class TestPresentationFrom:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             presentation_from(constant_pattern(3, -1), (1, 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_row_xors_match_the_pairwise_definition(self, data):
+        n = data.draw(st.integers(2, 40))
+        pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+        values = data.draw(st.lists(st.sampled_from((1, -1)), min_size=len(pairs),
+                                    max_size=len(pairs)))
+        kappa = data.draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        lam = pattern_from_pairs(n, dict(zip(pairs, values)))
+        P = presentation_from(lam, kappa)
+        assert P.kappa == tuple(kappa)
+        assert P.anticommuting_pairs() == [
+            (j, k) for j, k in pairs if lam.get(j, k) * kappa[j] * kappa[k] == -1
+        ]
+        E = _even_presentation(lam)
+        assert E.kappa == tuple(lam.get(0, i) for i in range(1, n))
+        assert E.anticommuting_pairs() == [
+            (i - 1, j - 1) for i, j in pairs
+            if i > 0 and lam.get(0, i) * lam.get(0, j) * lam.get(i, j) == -1
+        ]
 
     def test_round_trip_through_generator_images(self):
         # realized pattern of the generator images must reproduce lambda,
@@ -128,12 +165,12 @@ def full_sweep_reference(lam):
 def all_patterns(n):
     pairs = list(itertools.combinations(range(n), 2))
     for values in itertools.product((1, -1), repeat=len(pairs)):
-        yield LambdaPattern.from_pairs(n, dict(zip(pairs, values)))
+        yield pattern_from_pairs(n, dict(zip(pairs, values)))
 
 
 def biased_pattern(rng, n):
     p = rng.uniform(0.05, 0.95)
-    return LambdaPattern.from_pairs(
+    return pattern_from_pairs(
         n, {(j, k): -1 if rng.random() < p else 1 for j in range(n) for k in range(j + 1, n)}
     )
 
@@ -167,7 +204,7 @@ class TestOrderFloor:
                 )
                 kappa, b = minimal_kappa(lam)
                 assert b == classify_presentation(even).irrep_order, lam
-                first_row = (1,) + lam.rows[0][1:]
+                first_row = (1,) + tuple(lam.get(0, i) for i in range(1, n))
                 assert classify_presentation(presentation_from(lam, first_row)).irrep_order == b
 
     def test_floor_is_the_minimum_on_seeded_patterns(self):
@@ -183,7 +220,7 @@ class TestOrderFloor:
         # kappa_4 = +1 can be kept; a test without it returns
         # (1, 1, 1, 1, -1, 1, 1), also of order 8
         neg = {(0, 1), (0, 4), (0, 5), (1, 4), (1, 5), (1, 6), (2, 3), (2, 6), (5, 6)}
-        lam = LambdaPattern.from_pairs(
+        lam = pattern_from_pairs(
             7, {(j, k): -1 if (j, k) in neg else 1 for j in range(7) for k in range(j + 1, 7)}
         )
         want = ((1, 1, 1, 1, 1, -1, 1), 8)
@@ -245,6 +282,31 @@ class TestSolve:
         with pytest.raises(CapExceeded):
             solve(constant_pattern(6, -1), max_order=4)
 
+    def test_cap_comes_before_the_bit_fixing(self, monkeypatch):
+        # this pattern (b = 16) and the default m = 3 transversal (n b = 64)
+        # both reach _lex_first when nothing caps them
+        lam = random_pattern(np.random.default_rng(2), 9)
+        transversal_lam = lambda_of_transversal(transversal(TransversalSpec.default(3)))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _lex_first(*args)
+
+        monkeypatch.setattr("qcliff.solve._lex_first", counting)
+        assert solve(lam).b == 16 and calls
+        calls.clear()
+        assert _minimal_kappa(transversal_lam)[1] == 8 and calls
+
+        def refuse(*args):
+            raise AssertionError("the bit fixing ran above the order cap")
+
+        monkeypatch.setattr("qcliff.solve._lex_first", refuse)
+        with pytest.raises(CapExceeded, match="irreducible order 16 exceeds the cap 8"):
+            solve(lam, max_order=8)
+        with pytest.raises(CapExceeded, match="assembled order 64 exceeds the cap 32"):
+            complete(3, max_order=32)
+
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_long_sweep_family(self, n):
         # lam_0j = -1 for j >= 3 and lam_12 = -1: the first minimiser is
@@ -252,7 +314,7 @@ class TestSolve:
         pairs = {(j, k): 1 for j in range(n) for k in range(j + 1, n)}
         pairs.update({(0, j): -1 for j in range(3, n)})
         pairs[(1, 2)] = -1
-        result = solve(LambdaPattern.from_pairs(n, pairs))
+        result = solve(pattern_from_pairs(n, pairs))
         assert result.kappa == (1, 1, 1) + (-1,) * (n - 3)
         assert result.b == 2
 

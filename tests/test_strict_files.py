@@ -158,9 +158,9 @@ class TestSolveOrderCap:
         # it was killed for memory
         calls = []
 
-        def counting(lam):
+        def counting(lam, *cap):
             calls.append(lam)
-            return _minimal_kappa(lam)
+            return _minimal_kappa(lam, *cap)
 
         def refuse(*args, **kwargs):
             raise AssertionError("images started above the order cap")
