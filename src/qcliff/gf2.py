@@ -107,7 +107,7 @@ class Gf2Matrix:
         return self.bits[i]
 
     def to_rows(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.cols)] for r in self.bits]
+        return bit_table(self.bits, self.cols).tolist()
 
     def rank(self) -> int:
         """Size of a basis of the rows, each kept under its leading bit.

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .gf2 import bilinear_parity
+from .gf2 import bilinear_parity, bit_table
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,12 +100,9 @@ class AlgebraPresentation:
     # -- presentation table -------------------------------------------------
 
     def anticommuting_pairs(self) -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for i in range(self.m)
-            for j in range(i + 1, self.m)
-            if (self._delta_gt[i] >> j) & 1
-        ]
+        """The pairs ``(i, j)``, ``i < j``, that anticommute, in row-major order."""
+        i, j = bit_table(self._delta_gt, self.m).nonzero()
+        return list(zip(i.tolist(), j.tolist()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AlgebraPresentation):

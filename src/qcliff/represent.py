@@ -36,6 +36,7 @@ import numpy as np
 
 from .decompose import Decomposition
 from .errors import VerificationError
+from .gf2 import bit_table
 from .matrices import MonomialMatrix, j2, pair_lambdas, stacked_kron, x2, z2
 from .presentation import AlgebraPresentation
 from .structure import classify
@@ -113,25 +114,18 @@ class Representation:
         return isinstance(other, Representation) and all(
             getattr(self, k) == getattr(other, k) for k in keys)
 
-    def verify(self) -> None:
-        """Exact certificate of all relations and the transpose law, from the factors.
-
-        Image ``i`` is ``X_i = s_i (x)_t B_it``.  A Kronecker product of
-        nonzero matrices fixes its factors up to scalars, and
-        ``((x)_t P_t)((x)_t Q_t)^T == (x)_t P_t Q_t^T``; the image signs
-        cancel from both sides.  So ``X_i^T == kappa_i X_i`` holds iff
-        every block ``B_it`` is symmetric or skew and the product of those
-        block signs is ``kappa_i``, and ``X_i X_j^T == c X_j X_i^T`` iff
-        every block pair has such a sign and their product is ``c``.  One
-        :func:`pair_lambdas` table cut into the blocks gives both; the
-        transpose sign of ``X`` is its pair sign with the identity.  The
-        squares need no check: ``X X^T == I``, so ``X^T == kappa X`` gives
-        ``X X == kappa I``, and ``X_i X_j == c X_j X_i`` holds exactly when
-        the pair sign is ``c kappa_i kappa_j``.  O(m^2 sum(sizes)).
+    def pair_table(self) -> np.ndarray:
+        """Entry ``[i, j]`` of this ``(m + 1, m + 1)`` table is the ``c`` with
+        ``X_i X_j^T == c X_j X_i^T`` (0 if none), ``X_m`` the identity, once
+        the blocks are checked to be signed permutations of order ``order``.
+        With ``X_i = s_i (x)_t B_it``: a Kronecker product of nonzero matrices
+        fixes its factors up to scalars, ``((x)_t P_t)((x)_t Q_t)^T ==
+        (x)_t P_t Q_t^T``, and the image signs cancel, so ``c`` exists iff
+        every block pair has such a sign, and it is their product: one
+        :func:`pair_lambdas` table cut into the blocks.  O(m^2 sum(sizes)).
         """
-        P = self.presentation
-        width = sum(self.sizes)
-        if not (self.sign.shape == (P.m,) and self.perm.shape == self.signs.shape == (P.m, width)):
+        m, width = self.presentation.m, sum(self.sizes)
+        if not (self.sign.shape == (m,) and self.perm.shape == self.signs.shape == (m, width)):
             raise VerificationError("wrong number of generator images")
         if prod(self.sizes) != self.order:
             raise VerificationError(f"blocks {self.sizes} have order {prod(self.sizes)}")
@@ -140,14 +134,22 @@ class Representation:
                 or np.any(abs(self.signs) != 1) or np.any(abs(self.sign) != 1)):
             raise VerificationError("the blocks are not signed permutations")
         rows = [MonomialMatrix._closed(p, s) for p, s in zip(self.perm, self.signs)]
-        table = pair_lambdas(rows + [MonomialMatrix.identity(width)], self.sizes)
+        return pair_lambdas(rows + [MonomialMatrix.identity(width)], self.sizes)
+
+    def verify(self) -> None:
+        """Exact certificate of all relations and the transpose law, from the
+        factors: :meth:`pair_table` gives every transpose and pair sign.  The
+        squares need no check: ``X X^T == I``, so ``X^T == kappa X`` gives
+        ``X X == kappa I``, and ``X_i X_j == c X_j X_i`` holds exactly when
+        the pair sign is ``c kappa_i kappa_j``.  O(m^2 sum(sizes)).
+        """
+        P = self.presentation
+        table = self.pair_table()
         kappa = np.array(P.kappa)
         bad = np.flatnonzero(table[P.m, :P.m] != kappa).tolist()
         if bad:
             raise VerificationError(f"image {bad[0]} breaks the transpose law")
-        want = np.outer(kappa, kappa)
-        for i, j in P.anticommuting_pairs():
-            want[i, j] = -want[i, j]
+        want = np.where(bit_table(P._delta_gt, P.m), -1, 1) * np.outer(kappa, kappa)
         bad = np.argwhere(np.triu(table[:P.m, :P.m] != want, 1)).tolist()
         if bad:
             i, j = bad[0]

@@ -390,7 +390,7 @@ def _solve_result_tree(lam: LambdaPattern, result: SolveResult) -> dict:
         "presentation": presentation_to_dict(result.presentation),
         "wedderburn": wedderburn_to_dict(result.wedderburn),
         "b": result.b,
-        "D": [_monomial_tree(d) for d in result.D],
+        "D": _representation_tree(result.rep)["images"],
     }
 
 

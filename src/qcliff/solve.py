@@ -9,8 +9,8 @@ orthogonal monomial matrices with ``D_j @ D_j == kappa_j * I`` realizes
 assignment ``kappa`` directly, from the decomposition of the
 kappa-independent even subalgebra and a greedy GF(2) bit fixing (see
 :func:`_minimal_kappa`).  The matrices themselves come from the
-representation builder, and every pair is re-checked against ``lam`` in
-one :func:`~qcliff.matrices.pair_lambdas` table before returning.
+representation builder as Kronecker factors, and every pair is re-checked
+against ``lam`` on those factors before returning, with no image expanded.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ import numpy as np
 from .decompose import Decomposition, decompose
 from .errors import CapExceeded, VerificationError
 from .gf2 import bit_table
-from .matrices import MonomialMatrix, pair_lambdas
+from .matrices import MonomialMatrix
 from .presentation import AlgebraPresentation
-from .represent import minimal_images
+from .represent import Representation, minimal_images
 from .structure import StructureCase, WedderburnType, classify
 
 
@@ -64,11 +64,18 @@ class LambdaPattern:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A minimal-order family, its images kept as the Kronecker factors of ``rep``."""
+
     kappa: tuple[int, ...]
     presentation: AlgebraPresentation
     wedderburn: WedderburnType
     b: int
-    D: tuple[MonomialMatrix, ...]
+    rep: Representation
+
+    @property
+    def D(self) -> tuple[MonomialMatrix, ...]:
+        """The images expanded to order b, formed on first read."""
+        return self.rep.generator_images
 
 
 def presentation_from(lam: LambdaPattern, kappa: Sequence[int]) -> AlgebraPresentation:
@@ -211,9 +218,9 @@ def _realize(lam: LambdaPattern, kappa: tuple[int, ...], b: int,
     """Build and certify the family for ``kappa``: one decomposition (``D``
     when :func:`_minimal_kappa` made it), a classification that must give
     order ``b``, the images (verified by :func:`minimal_images`) and the
-    pair check of :func:`verify_solution`.  The last is kept on purpose:
-    it alone compares the images with ``lam``, so it alone sees a wrong
-    translation into ``presentation_from``."""
+    pair check of :func:`verify_solution`, both on the factors.  The last
+    is kept on purpose: it alone compares the images with ``lam``, so it
+    alone sees a wrong translation into ``presentation_from``."""
     D = D or decompose(presentation_from(lam, kappa))
     pres = D.presentation
     wt = classify(D)
@@ -222,7 +229,7 @@ def _realize(lam: LambdaPattern, kappa: tuple[int, ...], b: int,
             f"kappa {list(kappa)} has order {wt.irrep_order}, expected {b}"
         )
     rep = minimal_images(pres, None, D)
-    result = SolveResult(kappa, pres, wt, b, rep.generator_images)
+    result = SolveResult(kappa, pres, wt, b, rep)
     verify_solution(lam, result)
     return result
 
@@ -245,16 +252,13 @@ def solve(lam: LambdaPattern, max_order: Optional[int] = None) -> SolveResult:
 
 
 def verify_solution(lam: LambdaPattern, result: SolveResult) -> None:
-    """Exact check of a solution; names the first pair that misses ``lam``."""
-    D = result.D
-    if len(D) != lam.n:
-        raise VerificationError(f"expected {lam.n} matrices, got {len(D)}")
-    if result.b != result.wedderburn.irrep_order:
+    """Exact check of a solution on its factors; names the first pair that misses ``lam``."""
+    rep = result.rep
+    if len(rep.sign) != lam.n:
+        raise VerificationError(f"expected {lam.n} matrices, got {len(rep.sign)}")
+    if not result.b == result.wedderburn.irrep_order == rep.order:
         raise VerificationError("recorded order differs from the classification")
-    for j, d in enumerate(D):
-        if d.order != result.b:
-            raise VerificationError(f"matrix {j} has order {d.order} != {result.b}")
-    got = pair_lambdas(D)
+    got = rep.pair_table()[:lam.n, :lam.n]
     bad = np.argwhere(np.triu(got != np.where(bit_table(lam.neg, lam.n), -1, 1), 1)).tolist()
     if bad:
         j, k = bad[0]

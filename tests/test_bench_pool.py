@@ -1,4 +1,4 @@
-"""A few benchmark pool items through the benchmark's own checks.
+"""Benchmark pool items through the benchmark's own checks.
 
 Each item runs as ``tools/check_goldens.py`` runs every item:
 ``run.execute`` (the ``qcliff`` command line, in this process),
@@ -6,8 +6,8 @@ Each item runs as ``tools/check_goldens.py`` runs every item:
 ``checks.golden_problems`` (the SHA-256 digests in ``bench/goldens.json``);
 then ``run.replay`` runs the traced replay, which must give the same bytes.
 The items cover every request kind the bench sends (``classify``,
-``represent``, ``solve`` and ``hadamard``), so their output bytes are
-pinned here too.  Inputs and outputs live under
+``represent``, ``solve`` and ``hadamard``), and every ``solve`` item, so
+their output bytes are pinned here too.  Inputs and outputs live under
 ``tmp_path``; the bench modules are imported without writing bytecode, so
 nothing is written under ``bench/``.
 """
@@ -22,15 +22,18 @@ import pytest
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
+# the size of the bench's "random" solve pool, checked against it below
+SOLVE_RANDOM = 64
 # (pool, k) of bench/workloads.pool_item; hadamard -1 is the default spec
 ITEMS = {
     "classify/dense/0": ("dense", 0),
     "represent/rep-real/0": ("rep-real", 0),
     "represent/rep-complex/0": ("rep-complex", 0),
     "represent/rep-quaternion/0": ("rep-quaternion", 0),
+    # every solve item, so each solution's written bytes are pinned
     "solve/plus": ("plus", 0),
     "solve/minus": ("minus", 0),
-    "solve/random/0": ("random", 0),
+    **{f"solve/random/{k}": ("random", k) for k in range(SOLVE_RANDOM)},
     "hadamard/III-XXX": ("hadamard", -1),
     # an outer family that mixes symmetric and skew members
     "hadamard/ZIZ-YXY": ("hadamard", 44),
@@ -52,6 +55,14 @@ def bench():
     with open(run.GOLDENS, encoding="utf-8") as fh:
         goldens = json.load(fh)
     return run, checks, workloads, goldens
+
+
+def test_every_solve_item_is_listed(bench):
+    _, _, workloads, _ = bench
+    assert workloads.POOL_SIZES["random"] == SOLVE_RANDOM
+    solve_keys = {item.key for item in workloads.all_pool_items() if item.kind == "solve"}
+    assert solve_keys == {key for key in ITEMS if key.startswith("solve/")}
+    assert len(solve_keys) == 66
 
 
 @pytest.mark.parametrize("key", ITEMS)

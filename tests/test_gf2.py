@@ -112,6 +112,17 @@ def test_bit_table_round_trips(cols):
     assert row_masks(table) == masks
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 5), (3, 0), (1, 1), (4, 7), (9, 13), (8, 64),
+                                        (5, 65), (40, 130)])
+def test_to_rows_matches_the_bit_walk(rows, cols):
+    rng = np.random.default_rng([rows, cols])
+    bits = tuple(int.from_bytes(rng.bytes(cols // 8 + 1), "little") & ((1 << cols) - 1)
+                 for _ in range(rows))
+    got = Gf2Matrix(rows, cols, bits).to_rows()
+    assert got == [[(r >> j) & 1 for j in range(cols)] for r in bits]
+    assert {type(v) for row in got for v in row} <= {int}
+
+
 @pytest.mark.parametrize("cols", [1, 8, 63, 64, 65, 130])
 def test_gram_parity_equals_the_int64_product_mod_2(cols):
     rng = np.random.default_rng(100 + cols)

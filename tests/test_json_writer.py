@@ -28,6 +28,7 @@ from qcliff.represent import character_length
 from qcliff.serialize import (
     _IntArray,
     _representation_tree,
+    _solve_result_tree,
     bundle_to_dict,
     presentation_from_dict,
     representation_to_dict,
@@ -237,6 +238,17 @@ class TestFactoredImages:
         want = expanded_dict(rep)
         assert representation_to_dict(rep) == want
         assert written(_representation_tree(rep)) == reference(want)
+
+    @pytest.mark.parametrize("n, value", [(2, 1), (4, -1), (13, -1), (18, -1)])
+    def test_solve_result_matches_the_expanded_images(self, n, value):
+        # b = 1, 4, 128 and 512: the scalar case, a short list, and both
+        # sides of INT_ARRAY_KERNEL_MIN
+        lam = constant_pattern(n, value)
+        result = solve(lam)
+        want = solve_result_to_dict(lam, result)
+        assert want["D"] == [{"order": result.b, "perm": d.perm.tolist(),
+                              "signs": d.signs.tolist()} for d in result.D]
+        assert written(_solve_result_tree(lam, result)) == reference(want)
 
 
 def assert_plain(tree) -> None:

@@ -2,7 +2,7 @@
 
 ``pair_lambdas`` is the one pair test of the package.  These tests compare
 it with ``helpers.dense_lambda``, which multiplies dense integer matrices
-and shares no code with it, and check that a corrupted member of a solved
+and shares no code with it, and check that a corrupted block of a solved
 family or of a minimal representation is reported with the pair it breaks.
 """
 
@@ -149,20 +149,24 @@ class TestKernel:
 class TestMutations:
     @pytest.mark.parametrize("seed", range(6))
     def test_verify_solution_names_the_pair_a_mutation_breaks(self, seed):
+        # one block of one image mutated on the factored record; the dense
+        # products of the mutated record's expanded images decide what
+        # verify_solution must report
         rng = np.random.default_rng(900 + seed)
         n = int(rng.integers(3, 9))
         lam = pattern_from_pairs(
             n, {(j, k): int(rng.choice([-1, 1])) for j in range(n) for k in range(j + 1, n)}
         )
         result = solve(lam)
+        rep = result.rep
         want = np.array([[lam.get(j, k) if j != k else 0 for k in range(n)] for j in range(n)])
         caught = 0
         for _ in range(12):
             j = int(rng.integers(lam.n))
-            D = list(result.D)
-            D[j] = mutate(rng, D[j])
-            bad = replace(result, D=tuple(D))
-            pair = first_pair(dense_table(D) != want)
+            t = int(rng.integers(len(rep.sizes)))
+            mutated = with_block(rep, j, t, mutate(rng, block_of(rep, j, t)))
+            bad = replace(result, rep=mutated)
+            pair = first_pair(dense_table(mutated.generator_images) != want)
             if pair is None:
                 verify_solution(lam, bad)
                 continue
@@ -171,6 +175,14 @@ class TestMutations:
             assert j in pair
             caught += 1
         assert caught > 0
+        # a perm entry swapped into another block: still a permutation of
+        # the columns, no longer block diagonal
+        assert len(rep.sizes) > 1
+        j = int(rng.integers(lam.n))
+        perm = rep.perm.copy()
+        perm[j, [0, -1]] = perm[j, [-1, 0]]
+        with pytest.raises(VerificationError, match="not signed permutations"):
+            verify_solution(lam, replace(result, rep=replace(rep, perm=perm)))
 
     def test_representation_verify_names_the_pair_a_mutation_breaks(self):
         # one block of an image mutated, for the certificate, and the same

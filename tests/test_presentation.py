@@ -186,5 +186,14 @@ class TestPresentationValidation:
         P = AlgebraPresentation((1, -1, 1), [(2, 0)])
         assert P.anticommuting_pairs() == [(0, 2)]
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 9, 64, 65, 300])
+    def test_anticommuting_pairs_match_the_pair_walk(self, m):
+        P = random_presentation(np.random.default_rng(m), m)
+        rows = P._delta_gt
+        want = [(i, j) for i in range(m) for j in range(i + 1, m) if (rows[i] >> j) & 1]
+        got = P.anticommuting_pairs()
+        assert got == want
+        assert {type(v) for pair in got for v in pair} <= {int}
+
     def test_pair_order_does_not_matter(self):
         assert AlgebraPresentation((1, 1), [(1, 0)]) == AlgebraPresentation((1, 1), [(0, 1)])

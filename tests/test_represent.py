@@ -14,6 +14,7 @@ from qcliff import (
 )
 from qcliff.cli import main
 from qcliff.decompose import decompose
+from qcliff.hadamard import TransversalSpec, lambda_of_transversal, transversal
 from qcliff.matrices import j2, pair_lambdas, stacked_kron, x2, z2
 from qcliff.represent import (
     C_MINUS,
@@ -30,8 +31,8 @@ from qcliff.represent import (
     pushforward,
     zero_character,
 )
-from qcliff.serialize import presentation_to_dict
-from qcliff.solve import solve
+from qcliff.serialize import lambda_to_dict, presentation_to_dict
+from qcliff.solve import solve, verify_solution
 from qcliff.structure import classify, tensor_presentation
 
 from helpers import (
@@ -568,4 +569,22 @@ class TestExpansion:
         # the writer formats every image from its blocks
         path = presentation_file(tmp_path, RANDOM5)
         assert main(["represent", path, "--format", "json"]) == 0
+        assert expanded == []
+
+    def test_solve_json_expands_nothing(self, expanded, tmp_path, capsys):
+        # the solve writer formats its images from their blocks too
+        path = tmp_path / "lambda.json"
+        path.write_text(json.dumps(lambda_to_dict(constant_pattern(13, -1))), encoding="utf-8")
+        assert main(["solve", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["b"] == 128
+        assert expanded == []
+
+    @pytest.mark.parametrize("m", [6, 7])
+    def test_solve_certifies_the_default_transversal_unexpanded(self, expanded, m):
+        # b = 2**31 and 2**63: 64 order-b int64 images would need 2 TiB at
+        # m = 6, and no array of length 2**63 can exist
+        lam = lambda_of_transversal(transversal(TransversalSpec.default(m)))
+        result = solve(lam)
+        assert result.b == 1 << (2 ** (m - 1) - 1)
+        verify_solution(lam, result)
         assert expanded == []

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,13 @@ from qcliff.solve import (
 )
 from qcliff.structure import tensor_presentation
 
-from helpers import check_hr_bound, constant_pattern, pattern_from_pairs, random_monomial_matrix
+from helpers import (
+    check_hr_bound,
+    constant_pattern,
+    pattern_from_pairs,
+    random_monomial_matrix,
+    tensor_with_identity,
+)
 
 
 def random_pattern(rng, n):
@@ -244,6 +251,18 @@ class TestSolve:
         result = solve(constant_pattern(4, -1))
         assert result.b == 4
         verify_solution(constant_pattern(4, -1), result)
+
+    def test_verify_solution_refuses_a_record_of_another_shape(self):
+        lam = constant_pattern(4, -1)
+        result = solve(lam)
+        with pytest.raises(VerificationError, match="expected 4 matrices, got 5"):
+            verify_solution(lam, replace(result, rep=solve(constant_pattern(5, -1)).rep))
+        # twice the recorded order, or a valid family of twice the order:
+        # every pair still realizes lam
+        for bad in (replace(result, b=2 * result.b),
+                    replace(result, rep=tensor_with_identity(result.rep, 2))):
+            with pytest.raises(VerificationError, match="recorded order differs"):
+                verify_solution(lam, bad)
 
     def test_all_anti_n8(self):
         result = solve(constant_pattern(8, -1))
