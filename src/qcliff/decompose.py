@@ -16,6 +16,7 @@ and its square, and the basis change is those masks stacked as rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -75,19 +76,14 @@ class Decomposition:
         """Re-check every structural invariant; raises ``ValueError``.
 
         Let G be the basis change (row i the exponent mask of the new
-        generator g_i) and M the presentation's own product-sign table:
-        its strict upper anticommutation table with the generators that
-        square to -1 on the diagonal, so that (+1, x)(+1, y) has sign
-        (-1)^(y^T M x).  M is read from the presentation, not from
-        :func:`form_matrix`, so the check shares no step with
-        :func:`decompose`.  The Gram matrix Q = G M G^T over GF(2) then
-        holds every pair at once: Q[i, i] is the sign of g_i squared, and
-        g_i and g_j anticommute exactly when Q[i, j] + Q[j, i] is odd (the
-        diagonal of M adds 2 |g_i & g_j & kneg| to that sum).  Q is two
-        :func:`~qcliff.gf2.gram_parity` products, G (M G^T), each reduced
-        mod 2 as it is formed.  They use integer bit operations only, so
-        Q is exact at every m: no float64 sum is formed, so no 2**53 bound
-        applies, and the popcounts are of single 64-bit words.
+        generator g_i) and M the presentation's own product-sign table, so
+        that (+1, x)(+1, y) has sign (-1)^(y^T M x).  M is read from the
+        presentation, not from :func:`form_matrix`, so the check shares no
+        step with :func:`decompose`.  The Gram matrix Q = G M G^T over
+        GF(2) (:func:`product_sign_gram`, exact at every m) then holds
+        every pair at once: Q[i, i] is the sign of g_i squared, and g_i and
+        g_j anticommute exactly when Q[i, j] + Q[j, i] is odd (the
+        diagonal of M adds 2 |g_i & g_j & kneg| to that sum).
 
         Once Q + Q^T is the hyperbolic pattern, only the central rows of G
         need an elimination for invertibility.  Let sum_i c_i g_i = 0 be a
@@ -115,10 +111,7 @@ class Decomposition:
             raise ValueError(f"r = {r} leaves no whole pairs among m = {m} generators")
         if min(masks) < 0 or max(masks) >> m:
             raise ValueError(f"a recorded mask is out of range for m = {m}")
-        kneg = P._kneg
-        M = [row | (kneg & 1 << i) for i, row in enumerate(P._delta_gt)]
-        # C = M G^T, then G C: the rows of C^T are the columns of C
-        Q = gram_parity(masks, row_masks(gram_parity(M, masks, m).T), m)
+        Q = product_sign_gram(P, masks)
         bad = np.array(self.squares) != np.where(Q.diagonal(), -1, 1)
         if bad.any():
             raise ValueError(f"recorded square of generator {int(np.argmax(bad))} is wrong")
@@ -137,6 +130,24 @@ class Decomposition:
             )
         if Gf2Matrix(r, m, masks[:r]).rank() != r:
             raise ValueError("basis_change is singular over GF(2)")
+
+
+def product_sign_gram(P: AlgebraPresentation, masks: Sequence[int]) -> np.ndarray:
+    """The product-sign Gram ``Q = G M G^T`` over GF(2) of the monomials
+    ``masks`` (the rows of G), as a uint8 0/1 table.
+
+    M is the presentation's strict upper anticommutation table with the
+    generators that square to -1 on its diagonal, so that ``(+1, x)(+1, y)
+    = (-1)^(y^T M x) (+1, x ^ y)`` and ``Q[i, j]`` is the sign bit of
+    ``g_j g_i``.  Two :func:`~qcliff.gf2.gram_parity` products, ``G (M
+    G^T)``, each reduced mod 2 as it is formed: integer bit operations on
+    single 64-bit words only, and no float64 sum, so Q is exact at every
+    size.
+    """
+    m = P.m
+    M = [row | (P._kneg & 1 << i) for i, row in enumerate(P._delta_gt)]
+    # C = M G^T, then G C: the rows of C^T are the columns of C
+    return gram_parity(masks, row_masks(gram_parity(M, masks, m).T), m)
 
 
 def form_matrix(P: AlgebraPresentation) -> Gf2Matrix:

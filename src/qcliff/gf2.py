@@ -6,8 +6,9 @@ word operations on the vectors themselves.
 
 :func:`xor_rows` is the one set-bit walk in the package: ``u^T R`` as a
 row mask, the xor of the rows ``R[i]`` picked by the bits of ``u``.  A
-bilinear form ``u^T R v`` is that mask ANDed with ``v``, and a caller
-that pairs one ``u`` with many ``v`` computes the mask once.
+bilinear form ``u^T R v`` is that mask ANDed with ``v``.  Only the
+single-pair :meth:`~qcliff.presentation.AlgebraPresentation.commutation_sign`
+uses it; the pipeline forms its signs for many monomials at once.
 
 Work on every pair of rows at once runs in numpy instead, on the masks'
 little-endian bytes, so that no step walks the bits in Python.
@@ -39,11 +40,7 @@ def xor_rows(rows: Sequence[int], u: int) -> int:
 
 
 def bilinear_parity(rows: Sequence[int], u: int, v: int) -> int:
-    """Parity bit of ``u^T R v`` over GF(2), ``R`` given by its row bitmasks.
-
-    Every monomial sign in the package (products, squares, commutation)
-    is this one sum over a different ``R``.
-    """
+    """Parity bit of ``u^T R v`` over GF(2), ``R`` given by its row bitmasks."""
     return (xor_rows(rows, u) & v).bit_count() & 1
 
 

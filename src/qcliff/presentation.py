@@ -5,9 +5,10 @@ An :class:`AlgebraPresentation` fixes ``m`` generators ``a1 .. am`` with
 bit for every unordered pair of generators.  Products of generators reduce
 to *signed monomials*: a sign together with a GF(2) exponent vector, the
 generators kept in increasing index order.  The exponent vector is stored
-as a bitmask (bit ``i`` for ``a(i+1)``) from construction on, so every
-product, square and commutation sign is exact integer arithmetic on
-masks.
+as a bitmask (bit ``i`` for ``a(i+1)``) from construction on.  The sign of
+a product is a GF(2) bilinear form in the masks; the pipeline reads it for
+whole lists of monomials at once from
+:func:`~qcliff.decompose.product_sign_gram`.
 """
 
 from __future__ import annotations
@@ -118,10 +119,7 @@ class AlgebraPresentation:
             f"anticommuting={self.anticommuting_pairs()})"
         )
 
-    # -- element construction ------------------------------------------------
-
-    def identity(self) -> SignedMonomial:
-        return SignedMonomial(1, 0, self.m)
+    # -- monomial signs --------------------------------------------------------
 
     def _check(self, x: SignedMonomial) -> None:
         if x.m != self.m:
@@ -129,52 +127,16 @@ class AlgebraPresentation:
                 f"monomial has {x.m} exponent bits, presentation has m={self.m}"
             )
 
-    # -- mask-level sign kernels ----------------------------------------------
-
-    def mul_sign_masks(self, xm: int, ym: int) -> int:
-        """Reordering-and-squaring sign of ``(+1, xm) * (+1, ym)``.
-
-        Moving each generator of ``ym`` left past the higher-index
-        generators of ``xm`` contributes one anticommutation bit per
-        crossing; coinciding generators then square to ``kappa``.
-        """
-        neg = bilinear_parity(self._delta_gt, ym, xm) ^ (xm & ym & self._kneg).bit_count()
-        return -1 if neg & 1 else 1
-
-    def square_sign_mask(self, xm: int) -> int:
-        return self.mul_sign_masks(xm, xm)
-
-    def commute_sign_masks(self, xm: int, ym: int) -> int:
-        """+1 if the monomials commute, -1 if they anticommute."""
-        rows = self._delta_gt
-        par = bilinear_parity(rows, ym, xm) ^ bilinear_parity(rows, xm, ym)
-        return -1 if par else 1
-
-    # -- monomial arithmetic --------------------------------------------------
-
-    def mul(self, x: SignedMonomial, y: SignedMonomial) -> SignedMonomial:
-        """Exact product of two signed monomials in this presentation."""
-        self._check(x)
-        self._check(y)
-        xm, ym = x.mask, y.mask
-        return SignedMonomial(x.sign * y.sign * self.mul_sign_masks(xm, ym), xm ^ ym, self.m)
-
-    def square_sign(self, x: SignedMonomial) -> int:
-        """Sign of ``x * x``; independent of the sign of ``x``."""
-        self._check(x)
-        return self.square_sign_mask(x.mask)
-
     def commutation_sign(self, x: SignedMonomial, y: SignedMonomial) -> int:
         """+1 if ``x`` and ``y`` commute, -1 if they anticommute.
 
-        Satisfies ``mul(x, y) == commutation_sign(x, y) * mul(y, x)``.
+        Moving ``y`` past ``x`` crosses each generator ``i`` of ``x`` with
+        each ``j != i`` of ``y`` once, so the sign is the parity of the
+        anticommuting pairs among those crossings, read from the upper
+        table both ways.
         """
         self._check(x)
         self._check(y)
-        return self.commute_sign_masks(x.mask, y.mask)
-
-    def product(self, factors: Iterable[SignedMonomial]) -> SignedMonomial:
-        out = self.identity()
-        for f in factors:
-            out = self.mul(out, f)
-        return out
+        rows = self._delta_gt
+        par = bilinear_parity(rows, y.mask, x.mask) ^ bilinear_parity(rows, x.mask, y.mask)
+        return -1 if par else 1

@@ -34,9 +34,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .decompose import Decomposition
+from .decompose import Decomposition, product_sign_gram
 from .errors import VerificationError
-from .gf2 import bit_table
+from .gf2 import bit_table, gram_parity, row_masks
 from .matrices import MonomialMatrix, j2, pair_lambdas, stacked_kron, x2, z2
 from .presentation import AlgebraPresentation
 from .structure import classify
@@ -92,7 +92,7 @@ class Representation:
 
     def __post_init__(self) -> None:
         for arr in (self.sign, self.perm, self.signs):
-            arr.setflags(write=False)  # generator_images is cached from them
+            arr.setflags(write=False)  # generator_images and pair_table are cached from them
 
     def blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """The ``(m, size_t)`` block arrays, in :func:`stacked_kron`'s order."""
@@ -114,6 +114,7 @@ class Representation:
         return isinstance(other, Representation) and all(
             getattr(self, k) == getattr(other, k) for k in keys)
 
+    @cached_property
     def pair_table(self) -> np.ndarray:
         """Entry ``[i, j]`` of this ``(m + 1, m + 1)`` table is the ``c`` with
         ``X_i X_j^T == c X_j X_i^T`` (0 if none), ``X_m`` the identity, once
@@ -122,7 +123,8 @@ class Representation:
         fixes its factors up to scalars, ``((x)_t P_t)((x)_t Q_t)^T ==
         (x)_t P_t Q_t^T``, and the image signs cancel, so ``c`` exists iff
         every block pair has such a sign, and it is their product: one
-        :func:`pair_lambdas` table cut into the blocks.  O(m^2 sum(sizes)).
+        :func:`pair_lambdas` table cut into the blocks.  O(m^2 sum(sizes)),
+        formed on first read, read-only like the factors it is read from.
         """
         m, width = self.presentation.m, sum(self.sizes)
         if not (self.sign.shape == (m,) and self.perm.shape == self.signs.shape == (m, width)):
@@ -134,7 +136,9 @@ class Representation:
                 or np.any(abs(self.signs) != 1) or np.any(abs(self.sign) != 1)):
             raise VerificationError("the blocks are not signed permutations")
         rows = [MonomialMatrix._closed(p, s) for p, s in zip(self.perm, self.signs)]
-        return pair_lambdas(rows + [MonomialMatrix.identity(width)], self.sizes)
+        table = pair_lambdas(rows + [MonomialMatrix.identity(width)], self.sizes)
+        table.setflags(write=False)
+        return table
 
     def verify(self) -> None:
         """Exact certificate of all relations and the transpose law, from the
@@ -144,7 +148,7 @@ class Representation:
         the pair sign is ``c kappa_i kappa_j``.  O(m^2 sum(sizes)).
         """
         P = self.presentation
-        table = self.pair_table()
+        table = self.pair_table
         kappa = np.array(P.kappa)
         bad = np.flatnonzero(table[P.m, :P.m] != kappa).tolist()
         if bad:
@@ -265,24 +269,33 @@ def build_irrep(D: Decomposition, character: Sequence[int]) -> Representation:
 
 
 def _push(R: Representation) -> Representation:
-    """Verified images of the original generators from the new ones, ``R``."""
+    """Verified images of the original generators from the new ones, ``R``.
+
+    Row ``S_i`` of the inverse basis change picks the new generators
+    ``g_k1 ... g_kt`` (ascending) whose product is original generator
+    ``i``; that the product's mask is bit ``i`` is checked as ``inv . G ==
+    I`` over GF(2).  Its sign is ``sum_{a<b} Q[k_b, k_a]`` for the product-
+    sign Gram ``Q`` of the new generators (:func:`product_sign_gram`).
+    The sign of ``(+1, x)(+1, y)`` is ``y^T M x``, bilinear in the masks,
+    and the prefix ``g_k1 ... g_k(b-1)`` has mask ``sum_{a<b} g_ka``
+    whatever its sign, so multiplying it by ``g_kb`` adds ``sum_{a<b}
+    Q[k_b, k_a]``.  For all words at once that is ``S_i^T L S_i``, ``L``
+    the strict lower triangle of ``Q``: one Gram product of the rows of
+    ``S`` against those of ``L``, ANDed with ``S``.
+    """
     D = R.decomposition
     P = D.presentation
     m = P.m
-    inv = D.basis_change.inverse()
-    new_gens = D.new_generators
+    inv = D.basis_change.inverse().bits
     # holds[i, k]: new generator k is a factor of original generator i
-    holds = np.zeros((m, m), dtype=bool)
-    sign = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        coeffs = inv.row_mask(i)
-        factors = [k for k in range(m) if (coeffs >> k) & 1]
-        word = P.product(new_gens[k] for k in factors)
-        if word.mask != 1 << i:
-            raise VerificationError(f"basis change inversion failed for generator {i}")
-        holds[i, factors] = True
-        sign[i] = word.sign
-    sign *= np.where(holds, R.sign, 1).prod(axis=1)
+    holds = bit_table(inv, m)
+    wrong = gram_parity(inv, row_masks(bit_table(D.masks, m).T), m) != np.eye(m, dtype=np.uint8)
+    if wrong.any():
+        raise VerificationError(
+            f"basis change inversion failed for generator {int(np.argmax(wrong.any(axis=1)))}")
+    lower = row_masks(np.tril(product_sign_gram(P, D.masks), -1))
+    odd = (gram_parity(inv, lower, m) & holds).sum(axis=1) & 1
+    sign = np.where(odd, -1, 1) * np.where(holds, R.sign, 1).prod(axis=1)
     perm = np.tile(np.arange(R.perm.shape[1]), (m, 1))
     signs = np.ones_like(perm)
     # ascending k multiplies every word's factors in its own order

@@ -30,7 +30,7 @@ from .errors import CapExceeded
 from .gf2 import bit_table, row_masks
 from .hadamard import REPORT_CHECKS, HadamardBundle, VerificationReport
 from .matrices import DenseSignMatrix, MonomialMatrix
-from .presentation import AlgebraPresentation, SignedMonomial
+from .presentation import AlgebraPresentation
 from .represent import Representation
 from .solve import LambdaPattern, SolveResult
 from .structure import WedderburnType, compact_label
@@ -297,12 +297,9 @@ def sign_matrix_from_text_rows(rows: Sequence[str]) -> DenseSignMatrix:
 # -- monomials, decompositions, classifications -----------------------------
 
 
-def monomial_element_to_dict(x: SignedMonomial) -> dict:
-    return {"sign": x.sign, "exps": list(x.exps)}
-
-
 def decomposition_to_dict(D: Decomposition) -> dict:
-    gens = [monomial_element_to_dict(g) for g in D.new_generators]
+    # every new generator has sign +1; its own lists, apart from basis_change's
+    gens = [{"sign": 1, "exps": exps} for exps in bit_table(D.masks, D.presentation.m).tolist()]
     r, squares = D.r, D.squares
     return {
         "presentation": presentation_to_dict(D.presentation),

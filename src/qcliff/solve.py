@@ -20,9 +20,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .decompose import Decomposition, decompose
+from .decompose import Decomposition, decompose, form_matrix
 from .errors import CapExceeded, VerificationError
-from .gf2 import bit_table
+from .gf2 import bit_table, gram_parity, row_masks
 from .matrices import MonomialMatrix
 from .presentation import AlgebraPresentation
 from .represent import Representation, minimal_images
@@ -113,41 +113,53 @@ def _even_presentation(lam: LambdaPattern) -> AlgebraPresentation:
     )
 
 
-def _lex_first(E: AlgebraPresentation, basis: Sequence[int], h: Sequence[int],
-               a: Optional[int]) -> tuple[int, ...]:
+def _lex_first(D: Decomposition, h: Sequence[int], a: Optional[int]) -> tuple[int, ...]:
     """Least bits ``k_i = h_i + B(u, x_i)`` (``k_0`` first) over u in the span
-    of ``basis`` with ``q(u) = a`` (any u if ``a`` is None), ``x_i`` the
-    generators of E.
+    of the pairs of ``D``, the decomposition of E, with ``q(u) = a`` (any u
+    if ``a`` is None), ``x_i`` the generators of E.
 
     Each bit cuts the affine set ``u0 + span(W)`` by one linear condition
     and keeps ``k_i = 0`` unless ``q - a`` is then identically 1 on it.
     ``q(u0 + sum t_j w_j)`` is ``q(u0) + sum t_j (q(w_j) + B(u0, w_j)) +
     sum_{j<l} t_j t_l B(w_j, w_l)``, and a reduced GF(2) polynomial is
     constant iff all its other coefficients vanish, so the test is exact.
+
+    Each w of W, and u0, carries its row sum ``c_w = w^T F`` under E's
+    anticommutation form F and its square bit ``q(w)``, packed as ``w |
+    c_w << n | q(w) << 2n``: ``B(w, x_i)`` is bit i of ``c_w`` and ``B(v,
+    w)`` the parity of ``c_v & w``.  The squares start from ``D.squares``
+    and the row sums from one Gram product; ``w + p`` then adds the packs
+    and ``B(w, p)`` to the square bit, since ``q(w + p) = q(w) + q(p) +
+    B(w, p)``, the recurrence of :func:`~qcliff.decompose.symplectic_reduce`.
     """
-    def b(x: int, y: int) -> int:
-        return 1 if E.commute_sign_masks(x, y) == -1 else 0
+    n, low = D.presentation.m, (1 << D.presentation.m) - 1
+    basis = D.masks[D.r:]
+    sums = row_masks(gram_parity(basis, form_matrix(D.presentation).bits, n))
+    W = [w | c << n | (s < 0) << 2 * n for w, c, s in zip(basis, sums, D.squares[D.r:])]
 
-    def q(x: int) -> int:
-        return 1 if E.square_sign_mask(x) == -1 else 0
+    def b(X: int, Y: int) -> int:
+        return (X >> n & Y & low).bit_count() & 1
 
-    def reaches(u0: int, W: list[int]) -> bool:
-        return (a is None or q(u0) == a
-                or any(q(w) != b(u0, w) for w in W)
+    def add(X: int, Y: int) -> int:
+        return X ^ Y ^ b(X, Y) << 2 * n
+
+    def reaches(U: int, W: list[int]) -> bool:
+        return (a is None or U >> 2 * n == a
+                or any(w >> 2 * n != b(U, w) for w in W)
                 or any(b(v, w) for j, v in enumerate(W) for w in W[j + 1:]))
 
-    u0, W, k = 0, list(basis), []
+    U, k = 0, []
     for i, hi in enumerate(h):
-        x = 1 << i
-        cut = [b(w, x) for w in W]
-        if any(cut):
-            pivot = W[cut.index(1)]
-            W = [w ^ pivot if c else w for w, c in zip(W, cut) if w != pivot]
-            if b(u0, x) != hi:
-                u0 ^= pivot
-            if not reaches(u0, W):
-                u0 ^= pivot
-        k.append(hi ^ b(u0, x))
+        bit = 1 << n + i
+        cut = next((j for j, w in enumerate(W) if w & bit), None)
+        if cut is not None:
+            pivot = W.pop(cut)
+            W = [add(w, pivot) if w & bit else w for w in W]
+            if U >> n + i & 1 != hi:
+                U = add(U, pivot)
+            if not reaches(U, W):
+                U = add(U, pivot)
+        k.append(hi ^ (U >> n + i & 1))
     return tuple(k)
 
 
@@ -189,8 +201,7 @@ def _minimal_kappa(
     n = lam.n
     plus = decompose(presentation_from(lam, (1,) * n))
     order_l = classify(plus).irrep_order
-    even = _even_presentation(lam)
-    D = decompose(even)
+    D = decompose(_even_presentation(lam))
     wt = classify(D)
     # The fast exit: the bit fixing below would find kappa = +1 too, but
     # one classification is far cheaper than _lex_first at large n.
@@ -198,7 +209,6 @@ def _minimal_kappa(
         return (1,) * n, order_l, plus
     if max_b is not None and wt.irrep_order > max_b:
         return None, wt.irrep_order, None
-    basis = D.masks[D.r:]
     neg0 = [lam.neg[0] >> i & 1 for i in range(1, n)]
     pieces = [(neg0, 0 if wt.case is StructureCase.REAL else None)]
     if wt.case is StructureCase.COMPLEX:
@@ -209,7 +219,7 @@ def _minimal_kappa(
         tau = [(row & minus).bit_count() & 1 for row in D.basis_change.inverse().bits]
         quat = sum(1 for a, b in zip(squares[r::2], squares[r + 1::2]) if a == b == -1)
         pieces.append(([t ^ s for t, s in zip(neg0, tau)], quat % 2))
-    k = min(_lex_first(even, basis, h, a) for h, a in pieces)
+    k = min(_lex_first(D, h, a) for h, a in pieces)
     return (1,) + tuple(-1 if bit else 1 for bit in k), wt.irrep_order, None
 
 
@@ -258,7 +268,7 @@ def verify_solution(lam: LambdaPattern, result: SolveResult) -> None:
         raise VerificationError(f"expected {lam.n} matrices, got {len(rep.sign)}")
     if not result.b == result.wedderburn.irrep_order == rep.order:
         raise VerificationError("recorded order differs from the classification")
-    got = rep.pair_table()[:lam.n, :lam.n]
+    got = rep.pair_table[:lam.n, :lam.n]
     bad = np.argwhere(np.triu(got != np.where(bit_table(lam.neg, lam.n), -1, 1), 1)).tolist()
     if bad:
         j, k = bad[0]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from qcliff import (
     VerificationError,
 )
 from qcliff.decompose import MAX_M, Decomposition, form_matrix
-from qcliff.gf2 import Gf2Matrix
+from qcliff.gf2 import Gf2Matrix, bilinear_parity
 from qcliff.hadamard import TransversalSpec
 from qcliff.matrices import pair_lambdas
 from qcliff.represent import Representation, character_length
@@ -191,6 +191,43 @@ def transversal_lambda(spec: TransversalSpec) -> LambdaPattern:
     return LambdaPattern(1 << m, tuple(neg))
 
 
+def reference_lex_first(E: AlgebraPresentation, basis: Sequence[int], h: Sequence[int],
+                        a: Optional[int]) -> tuple[int, ...]:
+    """The bit fixing of ``qcliff.solve._lex_first`` with every sign formed
+    again per monomial by set-bit walks, and no bits carried.
+
+    ``b`` and ``q`` are the commutation and square bits of the +1 monomials
+    of E, from the upper table read both ways and the squares on the
+    diagonal; W and u0 are plain masks.
+    """
+    rows, kneg = E._delta_gt, E._kneg
+
+    def b(x: int, y: int) -> int:
+        return bilinear_parity(rows, y, x) ^ bilinear_parity(rows, x, y)
+
+    def q(x: int) -> int:
+        return (bilinear_parity(rows, x, x) + (x & kneg).bit_count()) & 1
+
+    def reaches(u0: int, W: list[int]) -> bool:
+        return (a is None or q(u0) == a
+                or any(q(w) != b(u0, w) for w in W)
+                or any(b(v, w) for j, v in enumerate(W) for w in W[j + 1:]))
+
+    u0, W, k = 0, list(basis), []
+    for i, hi in enumerate(h):
+        x = 1 << i
+        cut = [b(w, x) for w in W]
+        if any(cut):
+            pivot = W[cut.index(1)]
+            W = [w ^ pivot if c else w for w, c in zip(W, cut) if w != pivot]
+            if b(u0, x) != hi:
+                u0 ^= pivot
+            if not reaches(u0, W):
+                u0 ^= pivot
+        k.append(hi ^ b(u0, x))
+    return tuple(k)
+
+
 def word_mul(P: AlgebraPresentation, *words: list[int]) -> tuple[int, tuple[int, ...]]:
     """Multiply generator-index words by stepwise rewriting.
 
@@ -222,11 +259,62 @@ def word_mul(P: AlgebraPresentation, *words: list[int]) -> tuple[int, tuple[int,
 
 
 def word_of(x: SignedMonomial) -> list[int]:
-    return [i for i, e in enumerate(x.exps) if e]
+    return mask_word(x.mask)
+
+
+def mask_word(mask: int) -> list[int]:
+    """The generator indices of an exponent mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def square_sign(P: AlgebraPresentation, mask: int) -> int:
+    """Sign of the square of the monomial of ``mask``, by counting.
+
+    Rewriting ``w w`` for the ascending word ``w`` moves each letter of the
+    second copy past the larger letters of the first, one crossing per
+    pair of letters of ``w``, and then squares it: the sign is the product
+    of the letters' squares and of -1 per anticommuting pair in ``w``.
+    The count :func:`word_mul` makes, without the stepwise rewriting.
+    """
+    odd = sum((P._delta_gt[i] & mask).bit_count() for i in mask_word(mask))
+    return (-1) ** (odd + (mask & P._kneg).bit_count())
+
+
+def commute_sign(P: AlgebraPresentation, x: int, y: int) -> int:
+    """``P.commutation_sign`` of the +1 monomials of the masks ``x`` and ``y``."""
+    return P.commutation_sign(SignedMonomial(1, x, P.m), SignedMonomial(1, y, P.m))
 
 
 def monomial_of_word(P: AlgebraPresentation, sign: int, word: tuple[int, ...]) -> SignedMonomial:
     return SignedMonomial(sign, sum(1 << g for g in word), P.m)
+
+
+def fixed_type_presentation(rng: np.random.Generator, case: str, r: int,
+                            s: int) -> AlgebraPresentation:
+    """A presentation with ``r`` centrals and ``s`` hyperbolic pairs of
+    Wedderburn case ``case``, on random generators.
+
+    The normal form has the centrals first, squaring to +1 but for the
+    first one of the complex case, then the pairs, an odd number of them
+    squaring to (-1, -1) exactly in the quaternion case.  Generator ``i``
+    of the result is the normal-form monomial of mask ``T[i]``, for a
+    random invertible GF(2) matrix ``T``: the algebra and its irreducible
+    order stay, and the images become products of many blocks.
+    """
+    m = r + 2 * s
+    pairs = [tuple(int(x) for x in rng.choice([-1, 1], size=2)) for _ in range(s)]
+    if (case == "quaternion") != (pairs.count((-1, -1)) % 2 == 1):
+        pairs[-1] = (1, 1) if pairs[-1] == (-1, -1) else (-1, -1)
+    centrals = [-1 if case == "complex" and i == 0 else 1 for i in range(r)]
+    N = AlgebraPresentation(centrals + [x for pair in pairs for x in pair],
+                            [(r + 2 * t, r + 2 * t + 1) for t in range(s)])
+    while True:
+        T = tuple(int(v) for v in rng.integers(0, 1 << m, size=m))
+        if Gf2Matrix(m, m, T).rank() == m:
+            break
+    return AlgebraPresentation(
+        [square_sign(N, u) for u in T],
+        [(i, j) for i in range(m) for j in range(i + 1, m) if commute_sign(N, T[i], T[j]) == -1])
 
 
 def all_presentations(m: int):
@@ -438,15 +526,17 @@ def pushforward_by_products(R: Representation) -> tuple[MonomialMatrix, ...]:
     """Reference original-generator images of normal-form images ``R``.
 
     Each image is its word's sign times the product of ``R``'s order-b
-    images, in ascending generator order, multiplied by ``@``.
+    images, in ascending generator order, multiplied by ``@``; the sign
+    comes from rewriting the word of new generators by :func:`word_mul`.
     """
     D = R.decomposition
     P = D.presentation
     inv = D.basis_change.inverse()
     out = []
     for i in range(P.m):
-        factors = [k for k in range(P.m) if (inv.row_mask(i) >> k) & 1]
-        sign = P.product(D.new_generators[k] for k in factors).sign
+        factors = mask_word(inv.row_mask(i))
+        sign, word = word_mul(P, *(mask_word(D.masks[k]) for k in factors))
+        assert word == (i,)
         img = MonomialMatrix(np.arange(R.order), np.full(R.order, sign))
         for k in factors:
             img = img @ R.generator_images[k]

@@ -17,10 +17,12 @@ from qcliff.gf2 import xor_rows
 from helpers import (
     all_presentations,
     clifford_presentation,
+    commute_sign,
     quaternion_presentation,
     radical_dimension,
     random_presentation,
     reference_form_matrix,
+    square_sign,
     word_mul,
     word_of,
 )
@@ -29,14 +31,14 @@ from helpers import (
 def reference_validate(D):
     """``Decomposition.validate`` one pair at a time, on a well-formed record.
 
-    Squares come from ``square_sign``, and pair (i, j) anticommutes when
-    ``g_i^T D g_j + g_j^T D g_i`` is odd, ``D`` the presentation's upper
+    Squares come from ``helpers.square_sign``, and pair (i, j) anticommutes
+    when ``g_i^T D g_j + g_j^T D g_i`` is odd, ``D`` the presentation's upper
     table, from the row masks ``c_i = g_i^T D``.  Invertibility is the
     rank of the whole basis change, checked last as ``validate`` does.
     """
     P, masks = D.presentation, D.masks
-    for row, g in enumerate(D.new_generators):
-        if P.square_sign(g) != D.squares[row]:
+    for row, g in enumerate(masks):
+        if square_sign(P, g) != D.squares[row]:
             raise ValueError(f"recorded square of generator {row} is wrong")
     anti = set(D.normal_presentation().anticommuting_pairs())
     c = [xor_rows(P._delta_gt, g) for g in masks]
@@ -85,7 +87,7 @@ def replaced(D, k, mask):
     recomputed so that only the basis or the pattern can be wrong."""
     P = D.presentation
     masks, squares = list(D.masks), list(D.squares)
-    masks[k], squares[k] = mask, P.square_sign_mask(mask)
+    masks[k], squares[k] = mask, square_sign(P, mask)
     return Decomposition(P, D.r, tuple(masks), tuple(squares))
 
 
@@ -315,8 +317,8 @@ class TestCap:
 
 class TestSymplecticReduce:
     def test_matches_the_set_bit_reference_and_the_square_signs(self):
-        # masks against the set-bit copy, squares against the presentation's
-        # own product signs, from commuting to fully anticommuting forms
+        # masks against the set-bit copy, squares against the counted signs
+        # of helpers.square_sign, from commuting to fully anticommuting forms
         rng = np.random.default_rng(43)
         for m in range(1, 41):
             for density in (0.0, 0.05, 0.5, 0.95, 1.0):
@@ -331,7 +333,7 @@ class TestSymplecticReduce:
                         (symplectic_reduce(frows, m), AlgebraPresentation((1,) * m, anti))):
                     assert (centrals, pairs) == reference_reduce(frows, m)
                     masks = (*centrals, *(g for pair in pairs for g in pair))
-                    assert squares == tuple(P.square_sign_mask(g) for g in masks)
+                    assert squares == tuple(square_sign(P, g) for g in masks)
 
 
 class TestRadicalDimension:
@@ -353,6 +355,6 @@ class TestRadicalDimension:
                 central = sum(
                     1
                     for z in range(1 << m)
-                    if all(P.commute_sign_masks(z, 1 << i) == 1 for i in range(m))
+                    if all(commute_sign(P, z, 1 << i) == 1 for i in range(m))
                 )
                 assert central == 2 ** radical_dimension(P)

@@ -20,10 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcliff import AlgebraPresentation, cli, complete, minimal_images
+from qcliff import cli, complete, minimal_images
 from qcliff.cli import INT_ARRAY_KERNEL_MIN, _write_json, main
 from qcliff.decompose import decompose
-from qcliff.gf2 import Gf2Matrix
 from qcliff.represent import character_length
 from qcliff.serialize import (
     _IntArray,
@@ -37,7 +36,7 @@ from qcliff.serialize import (
 from qcliff.solve import solve
 from qcliff.structure import classify
 
-from helpers import constant_pattern, quaternion_presentation
+from helpers import constant_pattern, fixed_type_presentation, quaternion_presentation
 
 
 def written(obj) -> str:
@@ -174,35 +173,6 @@ class TestIntArrays:
         bound = 1 << (bits - 1)
         arr = np.random.default_rng(seed).integers(-bound, bound, size=length, dtype=np.int64)
         assert matches_the_list(arr, depth)
-
-
-def fixed_type_presentation(rng: np.random.Generator, case: str, r: int,
-                            s: int) -> AlgebraPresentation:
-    """A presentation with ``r`` centrals and ``s`` hyperbolic pairs of
-    Wedderburn case ``case``, on random generators.
-
-    The normal form has the centrals first, squaring to +1 but for the
-    first one of the complex case, then the pairs, an odd number of them
-    squaring to (-1, -1) exactly in the quaternion case.  Generator ``i``
-    of the result is the normal-form monomial of mask ``T[i]``, for a
-    random invertible GF(2) matrix ``T``: the algebra and its irreducible
-    order stay, and the images become products of many blocks.
-    """
-    m = r + 2 * s
-    pairs = [tuple(int(x) for x in rng.choice([-1, 1], size=2)) for _ in range(s)]
-    if (case == "quaternion") != (pairs.count((-1, -1)) % 2 == 1):
-        pairs[-1] = (1, 1) if pairs[-1] == (-1, -1) else (-1, -1)
-    centrals = [-1 if case == "complex" and i == 0 else 1 for i in range(r)]
-    N = AlgebraPresentation(centrals + [x for pair in pairs for x in pair],
-                            [(r + 2 * t, r + 2 * t + 1) for t in range(s)])
-    while True:
-        T = tuple(int(v) for v in rng.integers(0, 1 << m, size=m))
-        if Gf2Matrix(m, m, T).rank() == m:
-            break
-    return AlgebraPresentation(
-        [N.square_sign_mask(u) for u in T],
-        [(i, j) for i in range(m) for j in range(i + 1, m)
-         if N.commute_sign_masks(T[i], T[j]) == -1])
 
 
 def expanded_dict(rep) -> dict:

@@ -2,44 +2,45 @@ import numpy as np
 import pytest
 
 from qcliff import AlgebraPresentation, SignedMonomial
+from qcliff.decompose import product_sign_gram
 
 from helpers import (
     clifford_presentation,
+    mask_word,
     quaternion_presentation,
     random_monomial,
     random_presentation,
+    square_sign,
     word_mul,
     word_of,
 )
 
 
+def mul_sign(P, *masks):
+    """Sign of the product of the +1 monomials ``masks``, in order, from the
+    product-sign Gram: ``Q[b, a]`` is the sign bit of ``g_a g_b``."""
+    Q = product_sign_gram(P, masks)
+    odd = sum(int(Q[b, a]) for b in range(len(masks)) for a in range(b))
+    return -1 if odd % 2 else 1
+
+
 class TestMul:
+    """Product signs, read from ``decompose.product_sign_gram``."""
+
     def test_generators_in_order(self):
         Q = quaternion_presentation()
-        out = Q.mul(SignedMonomial(1, 0b01, 2), SignedMonomial(1, 0b10, 2))
-        assert out.sign == 1 and out.exps == (1, 1)
+        assert mul_sign(Q, 0b01, 0b10) == 1
 
     def test_generators_swapped_pick_up_the_relation_sign(self):
         Q = quaternion_presentation()
-        out = Q.mul(SignedMonomial(1, 0b10, 2), SignedMonomial(1, 0b01, 2))
-        assert out.sign == -1 and out.exps == (1, 1)
+        assert mul_sign(Q, 0b10, 0b01) == -1
 
     def test_quaternion_ij_squares_to_minus_one(self):
         # independent check: rewrite (a1 a2)(a1 a2) step by step
         Q = quaternion_presentation()
         sign, word = word_mul(Q, [0, 1], [0, 1])
         assert (sign, word) == (-1, ())
-        ij = Q.mul(SignedMonomial(1, 0b01, 2), SignedMonomial(1, 0b10, 2))
-        out = Q.mul(ij, ij)
-        assert out.sign == -1 and out.exps == (0, 0)
-
-    def test_length_mismatch_rejected(self):
-        Q = quaternion_presentation()
-        P3 = clifford_presentation(3, 0)
-        with pytest.raises(ValueError, match="presentation has m=2"):
-            Q.mul(SignedMonomial(1, 0b001, 2), SignedMonomial(1, 0b001, 3))
-        with pytest.raises(ValueError, match="presentation has m=3"):
-            P3.mul(SignedMonomial(1, 0b100, 3), SignedMonomial(1, 0b10, 2))
+        assert mul_sign(Q, 0b01, 0b10) * mul_sign(Q, 0b11, 0b11) == -1
 
     def test_agrees_with_word_rewriting_oracle(self):
         rng = np.random.default_rng(7)
@@ -48,36 +49,36 @@ class TestMul:
             P = random_presentation(rng, m)
             x, y = random_monomial(rng, P), random_monomial(rng, P)
             sign, word = word_mul(P, word_of(x), word_of(y))
-            got = P.mul(x, y)
-            assert got.sign == x.sign * y.sign * sign
-            assert word_of(got) == list(word)
+            assert mul_sign(P, x.mask, y.mask) == sign
+            assert word == tuple(mask_word(x.mask ^ y.mask))
 
 
 class TestSquareSign:
+    """The diagonal of the product-sign Gram against the counted squares
+    of ``helpers.square_sign`` and the rewriting oracle."""
+
     def test_identity(self):
         Q = quaternion_presentation()
-        assert Q.square_sign(Q.identity()) == 1
+        assert product_sign_gram(Q, [0])[0, 0] == 0 and square_sign(Q, 0) == 1
 
     def test_pseudoscalar_of_three_plus_generators(self):
         P = clifford_presentation(3, 0)
         sign, word = word_mul(P, [0, 1, 2], [0, 1, 2])
         assert (sign, word) == (-1, ())
-        assert P.square_sign(SignedMonomial(1, 0b111, 3)) == -1
+        assert product_sign_gram(P, [0b111])[0, 0] == 1 and square_sign(P, 0b111) == -1
 
     def test_quaternion_ij(self):
         Q = quaternion_presentation()
-        assert Q.square_sign(SignedMonomial(1, 0b11, 2)) == -1
-
-    def test_ignores_the_stored_sign(self):
-        Q = quaternion_presentation()
-        assert Q.square_sign(SignedMonomial(-1, 0b11, 2)) == -1
+        assert product_sign_gram(Q, [0b11])[0, 0] == 1 and square_sign(Q, 0b11) == -1
 
     def test_matches_mul(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             P = random_presentation(rng, int(rng.integers(1, 7)))
-            x = random_monomial(rng, P)
-            assert P.square_sign(x) == P.mul(x, x).sign
+            x = random_monomial(rng, P).mask
+            want = word_mul(P, mask_word(x), mask_word(x))[0]
+            assert mul_sign(P, x, x) == square_sign(P, x) == want
+            assert product_sign_gram(P, [x])[0, 0] == (want < 0)
 
 
 class TestCommutationSign:
@@ -103,31 +104,37 @@ class TestCommutationSign:
         for _ in range(200):
             P = random_presentation(rng, int(rng.integers(1, 7)))
             x, y = random_monomial(rng, P), random_monomial(rng, P)
-            assert P.mul(x, y).sign == P.commutation_sign(x, y) * P.mul(y, x).sign
+            forward = word_mul(P, word_of(x), word_of(y))[0]
+            assert forward == P.commutation_sign(x, y) * word_mul(P, word_of(y), word_of(x))[0]
+
+    def test_length_mismatch_rejected(self):
+        Q = quaternion_presentation()
+        P3 = clifford_presentation(3, 0)
+        with pytest.raises(ValueError, match="presentation has m=2"):
+            Q.commutation_sign(SignedMonomial(1, 0b001, 2), SignedMonomial(1, 0b001, 3))
+        with pytest.raises(ValueError, match="presentation has m=3"):
+            P3.commutation_sign(SignedMonomial(1, 0b100, 3), SignedMonomial(1, 0b10, 2))
 
 
 class TestAssociativityAndCoherence:
     def test_associative_on_random_triples(self):
+        # (xy)z and x(yz): the Gram's signs of the two bracketings agree,
+        # and with the rewriting of the three words
         rng = np.random.default_rng(17)
         for _ in range(300):
             P = random_presentation(rng, int(rng.integers(1, 7)))
-            x, y, z = (random_monomial(rng, P) for _ in range(3))
-            assert P.mul(P.mul(x, y), z) == P.mul(x, P.mul(y, z))
-
-    def test_exponents_always_xor(self):
-        rng = np.random.default_rng(19)
-        for _ in range(200):
-            P = random_presentation(rng, int(rng.integers(1, 7)))
-            x, y = random_monomial(rng, P), random_monomial(rng, P)
-            assert P.mul(x, y).mask == x.mask ^ y.mask
+            x, y, z = (random_monomial(rng, P).mask for _ in range(3))
+            left = mul_sign(P, x, y) * mul_sign(P, x ^ y, z)
+            right = mul_sign(P, y, z) * mul_sign(P, x, y ^ z)
+            assert left == right == mul_sign(P, x, y, z)
+            assert left == word_mul(P, mask_word(x), mask_word(y), mask_word(z))[0]
 
     def test_identity_is_neutral(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
             P = random_presentation(rng, int(rng.integers(1, 7)))
-            x = random_monomial(rng, P)
-            assert P.mul(P.identity(), x) == x
-            assert P.mul(x, P.identity()) == x
+            x = random_monomial(rng, P).mask
+            assert mul_sign(P, 0, x) == mul_sign(P, x, 0) == 1
 
 
 class TestBasis:

@@ -14,7 +14,8 @@ from qcliff import (
 )
 from qcliff.cli import main
 from qcliff.decompose import decompose
-from qcliff.hadamard import TransversalSpec, lambda_of_transversal, transversal
+from qcliff.gf2 import Gf2Matrix
+from qcliff.hadamard import TransversalSpec, complete, lambda_of_transversal, transversal
 from qcliff.matrices import j2, pair_lambdas, stacked_kron, x2, z2
 from qcliff.represent import (
     C_MINUS,
@@ -43,6 +44,8 @@ from helpers import (
     constant_pattern,
     dense,
     dense_verify,
+    fixed_type_presentation,
+    pattern_from_pairs,
     pushforward_by_products,
     quaternion_presentation,
     random_presentation,
@@ -457,6 +460,67 @@ class TestOneVerification:
         path = presentation_file(tmp_path, RANDOM5)
         assert main(["represent", path, "--format", "json"]) == 0
         assert verified == [RANDOM5]
+
+    @pytest.fixture
+    def pair_tables(self, monkeypatch):
+        """Families whose factored pair table ``Representation.pair_table`` forms."""
+        calls = []
+
+        def counting(family, sizes=None):
+            calls.append(len(family))
+            return pair_lambdas(family, sizes)
+
+        monkeypatch.setattr("qcliff.represent.pair_lambdas", counting)
+        return calls
+
+    def test_solve_forms_one_pair_table(self, pair_tables):
+        # Representation.verify and verify_solution read the same table
+        solve(constant_pattern(8, -1))
+        assert pair_tables == [9]
+
+    def test_complete_forms_one_pair_table(self, pair_tables):
+        complete(3)
+        assert pair_tables == [9]
+
+
+class TestPushSigns:
+    def test_inversion_check_names_the_generator(self, monkeypatch):
+        # a wrong inverse basis change: row i picks one factor too many or
+        # too few, so only generator i's word misses its mask
+        rng = np.random.default_rng(1019)
+        inverse = Gf2Matrix.inverse
+        for _ in range(20):
+            P = random_presentation(rng, int(rng.integers(1, 9)))
+            i, k = (int(v) for v in rng.integers(P.m, size=2))
+
+            def flipped(G):
+                bits = list(inverse(G).bits)
+                bits[i] ^= 1 << k
+                return Gf2Matrix(G.rows, G.cols, tuple(bits))
+
+            monkeypatch.setattr(Gf2Matrix, "inverse", flipped)
+            with pytest.raises(VerificationError,
+                               match=f"^basis change inversion failed for generator {i}$"):
+                minimal_images(P)
+            monkeypatch.setattr(Gf2Matrix, "inverse", inverse)
+
+    def test_pipeline_makes_no_set_bit_walk(self, monkeypatch):
+        # every sign on the pipeline's path comes from Gram products or
+        # carried bits; only the single-pair commutation_sign walks bits
+        def refuse(rows, u):
+            raise AssertionError("a set-bit walk on the pipeline's path")
+
+        P = fixed_type_presentation(np.random.default_rng(24), "quaternion", 2, 11)
+        monkeypatch.setattr("qcliff.gf2.xor_rows", refuse)
+        D = decompose(P)
+        assert classify(D).case.value == "quaternion"
+        minimal_images(P, None, D)
+        # seed 2 at n = 9 reaches the bit fixing (test_cap_comes_before_the_bit_fixing)
+        rng = np.random.default_rng(2)
+        lam = pattern_from_pairs(9, {(j, k): int(rng.choice([-1, 1]))
+                                     for j in range(9) for k in range(j + 1, 9)})
+        assert solve(lam).b == 16
+        complete(3)
 
 
 class TestOneDecomposition:

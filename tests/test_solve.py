@@ -29,9 +29,12 @@ from qcliff.structure import tensor_presentation
 
 from helpers import (
     check_hr_bound,
+    commute_sign,
     constant_pattern,
     pattern_from_pairs,
     random_monomial_matrix,
+    reference_lex_first,
+    square_sign,
     tensor_with_identity,
 )
 
@@ -205,9 +208,9 @@ class TestOrderFloor:
             for lam in all_patterns(n):
                 P = presentation_from(lam, (1,) * n)
                 even = AlgebraPresentation(
-                    [P.square_sign_mask(v) for v in x],
+                    [square_sign(P, v) for v in x],
                     [(i, j) for i, j in itertools.combinations(range(n - 1), 2)
-                     if P.commute_sign_masks(x[i], x[j]) == -1],
+                     if commute_sign(P, x[i], x[j]) == -1],
                 )
                 kappa, b = minimal_kappa(lam)
                 assert b == classify_presentation(even).irrep_order, lam
@@ -232,6 +235,28 @@ class TestOrderFloor:
         )
         want = ((1, 1, 1, 1, 1, -1, 1), 8)
         assert minimal_kappa(lam) == full_sweep_reference(lam) == want
+
+    def test_bit_fixing_matches_the_set_bit_reference(self, monkeypatch):
+        # every _lex_first call against the bit fixing that forms each sign
+        # by a set-bit walk, on seeded patterns up to n = 64 and the default
+        # transversals for m <= 6
+        rng = np.random.default_rng(107)
+        patterns = [biased_pattern(rng, n) for n in (*range(3, 40), 48, 64) for _ in range(4)]
+        patterns += [lambda_of_transversal(transversal(TransversalSpec.default(m)))
+                     for m in range(1, 7)]
+        calls = []
+
+        def compared(D, h, a):
+            got = _lex_first(D, h, a)
+            assert got == reference_lex_first(D.presentation, D.masks[D.r:], h, a)
+            calls.append(a)
+            return got
+
+        monkeypatch.setattr("qcliff.solve._lex_first", compared)
+        for lam in patterns:
+            _minimal_kappa(lam)
+        # every kind of piece: no condition, q(u) = 0 and q(u) = 1
+        assert len(calls) > 50 and {None, 0, 1} <= set(calls)
 
     def test_solve_matches_the_full_sweep_reference(self):
         rng = np.random.default_rng(103)
