@@ -33,6 +33,7 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
@@ -177,14 +178,62 @@ def _kron_sign_text(sign: int, blocks: Sequence[np.ndarray], indent: str) -> str
     return sep.join([plus if s > 0 else minus for s in (sign * blocks[0]).tolist()])
 
 
+def _int_list_depth(obj: list) -> int:
+    """The depth of ``obj`` as nested non-empty lists with ints at the
+    bottom (1 for a list of ints), or 0 if it is not one.
+
+    Types are compared exactly, so a bool (an int subclass) or a tuple
+    anywhere gives 0."""
+    depth, level = 1, obj
+    while True:
+        types = set(map(type, level))
+        if types == {int}:
+            return depth
+        if types != {list} or not all(level):
+            return 0
+        level = list(chain.from_iterable(level))
+        depth += 1
+
+
+@functools.lru_cache(maxsize=None)
+def _int_list_layout(depth: int, indent: str) -> tuple[str, tuple[tuple[str, str], ...], str]:
+    """The head, the ``(repr separator, JSON separator)`` pairs, widest
+    first, and the tail of :func:`_int_list_text`."""
+    pad = [indent + "  " * t for t in range(depth + 1)]
+    seps = tuple(
+        ("]" * k + ", " + "[" * k,
+         "".join("\n" + pad[t] + "]" for t in range(depth - 1, depth - 1 - k, -1)) + ","
+         + "".join("\n" + pad[t] + "[" for t in range(depth - k, depth)) + "\n" + pad[depth])
+        for k in range(depth - 1, -1, -1))
+    head = "[" + "".join("\n" + pad[t] + "[" for t in range(1, depth)) + "\n" + pad[depth]
+    return head, seps, "".join("\n" + pad[t] + "]" for t in range(depth - 1, -1, -1))
+
+
+def _int_list_text(obj: list, depth: int, indent: str) -> str:
+    """The text ``json.dumps`` gives nested int lists of ``depth`` levels
+    at ``indent``, from one ``repr``.
+
+    In the ``repr``, siblings whose subtrees have ``k`` levels of lists
+    are parted by ``k`` closing brackets, a ", " and ``k`` opening ones.
+    Each separator, the widest first, becomes the line breaks and indents
+    of the JSON layout, which hold no ", " for a narrower one to match.
+    """
+    head, seps, tail = _int_list_layout(depth, indent)
+    text = list.__repr__(obj)[depth:-depth]
+    for old, new in seps:
+        text = text.replace(old, new)
+    return head + text + tail
+
+
 def _encode(obj, indent: str, out: list[str], tables: dict) -> None:
     """Append the text ``json.dumps`` gives ``obj`` at nesting ``indent``.
 
     ``json.dumps`` with ``indent`` runs the standard library's pure-Python
     encoder; this walk keeps its layout but formats the parts in C: keys
-    and strings by the same escaper, and a list of plain ints by one
-    ``repr``.  The ``perm`` / ``signs`` arrays, nearly all of the bytes,
-    come as :class:`~qcliff.serialize._IntArray` or, for a
+    and strings by the same escaper, a list of strings (the rows of H) by
+    one join, and nested lists of plain ints (a lambda or delta table, the
+    rows of S and B) by one ``repr`` (:func:`_int_list_text`).  The
+    ``perm`` / ``signs`` arrays, nearly all of the bytes, come as :class:`~qcliff.serialize._IntArray` or, for a
     representation's images, as :class:`~qcliff.serialize._KronRow`.  One
     of at least ``INT_ARRAY_KERNEL_MIN`` entries is formatted from numpy
     by :func:`_int_array_text` (``tables`` holds its digit rows), the
@@ -216,11 +265,17 @@ def _encode(obj, indent: str, out: list[str], tables: dict) -> None:
             out.append("[]")
             return
         inner = indent + "  "
-        # exact types, so bools (an int subclass) never take this path
-        if isinstance(obj, list) and set(map(type, obj)) == {int}:
-            body = list.__repr__(obj)[1:-1].replace(", ", ",\n" + inner)
-            out.append("[\n" + inner + body + "\n" + indent + "]")
-            return
+        if isinstance(obj, list):
+            # exact types, so bools (an int subclass) never take these paths
+            types = set(map(type, obj))
+            depth = 1 if types == {int} else types == {list} and _int_list_depth(obj)
+            if depth:
+                out.append(_int_list_text(obj, depth, indent))
+                return
+            if types == {str}:
+                out.append("[\n" + inner + (",\n" + inner).join(map(_quote, obj))
+                           + "\n" + indent + "]")
+                return
         sep = "[\n" + inner
         for value in obj:
             out.append(sep)
@@ -229,7 +284,8 @@ def _encode(obj, indent: str, out: list[str], tables: dict) -> None:
         out.append("\n" + indent + "]")
     elif type(obj) in (_IntArray, _KronRow):
         if len(obj) < INT_ARRAY_KERNEL_MIN:
-            _encode(obj.array.tolist(), indent, out, tables)
+            values = obj.array.tolist()
+            out.append(_int_list_text(values, 1, indent) if values else "[]")
             return
         if type(obj) is _KronRow and obj.sign is not None:
             text = _kron_sign_text(obj.sign, obj.blocks, indent)

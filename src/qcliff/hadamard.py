@@ -30,6 +30,7 @@ from .gf2 import bit_table, row_masks
 from .matrices import (
     DenseSignMatrix,
     MonomialMatrix,
+    _pair_batches,
     ident2,
     pair_lambdas,
     sign_product,
@@ -47,6 +48,10 @@ DEFAULT_MAX_N = 16
 # Default cap on the order n*b of the dense H: every m <= 4 transversal
 # assembles to order <= 2048; one int64 matrix of order 2^14 is 2 GiB.
 DENSE_ORDER_CAP = 1 << 12
+
+# Entries per batch of B grams in run_checks: one batch at the bench's
+# m = 3, cache-sized batches from m = 4 on.
+_GRAM_BATCH = 1 << 18
 
 DIAG_CHOICES = {"I": ident2, "Z": z2}
 OFFDIAG_CHOICES = {"X": x2, "Y": y2}
@@ -117,8 +122,23 @@ def lambda_of_transversal(A: Sequence[MonomialMatrix]) -> LambdaPattern:
     return LambdaPattern(len(A), row_masks(lam == -1))
 
 
+def _densify(D: Sequence[MonomialMatrix], S: np.ndarray) -> np.ndarray:
+    """The ``(n, b, b)`` stack of ``D_k @ S``, one gather of the rows of ``S``."""
+    perm = np.stack([d.perm for d in D])
+    signs = np.stack([d.signs for d in D])
+    return signs[:, :, None] * S[perm]
+
+
 def plug_in(A: Sequence[MonomialMatrix], B: Sequence[DenseSignMatrix]) -> DenseSignMatrix:
-    """Assemble ``sum A_k (x) B_k`` and demand every entry lands in +-1."""
+    """Assemble ``sum A_k (x) B_k`` and demand every entry lands in +-1.
+
+    Member ``k`` puts ``signs_k[row] * B_k`` in block ``(row, perm_k[row])``.
+    The n members of order n place n * n blocks, so every entry is +-1
+    exactly when they cover every block once: otherwise some block is
+    missed and reads 0.  The cover is decided on the stacked perms; H is
+    then one scatter of the stacked B into its ``(n, b, n, b)`` view,
+    signed in place by block.
+    """
     if len(A) != len(B) or not A:
         raise ValueError("need equally many outer and inner matrices")
     n = len(A)
@@ -127,15 +147,16 @@ def plug_in(A: Sequence[MonomialMatrix], B: Sequence[DenseSignMatrix]) -> DenseS
     b = B[0].order
     if any(x.order != b for x in B):
         raise ValueError("inner matrices must share one order")
-    out = np.zeros((n * b, n * b), dtype=np.int64)
-    for ak, bk in zip(A, B):
-        for row in range(n):
-            col = int(ak.perm[row])
-            block = out[row * b:(row + 1) * b, col * b:(col + 1) * b]
-            block += int(ak.signs[row]) * bk.array
-    if not np.all(np.abs(out) == 1):
+    perm = np.stack([a.perm for a in A])
+    rows = np.arange(n)
+    if not (np.sort(perm, axis=0) == rows[:, None]).all():
         raise ValueError("plug-in sum has entries outside {-1,+1}; supports overlap or miss")
-    return DenseSignMatrix(out)
+    block_sign = np.empty((n, n), dtype=np.int64)
+    block_sign[rows, perm] = np.stack([a.signs for a in A])
+    out = np.empty((n, b, n, b), dtype=np.int64)
+    out[rows, :, perm, :] = np.stack([x.array for x in B])[:, None]
+    out *= block_sign[:, None, :, None]
+    return DenseSignMatrix._closed(out.reshape(n * b, n * b))
 
 
 # The pass/fail conditions of a report, in report and file order.
@@ -194,7 +215,13 @@ def run_checks(
 ) -> VerificationReport:
     """Exact integer verification of every bundle condition.
 
-    The dense Grams are ``sign_product``s: exact integers from float64.
+    Each condition is a vector pass over the stacked families: the sorted
+    perms of A, the products ``A_k A_k^T`` as index gathers, the pair
+    table of A, the Grams ``B_j B_k^T`` of the pairs ``j < k`` as batched
+    ``sign_product``s (one batch at m = 3, cache-sized batches of rows
+    from m = 4 on), ``sum B_k B_k^T`` as one product, one gather of the
+    blocks of H and the product ``H H^T``.  The dense Grams are exact
+    integers from float64.
     """
     n = len(A)
     b = B[0].order
@@ -203,25 +230,33 @@ def run_checks(
     # row i of every member, sorted: disjoint supports repeat no column,
     # and n members of order n cover every cell once (|sum A_k| == 1)
     perm = np.stack([a.perm for a in A])
+    signs = np.stack([a.signs for a in A])
     perms = np.sort(perm, axis=0)
     disjoint = bool(np.all(perms[1:] != perms[:-1]))
     tsum = perms.shape == (n, n) and bool(np.all(perms == np.arange(n)[:, None]))
 
-    ident_n = MonomialMatrix.identity(n)
-    a_orth = all(a @ a.transpose() == ident_n for a in A)
+    # A_k A_k^T == I_n: row i of the product has the sign
+    # signs[i] * signs[inv[perm[i]]] in column inv[perm[i]]
+    back = np.take_along_axis(np.argsort(perm, axis=1), perm, axis=1)
+    a_orth = perm.shape[1] == n and bool(
+        (back == np.arange(n)).all() and (signs * np.take_along_axis(signs, back, axis=1) == 1).all()
+    )
     table = np.where(bit_table(lam.neg, lam.n), -1, 1)
     a_lam = np.array_equal(np.triu(-pair_lambdas(A), 1), np.triu(table, 1))
 
-    # pass j forms B_j B_k^T for k >= j only: B_k B_j^T is its transpose
+    # B_j B_k^T for k > j0, a batch of rows j at a time (one batch at the
+    # bench's size): B_k B_j^T is its transpose, and the cells with
+    # j0 < k <= j repeat the condition of the pair (k, j)
     stacked = np.stack([x.array for x in B], dtype=np.float64)
-    gram_sum = np.zeros((b, b), dtype=np.int64)
     b_lam = True
-    for j in range(n):
-        grams = sign_product(stacked[j], stacked[j:].transpose(0, 2, 1))
-        gram_sum += grams[0]
-        want = table[j, j + 1:n, None, None] * grams[1:].transpose(0, 2, 1)
-        b_lam = b_lam and np.array_equal(grams[1:], want)
-    b_gram = bool(np.array_equal(gram_sum, order * np.eye(b, dtype=np.int64)))
+    for j0, j1 in _pair_batches(n, b * b, _GRAM_BATCH):
+        grams = sign_product(stacked[j0:j1, None], stacked[None, j0 + 1:].transpose(0, 1, 3, 2))
+        b_lam = b_lam and np.array_equal(
+            grams, table[j0:j1, j0 + 1:, None, None] * grams.transpose(0, 1, 3, 2))
+    # sum B_k B_k^T is one product of the B side by side
+    wide = stacked.transpose(1, 0, 2).reshape(b, order)
+    b_gram = np.array_equal(sign_product(wide, wide.T), order * np.eye(b, dtype=np.int64))
+    grams = wide = None  # free them before the H H^T product
 
     # every row block of the plug-in sum gets one term per member, so with
     # a transversal sum it is H exactly when block (row, perm_k[row]) of H
@@ -229,7 +264,7 @@ def run_checks(
     h_match = tsum and H.order == order
     if h_match:
         blocks = H.array.reshape(n, b, n, b)[np.arange(n), :, perm, :]
-        blocks *= np.stack([a.signs for a in A])[:, :, None, None]
+        blocks *= signs[:, :, None, None]
         h_match = bool((blocks == stacked[:, None]).all())
         del blocks  # as large as H: free it before the H H^T product
 
@@ -255,17 +290,24 @@ def verify_bundle(bundle: HadamardBundle) -> HadamardBundle:
     """Recompute the verification report of a stored bundle.
 
     Also checks what the report does not cover: ``S S^T == b I``, every
-    stored ``B_k == D_k @ S``, and, when the recomputed report passes, a
-    stored report equal to it (a failing report is returned as is, since
-    it already fails the bundle).  Raises ``VerificationError`` naming the
-    first bad ``k`` or the first differing report field.
+    stored ``B_k == D_k @ S`` (one gather of S's rows for all ``k``),
+    and, when the recomputed report passes, a stored report equal to it
+    (a failing report is returned as is, since it already fails the
+    bundle).  Raises ``VerificationError`` naming the first bad ``k`` or
+    the first differing report field.
     """
     b, S = bundle.b, bundle.S.array
     if not np.array_equal(sign_product(S, S.T), b * np.eye(b, dtype=np.int64)):
         raise VerificationError("stored S is not a Hadamard matrix: S S^T != b I")
-    for k, (d, bk) in enumerate(zip(bundle.D, bundle.B, strict=True)):
-        if d.order != b or not np.array_equal(d.mul_dense(S), bk.array):
-            raise VerificationError(f"stored B_{k} differs from D_{k} @ S")
+    D, B = bundle.D, bundle.B
+    # members past the first of another order are not compared: k names it
+    same = [d.order == b and x.order == b for d, x in zip(D, B, strict=True)]
+    k = same.index(False) if False in same else len(same)
+    if k:
+        differs = (_densify(D[:k], S) != np.stack([x.array for x in B[:k]])).any(axis=(1, 2))
+        k = int(np.argmax(differs)) if differs.any() else k
+    if k < len(same):
+        raise VerificationError(f"stored B_{k} differs from D_{k} @ S")
     report = run_checks(bundle.A, bundle.lam, bundle.B, bundle.H)
     if report.passed and bundle.report != report:
         field = next(
@@ -312,7 +354,7 @@ def complete(
         raise CapExceeded(f"assembled order {len(A) * b} exceeds the cap {max_order}")
     sol = _realize(lam, kappa, b, D)
     S = sylvester(sol.b)
-    B = tuple(DenseSignMatrix(d.mul_dense(S.array)) for d in sol.D)
+    B = tuple(map(DenseSignMatrix._closed, _densify(sol.D, S.array)))
     H = plug_in(A, B)
     report = run_checks(A, lam, B, H)
     if not report.passed:

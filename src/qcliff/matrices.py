@@ -8,12 +8,14 @@ products of verified objects have entries bounded by the order, far
 inside int64 range, and :func:`sign_product` forms the dense checks'
 products exactly in float64.
 
-Only the public constructor validates and copies its input (parsers,
-callers, ``identity``); ``@``, ``transpose`` and negation
-yield signed permutations by construction and skip the check.
+Only the public constructors validate and copy their input (parsers,
+callers, ``identity``); ``@``, ``transpose``, negation and the stacked
+families built or read in one pass (``_closed``) are signed permutations
+or sign matrices by construction and skip the check.
 Amicability signs have one kernel, :func:`pair_lambdas`: it decides every
 pair of a family of n matrices of order b on the stacked ``perm`` /
-``signs`` arrays in n - 1 numpy passes, O(n^2 b) integer work in all.
+``signs`` arrays, many pairs per gather in at most n - 1 batches,
+O(n^2 b) integer work in all.
 Its table is the side "B" sign; the outer family's side "A" pattern is
 its negation (:func:`~qcliff.hadamard.lambda_of_transversal`).  Cut into
 block segments, it gives the signs of Kronecker products from their blocks.
@@ -132,6 +134,14 @@ class DenseSignMatrix:
         arr.setflags(write=False)
         self.array = arr
 
+    @classmethod
+    def _closed(cls, array: np.ndarray) -> "DenseSignMatrix":
+        """Store a square int64 array whose entries are +-1 by construction."""
+        array.setflags(write=False)
+        out = cls.__new__(cls)
+        out.array = array
+        return out
+
     @property
     def order(self) -> int:
         return int(self.array.shape[0])
@@ -156,9 +166,24 @@ class DenseSignMatrix:
         return f"DenseSignMatrix(order={self.order})"
 
 
-# Codes per batched sign test of pair_lambdas: few numpy calls per pass
-# for small families, bounded memory for large ones.
+# Codes per batch of pair_lambdas: few numpy calls for small families,
+# bounded memory for large ones.
 _PAIR_BATCH = 1 << 16
+
+
+def _pair_batches(n: int, cell: int, budget: int) -> list[tuple[int, int]]:
+    """Row ranges ``[j0, j1)`` that cover the pairs ``j < k`` of n members.
+
+    A batch pairs rows ``j0 <= j < j1`` with every column ``k > j0``, at
+    ``cell`` entries a pair: as many rows as keep it within ``budget``
+    entries, and at least one, so there are at most ``n - 1`` batches.
+    """
+    out, j0 = [], 0
+    while j0 < n - 1:
+        j1 = min(n - 1, j0 + max(1, budget // ((n - 1 - j0) * cell)))
+        out.append((j0, j1))
+        j0 = j1
+    return out
 
 
 def pair_lambdas(family: Sequence[MonomialMatrix],
@@ -169,10 +194,10 @@ def pair_lambdas(family: Sequence[MonomialMatrix],
     ``X_j X_k^T == -X_k X_j^T`` and 0 where neither holds; the diagonal is
     0.  Row ``i`` is coded ``2 perm[i] + [signs[i] < 0]``, so row ``i`` of
     ``X Y`` is ``table_Y[code_X[i]]`` with ``table_Y[2c + e] = code_Y[c] ^ e``.
-    Pass ``j`` of ``n - 1`` gathers the codes of ``X_j X_k^T`` and
-    ``X_k X_j^T`` for all ``k > j`` from the tables of the transposes and
-    xors them: all 0 is +1, all 1 is -1, tested on batches of about
-    ``_PAIR_BATCH`` codes.  O(n^2 b) for order ``b``.
+    Each batch of rows ``j`` (:func:`_pair_batches`) gathers the codes of
+    ``X_j X_k^T`` and of ``X_k X_j^T`` for all ``k > j0`` from the tables
+    of the transposes, two gathers in all, and xors them: all 0 is +1,
+    all 1 is -1.  At most ``n - 1`` batches, O(n^2 b) for order ``b``.
 
     With ``sizes``, every member must be block diagonal with blocks of
     those sizes.  The xors are read per block, and the entry is the
@@ -195,24 +220,19 @@ def pair_lambdas(family: Sequence[MonomialMatrix],
     transposed = np.empty((n, b), dtype=np.min_scalar_type(2 * b))
     transposed[np.arange(n)[:, None], perm] = 2 * np.arange(b) + neg
     table = (transposed[:, :, None] ^ np.arange(2, dtype=transposed.dtype)).reshape(n, 2 * b)
-    lams, pending, held = [np.zeros(0, dtype=np.int64)], [], 0
-    for j in range(n - 1):
-        d = np.take(table[j + 1:], code[j], axis=1)
-        d ^= np.take(table[j], code[j + 1:])
-        pending.append(d)
-        held += d.size
-        if held >= _PAIR_BATCH or j == n - 2:
-            d = pending[0] if len(pending) == 1 else np.concatenate(pending)
-            first = d[:, starts]
-            step = d[:, 1:] != d[:, :-1]
-            step[:, starts[1:] - 1] = False
-            same = (first <= 1).all(axis=1) & ~step.any(axis=1)
-            lams.append(np.where(same, 1 - 2 * (np.count_nonzero(first, axis=1) & 1), 0))
-            pending, held = [], 0
     out = np.zeros((n, n), dtype=np.int64)
-    upper = np.triu_indices(n, 1)
-    out[upper] = out.T[upper] = np.concatenate(lams)
-    return out
+    for j0, j1 in _pair_batches(n, b, _PAIR_BATCH):
+        # d[j - j0, k - j0 - 1]: row codes of X_j X_k^T xor those of X_k X_j^T;
+        # the cells with k <= j are formed too and dropped below
+        d = np.take(table[j0:j1], code[j0 + 1:], axis=1)
+        d ^= np.take(table[j0 + 1:], code[j0:j1], axis=1).transpose(1, 0, 2)
+        first = d[..., starts]
+        step = d[..., 1:] != d[..., :-1]
+        step[..., starts[1:] - 1] = False
+        same = (first <= 1).all(axis=-1) & ~step.any(axis=-1)
+        out[j0:j1, j0 + 1:] = np.where(same, 1 - 2 * (np.count_nonzero(first, axis=-1) & 1), 0)
+    out = np.triu(out, 1)
+    return out + out.T
 
 
 def stacked_kron(sign: np.ndarray,
@@ -256,13 +276,18 @@ def sign_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def sylvester(b: int) -> DenseSignMatrix:
-    """The doubling-recursion Hadamard matrix of power-of-two order ``b``."""
+    """The Sylvester Hadamard matrix of power-of-two order ``b``,
+    ``S[i, j] = (-1)^popcount(i & j)``.
+
+    It is the doubling ``[[S, S], [S, -S]]`` iterated ``log2 b`` times
+    from ``[[1]]``: the top index bits of both halves meet only in the
+    bottom-right one.
+    """
     if b < 1 or b & (b - 1):
         raise ValueError(f"order must be a power of two, got {b}")
-    s = np.array([[1]], dtype=np.int64)
-    while s.shape[0] < b:
-        s = np.block([[s, s], [s, -s]])
-    return DenseSignMatrix(s)
+    i = np.arange(b, dtype=np.min_scalar_type(b - 1))
+    odd = np.bitwise_count(i[:, None] & i) & 1
+    return DenseSignMatrix._closed(np.subtract(1, odd << 1, dtype=np.int64))
 
 
 # Fixed order-2 building blocks.  Z and X are symmetric with squares +I

@@ -152,10 +152,11 @@ def _plain(tree):
 
 
 def presentation_to_dict(P: AlgebraPresentation) -> dict:
+    i, j = bit_table(P._delta_gt, P.m).nonzero()
     return {
         "m": P.m,
         "kappa": list(P.kappa),
-        "delta": [[i + 1, j + 1, 1] for i, j in P.anticommuting_pairs()],
+        "delta": np.array([i + 1, j + 1, np.ones_like(i)]).T.tolist(),
     }
 
 
@@ -261,6 +262,62 @@ def monomial_from_dict(obj: dict) -> MonomialMatrix:
     if mat.order != obj["order"]:
         raise ValueError(f"recorded order {obj['order']} does not match perm length")
     return mat
+
+
+_MONOMIAL_KEYS = {"order", "perm", "signs"}
+
+
+def _int_stack(rows: list, ndim: int) -> Optional[np.ndarray]:
+    """``rows`` as one int64 array of ``ndim`` dimensions, or None if they
+    are ragged or hold anything but integers, booleans included."""
+    try:
+        arr = np.array(rows)
+    except (ValueError, OverflowError):
+        return None
+    if arr.ndim != ndim or arr.dtype.kind != "i":
+        return None
+    flat = rows
+    for _ in range(ndim - 1):
+        flat = chain.from_iterable(flat)
+    if bool in map(type, flat):
+        return None
+    return arr.astype(np.int64, copy=False)
+
+
+def _monomial_family(objs: list) -> tuple[MonomialMatrix, ...]:
+    """The members of a list of monomial matrix objects, validated as one stack.
+
+    n well-formed members of one order are checked in one pass over their
+    ``(n, order)`` perm and sign arrays.  Any other list is read member by
+    member by :func:`monomial_from_dict`, which raises naming the first
+    bad member; only members of different orders pass it, and the
+    bundle's order checks refuse those.
+    """
+    if objs and set(map(type, objs)) == {dict} and all(o.keys() == _MONOMIAL_KEYS for o in objs):
+        perm = _int_stack([o["perm"] for o in objs], 2)
+        signs = _int_stack([o["signs"] for o in objs], 2)
+        orders = [o["order"] for o in objs]
+        if (perm is not None and signs is not None and perm.shape == signs.shape
+                and perm.shape[1] and set(map(type, orders)) == {int}
+                and orders == [perm.shape[1]] * len(objs)
+                and (np.sort(perm, axis=1) == np.arange(perm.shape[1])).all()
+                and (np.abs(signs) == 1).all()):
+            return tuple(map(MonomialMatrix._closed, perm, signs))
+    return tuple(monomial_from_dict(obj) for obj in objs)
+
+
+def _dense_family(objs: list) -> tuple[DenseSignMatrix, ...]:
+    """The members of a list of dense sign matrices, validated as one
+    ``(n, b, b)`` stack.
+
+    Any other list is read member by member by :func:`dense_from_rows`,
+    which raises naming the first bad member; only members of different
+    orders pass it, and the bundle's order checks refuse those.
+    """
+    arr = _int_stack(objs, 3)
+    if arr is not None and arr.shape[1] == arr.shape[2] and (np.abs(arr) == 1).all():
+        return tuple(map(DenseSignMatrix._closed, arr))
+    return tuple(dense_from_rows(rows) for rows in objs)
 
 
 def dense_to_rows(mat: DenseSignMatrix) -> list[list[int]]:
@@ -432,7 +489,7 @@ def _bundle_tree(bundle: HadamardBundle) -> dict:
         "lambda": lambda_to_dict(bundle.lam),
         "D": [_monomial_tree(d) for d in bundle.D],
         "S": dense_to_rows(bundle.S),
-        "B": [dense_to_rows(x) for x in bundle.B],
+        "B": np.stack([x.array for x in bundle.B]).tolist(),
         "H": sign_text_rows(bundle.H),
         "report": report_to_dict(bundle.report),
     }
@@ -445,11 +502,11 @@ def bundle_to_dict(bundle: HadamardBundle) -> dict:
 def bundle_from_dict(obj: dict) -> HadamardBundle:
     _require_keys(obj, ["n", "b", "A", "lambda", "D", "S", "B", "H", "report"])
     _check_ints(obj, ("n", "b"), "bundle")
-    A = tuple(monomial_from_dict(a) for a in _list(obj["A"], "bundle A"))
+    A = _monomial_family(_list(obj["A"], "bundle A"))
     lam = lambda_from_dict(obj["lambda"])
-    D = tuple(monomial_from_dict(d) for d in _list(obj["D"], "bundle D"))
+    D = _monomial_family(_list(obj["D"], "bundle D"))
     S = dense_from_rows(obj["S"])
-    B = tuple(dense_from_rows(rows) for rows in _list(obj["B"], "bundle B"))
+    B = _dense_family(_list(obj["B"], "bundle B"))
     H = sign_matrix_from_text_rows(_list(obj["H"], "bundle H"))
     report = report_from_dict(obj["report"])
     if lam.n != obj["n"] or any(len(family) != obj["n"] for family in (A, D, B)):

@@ -8,7 +8,7 @@ exercises none of the closed-form sign machinery in the package.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -23,10 +23,21 @@ from qcliff import (
 )
 from qcliff.decompose import MAX_M, Decomposition, form_matrix
 from qcliff.gf2 import Gf2Matrix, bilinear_parity
-from qcliff.hadamard import TransversalSpec
-from qcliff.matrices import pair_lambdas
+from qcliff.hadamard import HadamardBundle, TransversalSpec, VerificationReport
+from qcliff.matrices import DenseSignMatrix, pair_lambdas, sign_product
 from qcliff.represent import Representation, character_length
-from qcliff.serialize import _is_int, _list, _require_keys, _sign
+from qcliff.serialize import (
+    _check_ints,
+    _is_int,
+    _list,
+    _require_keys,
+    _sign,
+    dense_from_rows,
+    lambda_from_dict,
+    monomial_from_dict,
+    report_from_dict,
+    sign_matrix_from_text_rows,
+)
 from qcliff.solve import rho
 
 
@@ -577,3 +588,129 @@ def check_hr_bound(family: Iterable[MonomialMatrix]) -> HurwitzRadonReport:
         mutually_anti_amicable=anti,
         within_bound=len(mats) <= bound,
     )
+
+
+# -- the plug-in checks member by member, kept as oracles ----------------------
+
+
+def reference_sylvester(b: int) -> np.ndarray:
+    """The doubling recursion ``[[S, S], [S, -S]]`` from ``[[1]]``, as int8."""
+    s = np.ones((1, 1), dtype=np.int8)
+    while s.shape[0] < b:
+        s = np.block([[s, s], [s, -s]])
+    return s
+
+
+def monomial_pair_sign(x: MonomialMatrix, y: MonomialMatrix) -> int:
+    """Side "B" sign of a pair by forming ``x y^T`` and ``y x^T``; 0 if none fits."""
+    p, q = x @ y.transpose(), y @ x.transpose()
+    if p == q:
+        return 1
+    if p == -q:
+        return -1
+    return 0
+
+
+def reference_plug_in(A, B):
+    """``sum A_k (x) B_k`` by adding one signed block per member and row."""
+    if len(A) != len(B) or not A:
+        raise ValueError("need equally many outer and inner matrices")
+    n = len(A)
+    if any(a.order != n for a in A):
+        raise ValueError("outer matrices must have order equal to the family size")
+    b = B[0].order
+    if any(x.order != b for x in B):
+        raise ValueError("inner matrices must share one order")
+    out = np.zeros((n * b, n * b), dtype=np.int64)
+    for ak, bk in zip(A, B):
+        for row in range(n):
+            col = int(ak.perm[row])
+            block = out[row * b:(row + 1) * b, col * b:(col + 1) * b]
+            block += int(ak.signs[row]) * bk.array
+    if not np.all(np.abs(out) == 1):
+        raise ValueError("plug-in sum has entries outside {-1,+1}; supports overlap or miss")
+    return DenseSignMatrix(out)
+
+
+def reference_run_checks(A, lam, B, H):
+    """Every bundle condition member by member and pair by pair: monomial
+    products for A, one Gram per pair of B, and H against the block sum."""
+    n = len(A)
+    b = B[0].order
+    order = n * b
+    perm = np.stack([a.perm for a in A])
+    perms = np.sort(perm, axis=0)
+    disjoint = bool(np.all(perms[1:] != perms[:-1]))
+    tsum = perms.shape == (n, n) and bool(np.all(perms == np.arange(n)[:, None]))
+    ident_n = MonomialMatrix.identity(n)
+    a_orth = all(a @ a.transpose() == ident_n for a in A)
+    a_lam = all(-monomial_pair_sign(A[j], A[k]) == lam.get(j, k)
+                for j, k in itertools.combinations(range(n), 2))
+    stacked = np.stack([x.array for x in B], dtype=np.float64)
+    gram_sum = np.zeros((b, b), dtype=np.int64)
+    b_lam = True
+    for j in range(n):
+        gram_sum += sign_product(stacked[j], stacked[j].T)
+        for k in range(j + 1, n):
+            gram = sign_product(stacked[j], stacked[k].T)
+            b_lam = b_lam and np.array_equal(gram, lam.get(j, k) * gram.T)
+    b_gram = bool(np.array_equal(gram_sum, order * np.eye(b, dtype=np.int64)))
+    try:
+        h_match = tsum and reference_plug_in(A, B) == H
+    except ValueError:
+        h_match = False
+    hadamard = bool(np.array_equal(sign_product(H.array, H.array.T),
+                                   order * np.eye(order, dtype=np.int64)))
+    return VerificationReport(
+        n=n, b=b, order=order, disjoint_supports=disjoint, transversal_sum=tsum,
+        a_orthogonal=a_orth, a_lambda=a_lam, b_lambda=b_lam, b_gram_sum=b_gram,
+        h_matches_terms=bool(h_match), hadamard=hadamard)
+
+
+def reference_verify_bundle(bundle):
+    """``verify_bundle`` with its ``B_k == D_k @ S`` check one member at a time."""
+    b, S = bundle.b, bundle.S.array
+    if not np.array_equal(sign_product(S, S.T), b * np.eye(b, dtype=np.int64)):
+        raise VerificationError("stored S is not a Hadamard matrix: S S^T != b I")
+    for k, (d, bk) in enumerate(zip(bundle.D, bundle.B, strict=True)):
+        if d.order != b or not np.array_equal(d.mul_dense(S), bk.array):
+            raise VerificationError(f"stored B_{k} differs from D_{k} @ S")
+    report = reference_run_checks(bundle.A, bundle.lam, bundle.B, bundle.H)
+    if report.passed and bundle.report != report:
+        field = next(f.name for f in fields(report)
+                     if getattr(report, f.name) != getattr(bundle.report, f.name))
+        raise VerificationError(f"stored report differs from the recomputed one at {field}")
+    return replace(bundle, report=report)
+
+
+def reference_bundle_from_dict(obj: dict):
+    """The bundle reader with every A, D and B member read on its own."""
+    _require_keys(obj, ["n", "b", "A", "lambda", "D", "S", "B", "H", "report"])
+    _check_ints(obj, ("n", "b"), "bundle")
+    A = tuple(monomial_from_dict(a) for a in _list(obj["A"], "bundle A"))
+    lam = lambda_from_dict(obj["lambda"])
+    D = tuple(monomial_from_dict(d) for d in _list(obj["D"], "bundle D"))
+    S = dense_from_rows(obj["S"])
+    B = tuple(dense_from_rows(rows) for rows in _list(obj["B"], "bundle B"))
+    H = sign_matrix_from_text_rows(_list(obj["H"], "bundle H"))
+    report = report_from_dict(obj["report"])
+    if lam.n != obj["n"] or any(len(family) != obj["n"] for family in (A, D, B)):
+        raise ValueError("bundle family sizes do not match n")
+    if any(a.order != obj["n"] for a in A):
+        raise ValueError(f"bundle outer orders {[a.order for a in A]} do not match n")
+    if any(d.order != obj["b"] for d in D):
+        raise ValueError(f"bundle D orders {[d.order for d in D]} do not match b")
+    if S.order != obj["b"] or any(x.order != obj["b"] for x in B):
+        raise ValueError("bundle inner orders do not match b")
+    if H.order != obj["n"] * obj["b"]:
+        raise ValueError("bundle H order does not match n*b")
+    return HadamardBundle(n=obj["n"], b=obj["b"], A=A, lam=lam, D=D, S=S, B=B, H=H,
+                          report=report)
+
+
+def outcome(f, *args):
+    """``("ok", value)``, or ``("raise", type, message)`` for what ``f`` raises."""
+    try:
+        return ("ok", f(*args))
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return ("raise", type(exc), str(exc))

@@ -6,14 +6,15 @@ Each item runs as ``tools/check_goldens.py`` runs every item:
 ``checks.golden_problems`` (the SHA-256 digests in ``bench/goldens.json``);
 then ``run.replay`` runs the traced replay, which must give the same bytes.
 The items cover every request kind the bench sends (``classify``,
-``represent``, ``solve`` and ``hadamard``), and every ``solve`` item, so
-their output bytes are pinned here too.  Inputs and outputs live under
+``represent``, ``solve`` and ``hadamard``), and every ``solve`` and
+``hadamard`` item, so their output bytes are pinned here too.  Inputs and outputs live under
 ``tmp_path``; the bench modules are imported without writing bytecode, so
 nothing is written under ``bench/``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import sys
@@ -34,9 +35,14 @@ ITEMS = {
     "solve/plus": ("plus", 0),
     "solve/minus": ("minus", 0),
     **{f"solve/random/{k}": ("random", k) for k in range(SOLVE_RANDOM)},
+    # every hadamard item: -1 is the default spec, then the others in
+    # the order of bench/workloads.HADAMARD_SPECS
     "hadamard/III-XXX": ("hadamard", -1),
-    # an outer family that mixes symmetric and skew members
-    "hadamard/ZIZ-YXY": ("hadamard", 44),
+    **{f"hadamard/{spec}": ("hadamard", k) for k, spec in enumerate(
+        spec for spec in ("".join(d) + "-" + "".join(o)
+                          for d in itertools.product("IZ", repeat=3)
+                          for o in itertools.product("XY", repeat=3))
+        if spec != "III-XXX")},
 }
 
 
@@ -63,6 +69,13 @@ def test_every_solve_item_is_listed(bench):
     solve_keys = {item.key for item in workloads.all_pool_items() if item.kind == "solve"}
     assert solve_keys == {key for key in ITEMS if key.startswith("solve/")}
     assert len(solve_keys) == 66
+
+
+def test_every_hadamard_item_is_listed(bench):
+    _, _, workloads, _ = bench
+    keys = {item.key for item in workloads.all_pool_items() if item.kind == "hadamard"}
+    assert keys == {key for key in ITEMS if key.startswith("hadamard/")}
+    assert len(keys) == 64
 
 
 @pytest.mark.parametrize("key", ITEMS)

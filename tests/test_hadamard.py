@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,17 @@ from qcliff.hadamard import (
 from qcliff.matrices import DenseSignMatrix, ident2, pair_lambdas, sylvester, x2, y2, z2
 from qcliff.solve import _minimal_kappa
 
-from helpers import dense, dense_lambda, random_monomial_matrix, tensor, transversal_lambda
+from helpers import (
+    dense,
+    dense_lambda,
+    outcome,
+    random_monomial_matrix,
+    reference_plug_in,
+    reference_run_checks,
+    reference_verify_bundle,
+    tensor,
+    transversal_lambda,
+)
 
 
 class TestTransversal:
@@ -251,9 +262,9 @@ class TestComplete:
 
 
 def plug_in_reference(A, B, H):
-    """``h_matches_terms`` by assembling the plug-in sum and comparing."""
+    """``h_matches_terms`` by assembling the plug-in sum block by block."""
     try:
-        return plug_in(A, B) == H
+        return reference_plug_in(A, B) == H
     except ValueError:
         return False
 
@@ -313,3 +324,97 @@ class TestHMatchesTerms:
         for order in (bundle.n, bundle.n * bundle.b * 2):
             H = DenseSignMatrix(np.ones((order, order), dtype=np.int64))
             assert not run_checks(bundle.A, bundle.lam, bundle.B, H).h_matches_terms
+
+
+def every_spec(max_m):
+    for m in range(1, max_m + 1):
+        for diag in itertools.product("IZ", repeat=m):
+            for off in itertools.product("XY", repeat=m):
+                yield m, TransversalSpec(diag, off)
+
+
+def mutated_bundles(rng, bundle, m):
+    """``(name, bundle)`` for the bundle itself and one of each mutation."""
+    n, b = bundle.n, bundle.b
+    j, k = (int(v) for v in rng.choice(n, size=2, replace=False))
+    yield "as built", bundle
+    x = bundle.B[k].array.copy()
+    r, c = rng.integers(b, size=2)
+    x[r, c] = -x[r, c]
+    B = list(bundle.B)
+    B[k] = DenseSignMatrix(x)
+    yield "one flipped B entry", replace(bundle, B=tuple(B))
+    A = list(bundle.A)
+    A[j], A[k] = A[k], A[j]
+    yield "two swapped A members", replace(bundle, A=tuple(A))
+    A = list(bundle.A)
+    A[k] = A[j]
+    yield "A_k replaced by A_j", replace(bundle, A=tuple(A))
+    neg = list(bundle.lam.neg)
+    neg[j] ^= 1 << k
+    neg[k] ^= 1 << j
+    yield "one flipped lambda pair", replace(bundle, lam=LambdaPattern(n, tuple(neg)))
+    h = bundle.H.array.copy()
+    r, c = rng.integers(n, size=2)
+    h[r * b:(r + 1) * b, c * b:(c + 1) * b] *= -1
+    yield "one H block with its sign flipped", replace(bundle, H=DenseSignMatrix(h))
+    B = list(bundle.B)
+    B[k] = sylvester(2 * b)
+    yield "a B of another order", replace(bundle, B=tuple(B))
+    wide = transversal(TransversalSpec.default(m + 1))[:n]
+    yield "outer members of another order", replace(bundle, A=tuple(wide))
+
+
+def same_outcome(got, want):
+    """Outcomes of ``helpers.outcome`` with equal values or equal errors."""
+    if got[0] == want[0] == "ok":
+        value, ref = got[1], want[1]
+        if hasattr(value, "report"):
+            value, ref = value.report, ref.report
+        return value == ref
+    return got == want
+
+
+def assert_stacked_checks_match(bundle, m, rng):
+    for name, mutant in mutated_bundles(rng, bundle, m) if rng else [("as built", bundle)]:
+        A, lam, B, H = mutant.A, mutant.lam, mutant.B, mutant.H
+        for got, want in (
+            (outcome(plug_in, A, B), outcome(reference_plug_in, A, B)),
+            (outcome(run_checks, A, lam, B, H), outcome(reference_run_checks, A, lam, B, H)),
+            (outcome(verify_bundle, mutant), outcome(reference_verify_bundle, mutant)),
+        ):
+            assert same_outcome(got, want), (m, name, got, want)
+        if name == "A_k replaced by A_j":
+            assert outcome(plug_in, A, B)[:2] == ("raise", ValueError)
+
+
+class TestStackedChecksAgainstTheMemberReferences:
+    """``plug_in``, ``run_checks`` and ``verify_bundle`` on their stacked
+    families give the reports and raise the errors of the per-member
+    references in ``helpers``, on every spec up to m = 3, on the default
+    m = 4 and on mutated bundles."""
+
+    @pytest.mark.parametrize("gram_batch", [None, 1])
+    def test_every_spec_up_to_depth_three_and_its_mutations(self, monkeypatch, gram_batch):
+        if gram_batch is not None:
+            # one row of B grams per batch, the path of larger bundles
+            monkeypatch.setattr("qcliff.hadamard._GRAM_BATCH", gram_batch)
+        rng = np.random.default_rng(24)
+        specs = 0
+        for m, spec in every_spec(3):
+            assert_stacked_checks_match(complete(m, spec), m, rng)
+            specs += 1
+        assert specs == 84
+
+    def test_default_depth_four(self):
+        assert_stacked_checks_match(complete(4), 4, None)
+
+    def test_mutations_change_the_outcome(self):
+        rng = np.random.default_rng(3)
+        bundle = complete(3)
+        for name, mutant in mutated_bundles(rng, bundle, 3):
+            if name == "as built":
+                assert verify_bundle(mutant).report.passed
+                continue
+            got = outcome(verify_bundle, mutant)
+            assert got[0] == "raise" or not got[1].report.passed, name

@@ -83,6 +83,25 @@ class TestAgainstJsonDumps:
         assert written(obj) == reference(obj)
 
     @pytest.mark.parametrize("obj", [
+        [[1, 2], [3, 4]], [[-1]], [[[1, -2], [3, 4]], [[5, 6], [7, 8]]],
+        [[[[-(2**70), 10**40]]]], {"rows": [[1, -1], [-1, 1]], "after": [[0]]},
+        [[1], [2, 3]], [[1, [2]]], [[[1]], [2]], [[], [1]], [[1], []], [[[]]],
+        [[1, True]], [[True]], [[1, 2], (3, 4)], [(1, 2)], [["a"], [1]], [[1.0]],
+        ["a", "b\n\"", "é", "\ud800"], ["a", 1], ["a", None], [""],
+    ])
+    def test_int_tables_and_string_rows(self, obj):
+        # the paths that format a table of ints with one repr, and a list
+        # of strings with one join
+        assert written(obj) == reference(obj)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(0, 2**32))
+    def test_generated_int_tables(self, shape, seed):
+        values = np.random.default_rng(seed).integers(-10**6, 10**6, size=shape)
+        for obj in (values.tolist(), {"table": values.tolist()}, [values.tolist(), "x"]):
+            assert written(obj) == reference(obj)
+
+    @pytest.mark.parametrize("obj", [
         {"a": np.int64(1)},
         [np.arange(3)],
         {"a": {1, 2}},

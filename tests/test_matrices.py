@@ -24,6 +24,7 @@ from helpers import (
     dense_lambda,
     popcount_gram,
     random_block_word,
+    reference_sylvester,
     random_monomial_matrix,
     random_sym_or_skew_monomial,
     tensor,
@@ -242,6 +243,12 @@ class TestSylvester:
     def test_hadamard_identity(self, b):
         s = sylvester(b)
         assert np.array_equal(s.array @ s.array.T, b * np.eye(b, dtype=np.int64))
+
+    def test_matches_the_doubling_recursion_up_to_4096(self):
+        for t in range(13):
+            s = sylvester(1 << t).array
+            assert s.dtype == np.int64 and not s.flags.writeable
+            assert np.array_equal(s, reference_sylvester(1 << t))
 
     @pytest.mark.parametrize("b", [0, 3, 6, 12])
     def test_non_powers_rejected(self, b):

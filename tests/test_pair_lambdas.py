@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from qcliff import MonomialMatrix, VerificationError, minimal_images
-from qcliff.matrices import pair_lambdas, z2
+from qcliff.hadamard import TransversalSpec, transversal
+from qcliff.matrices import _pair_batches, pair_lambdas, z2
 from qcliff.solve import solve, verify_solution
 
 from helpers import (
@@ -121,6 +122,45 @@ class TestKernel:
         for j in range(len(family)):
             for k in range(j + 1, len(family)):
                 assert got[j, k] == product_lambda(family[j], family[k])
+
+    @pytest.mark.parametrize("budget", [1, 40, 300])
+    def test_small_batches_match_the_dense_oracle(self, monkeypatch, budget):
+        # one row per batch up to several rows and a ragged last batch: the
+        # path of large families
+        monkeypatch.setattr("qcliff.matrices._PAIR_BATCH", budget)
+        rng = np.random.default_rng(budget)
+        for _ in range(30):
+            n, b = int(rng.integers(1, 13)), int(rng.integers(1, 17))
+            family = [random_sym_or_skew_monomial(rng, b) for _ in range(n)]
+            assert np.array_equal(pair_lambdas(family), dense_table(family))
+            sizes = (1, b - 1) if b > 1 else (1,)
+            blocks = [direct_sum([random_sym_or_skew_monomial(rng, s) for s in sizes])
+                      for _ in range(n)]
+            monkeypatch.setattr("qcliff.matrices._PAIR_BATCH", 1 << 16)
+            want = pair_lambdas(blocks, sizes)
+            monkeypatch.setattr("qcliff.matrices._PAIR_BATCH", budget)
+            assert np.array_equal(pair_lambdas(blocks, sizes), want)
+
+    def test_batches_cover_the_rows_in_at_most_n_minus_1(self):
+        for n in (1, 2, 3, 8, 100, 257, 2049):
+            for cell in (1, 8, 256, 4096, 1 << 20):
+                for budget in (1, 1 << 16):
+                    batches = _pair_batches(n, cell, budget)
+                    assert len(batches) <= max(n - 1, 0)
+                    assert [j for j0, j1 in batches for j in range(j0, j1)] == list(range(n - 1))
+                    for j0, j1 in batches:
+                        assert j1 - j0 == 1 or (j1 - j0) * (n - 1 - j0) * cell <= budget
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 8])
+    def test_no_more_gathers_than_one_row_per_pass(self, monkeypatch, m):
+        # two gathers per batch, at most n - 1 batches: never more than one
+        # pass per row j < n - 1 with two gathers each
+        A = transversal(TransversalSpec.default(m))
+        calls = []
+        take = np.take
+        monkeypatch.setattr(np, "take", lambda *a, **k: calls.append(1) or take(*a, **k))
+        pair_lambdas(A)
+        assert 0 < len(calls) <= 2 * (len(A) - 1)
 
     def test_empty_and_mixed_families_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 from qcliff import AlgebraPresentation, LambdaPattern, MonomialMatrix, complete
+from qcliff import serialize
 from qcliff.matrices import DenseSignMatrix, sylvester
 from qcliff.serialize import (
     bundle_from_dict,
@@ -17,9 +20,11 @@ from qcliff.serialize import (
     sign_text_rows,
 )
 
+from helpers import outcome as member_outcome
 from helpers import (
     pattern_from_pairs,
     quaternion_presentation,
+    reference_bundle_from_dict,
     reference_lambda_from_dict,
     reference_presentation_from_dict,
 )
@@ -404,3 +409,100 @@ class TestBundleFormat:
             bundle_from_dict({**d, "A": [d["A"][0], wrong_order]})
         with pytest.raises(ValueError, match=r"D orders \[2, 3\]"):
             bundle_from_dict({**d, "D": [d["D"][0], wrong_order]})
+
+
+def _set(key, i, value):
+    def mutate(member):
+        member[key][i] = value(member[key][i]) if callable(value) else value
+    return mutate
+
+
+# Mutations of one monomial member dict, each refused by monomial_from_dict.
+MONOMIAL_MUTATIONS = {
+    "boolean perm entry": _set("perm", 0, True),
+    "boolean sign": _set("signs", -1, True),
+    "float perm entry": _set("perm", 0, float),
+    "float sign": _set("signs", 0, float),
+    "short perm": lambda member: member["perm"].pop(),
+    "short signs": lambda member: member["signs"].pop(),
+    "short perm and signs": lambda member: (member["perm"].pop(), member["signs"].pop()),
+    "perm not a permutation": lambda member: member["perm"].__setitem__(0, member["perm"][1]),
+    "sign of 2": _set("signs", 0, 2),
+    "missing key": lambda member: member.pop("signs"),
+    "unknown key": lambda member: member.__setitem__("extra", 1),
+    "wrong order": lambda member: member.__setitem__("order", member["order"] + 1),
+    "boolean order": lambda member: member.__setitem__("order", True),
+    "float order": lambda member: member.__setitem__("order", float(member["order"])),
+}
+
+# Mutations of one dense member (a list of rows), each refused by dense_from_rows.
+DENSE_MUTATIONS = {
+    "boolean entry": lambda rows: rows[0].__setitem__(0, True),
+    "float entry": lambda rows: rows[-1].__setitem__(-1, float(rows[-1][-1])),
+    "short row": lambda rows: rows[0].pop(),
+    "missing row": lambda rows: rows.pop(),
+    "sign of 2": lambda rows: rows[0].__setitem__(1, 2),
+    "nested entry": lambda rows: rows[1].__setitem__(0, [1]),
+}
+
+
+class TestBundleFamilyReader:
+    """``bundle_from_dict`` validates A, D and B as stacks; a bad member
+    raises what the per-member reader raises for it."""
+
+    @pytest.fixture(scope="class")
+    def good(self):
+        return bundle_to_dict(complete(2))
+
+    def assert_parity(self, good, family, index, mutate, member_reader):
+        # index "all" mutates every member alike, so the family still stacks
+        obj = copy.deepcopy(good)
+        for member in obj[family] if index == "all" else [obj[family][index]]:
+            mutate(member)
+        got = member_outcome(bundle_from_dict, obj)
+        assert got == member_outcome(reference_bundle_from_dict, obj)
+        assert got[0] == "raise"
+        assert got == member_outcome(member_reader, obj[family][0 if index == "all" else index])
+
+    @pytest.mark.parametrize("name", MONOMIAL_MUTATIONS)
+    @pytest.mark.parametrize("family", ["A", "D"])
+    @pytest.mark.parametrize("index", [0, -1, "all"])
+    def test_monomial_members(self, good, family, index, name):
+        self.assert_parity(good, family, index, MONOMIAL_MUTATIONS[name], monomial_from_dict)
+
+    @pytest.mark.parametrize("name", DENSE_MUTATIONS)
+    @pytest.mark.parametrize("index", [0, -1, "all"])
+    def test_dense_members(self, good, index, name):
+        self.assert_parity(good, "B", index, DENSE_MUTATIONS[name], dense_from_rows)
+
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_members_of_another_order(self, good, index):
+        wide = {"order": 8, "perm": list(range(8)), "signs": [1] * 8}
+        for family, member in (("A", wide), ("D", wide), ("B", dense_to_rows(sylvester(8)))):
+            def mutate(members, member=member):
+                members[index] = member
+            obj = copy.deepcopy(good)
+            mutate(obj[family])
+            got = member_outcome(bundle_from_dict, obj)
+            assert got == member_outcome(reference_bundle_from_dict, obj)
+            assert got[0] == "raise" and "orders" in got[2], (family, got)
+
+    @pytest.mark.parametrize("family", ["A", "D", "B"])
+    def test_members_that_are_not_objects_or_rows(self, good, family):
+        for bad in ("perm", 3, None, [], {"perm": [0, 1]}):
+            obj = copy.deepcopy(good)
+            obj[family][-1] = bad
+            got = member_outcome(bundle_from_dict, obj)
+            assert got == member_outcome(reference_bundle_from_dict, obj)
+            assert got[0] == "raise"
+
+    def test_well_formed_bundles_read_no_member_alone(self, monkeypatch):
+        objs = [bundle_to_dict(complete(m)) for m in (1, 2, 3)]
+        want = [reference_bundle_from_dict(obj) for obj in objs]
+        calls = []
+        for name in ("monomial_from_dict", "dense_from_rows"):
+            real = getattr(serialize, name)
+            monkeypatch.setattr(serialize, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        assert [bundle_from_dict(obj) for obj in objs] == want
+        assert calls == ["dense_from_rows"] * 3  # S, once per bundle
