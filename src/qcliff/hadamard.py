@@ -53,8 +53,8 @@ DENSE_ORDER_CAP = 1 << 12
 # m = 3, cache-sized batches from m = 4 on.
 _GRAM_BATCH = 1 << 18
 
-DIAG_CHOICES = {"I": ident2, "Z": z2}
-OFFDIAG_CHOICES = {"X": x2, "Y": y2}
+DIAG_CHOICES = {"I": ident2(), "Z": z2()}
+OFFDIAG_CHOICES = {"X": x2(), "Y": y2()}
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def transversal(spec: TransversalSpec) -> list[MonomialMatrix]:
     blocks = []
     for i in range(m):
         off = ((index >> (m - 1 - i)) & 1).astype(bool)[:, None]
-        diag, offdiag = DIAG_CHOICES[spec.diag[i]](), OFFDIAG_CHOICES[spec.offdiag[i]]()
+        diag, offdiag = DIAG_CHOICES[spec.diag[i]], OFFDIAG_CHOICES[spec.offdiag[i]]
         blocks.append((np.where(off, offdiag.perm, diag.perm),
                        np.where(off, offdiag.signs, diag.signs)))
     perm, signs = stacked_kron(np.ones(1 << m, dtype=np.int64), blocks)

@@ -136,7 +136,8 @@ class Representation:
                 or np.any(abs(self.signs) != 1) or np.any(abs(self.sign) != 1)):
             raise VerificationError("the blocks are not signed permutations")
         rows = [MonomialMatrix._closed(p, s) for p, s in zip(self.perm, self.signs)]
-        table = pair_lambdas(rows + [MonomialMatrix.identity(width)], self.sizes)
+        identity = MonomialMatrix._closed(np.arange(width), np.ones(width, dtype=np.int64))
+        table = pair_lambdas(rows + [identity], self.sizes)
         table.setflags(write=False)
         return table
 
@@ -237,15 +238,13 @@ def _assemble(D: Decomposition, character: tuple[int, ...]) -> Representation:
         start += size
 
     # Character slots: every central except the reference complex one.
-    # Centrals outside every block act by their slot sign: a scalar if
-    # they square to +1; remaining complex centrals reuse the reference
-    # image up to that sign, since the pair relations force nothing more.
+    # The blocks hold only pair generators and first_neg, so every slot
+    # acts by its sign: a scalar if it squares to +1; the other complex
+    # centrals reuse the reference image up to that sign, since the pair
+    # relations force nothing more.
     sign = np.ones(m, dtype=np.int64)
     slots = [i for i in range(r) if i != first_neg]
-    covered = set().union(*blocks)
     for k, i in enumerate(slots):
-        if i in covered:
-            continue
         sign[i] = -1 if character[k] else 1
         if squares[i] == -1:
             perm[i], signs[i] = perm[first_neg], signs[first_neg]

@@ -1,4 +1,5 @@
-"""JSON-facing dictionary forms of the package's value types.
+"""JSON-facing dictionary forms of the package's value types, and the one
+JSON writer of the command line.
 
 All file formats are strict: unknown keys are rejected, indices in files
 are 1-based (the in-memory API is 0-based), and every form round-trips
@@ -6,20 +7,25 @@ bit-exactly.  Dense sign matrices serialize as arrays of +-1 rows;
 Hadamard matrices additionally support a compact text form with one
 ``+``/``-`` character per entry and one row per line.
 
-The forms holding monomial matrices have one private builder each, which
-leaves every ``perm`` / ``signs`` array as an :class:`_IntArray`, or, for
-a :class:`~qcliff.represent.Representation`, as a :class:`_KronRow`
-marker that holds the image's sign and block rows, so no image is
-expanded to its order.  The command line writes those trees as they are
-(:func:`qcliff.cli._write_json` formats the arrays from numpy and the
-factors).  Each public ``*_to_dict`` is its builder followed by
-:func:`_plain`, which expands every marker, so it returns plain lists of
-ints.
+Every monomial matrix written (an image of a representation or a
+solution, a bundle's ``A_k`` or ``D_k``) is a sign times a Kronecker
+product of blocks, an expanded matrix being the one-block case.
+:func:`_image_tree` builds its ``{"order", "perm", "signs"}`` dict with a
+:class:`_KronRow` marker for each array, so nothing is expanded.  Each
+public ``*_to_dict`` is a tree builder followed by :func:`_plain`, which
+expands every marker into a list of ints.  :func:`write_json` writes a
+tree as the bytes of ``json.dumps(obj, indent=2)`` plus a newline; a
+marker of at least ``INT_ARRAY_KERNEL_MIN`` entries is formatted from
+numpy, or, for the signs of several blocks, from the texts of the
+blocks.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from math import prod
 from typing import Any, Callable, Optional, Sequence
 
@@ -89,18 +95,6 @@ def _check_ints(obj: dict, names: Sequence[str], what: str) -> None:
             raise ValueError(f"{what} {name} must be an integer, got {obj[name]!r}")
 
 
-class _IntArray:
-    """A read-only int64 1-d array standing for its JSON list in a built tree."""
-
-    __slots__ = ("array",)
-
-    def __init__(self, array: np.ndarray):
-        self.array = array
-
-    def __len__(self) -> int:
-        return len(self.array)
-
-
 class _KronRow:
     """The ``perm`` or ``signs`` of one Kronecker product image, standing for
     its JSON list in a built tree without being expanded.
@@ -108,7 +102,8 @@ class _KronRow:
     ``blocks`` are the image's block rows, the first most significant.  A
     perm has ``sign`` None: entry ``i1 * N2 + i2`` of ``X (x) Y`` is
     ``px[i1] * N2 + py[i2]``.  Signs have the image sign, which multiplies
-    the product of the block entries.  :attr:`array` expands the row.
+    the product of the block entries.  :attr:`array` expands the row; a
+    one-block perm, or one-block signs with sign 1, is the block itself.
     """
 
     __slots__ = ("sign", "blocks")
@@ -121,6 +116,8 @@ class _KronRow:
 
     @property
     def array(self) -> np.ndarray:
+        if len(self.blocks) == 1 and self.sign in (None, 1):
+            return self.blocks[0]
         # from the last block inward, so the long axis stays innermost
         if self.sign is None:
             out, size = np.zeros(1, dtype=np.int64), 1
@@ -135,13 +132,12 @@ class _KronRow:
 
 
 def _plain(tree):
-    """``tree`` with every :class:`_IntArray` and :class:`_KronRow` replaced,
-    in place, by its list.
+    """``tree`` with every :class:`_KronRow` replaced, in place, by its list.
 
     The builders make a fresh tree on every call, so nothing else sees it.
     """
     for key, value in tree.items() if isinstance(tree, dict) else enumerate(tree):
-        if type(value) in (_IntArray, _KronRow):
+        if type(value) is _KronRow:
             tree[key] = value.array.tolist()
         elif type(value) in (dict, list):
             _plain(value)
@@ -250,21 +246,25 @@ def _triple_hits(triples: list, n: int, pair: Callable, values: tuple[int, int],
 # -- matrices ---------------------------------------------------------------
 
 
-def _monomial_tree(mat: MonomialMatrix) -> dict:
-    return {"order": mat.order, "perm": _IntArray(mat.perm), "signs": _IntArray(mat.signs)}
+def _image_tree(order: int, sign: int, perms: list[np.ndarray], signs: list[np.ndarray]) -> dict:
+    """The dict of ``sign`` times the Kronecker product of the blocks with
+    rows ``perms`` / ``signs``, the first most significant."""
+    return {"order": order, "perm": _KronRow(None, perms), "signs": _KronRow(sign, signs)}
+
+
+# The keys of every image dict, which its readers require: stated once, in
+# the dict display above, which is faster than a dict(zip(...)) per image.
+_IMAGE_KEYS = tuple(_image_tree(1, 1, [], []))
 
 
 def monomial_from_dict(obj: dict) -> MonomialMatrix:
-    _require_keys(obj, ["order", "perm", "signs"])
+    _require_keys(obj, _IMAGE_KEYS)
     if not _is_int(obj["order"]):
         raise ValueError(f"order must be an integer, got {obj['order']!r}")
     mat = MonomialMatrix(_int_array(obj["perm"], "perm"), _int_array(obj["signs"], "signs"))
     if mat.order != obj["order"]:
         raise ValueError(f"recorded order {obj['order']} does not match perm length")
     return mat
-
-
-_MONOMIAL_KEYS = {"order", "perm", "signs"}
 
 
 def _int_stack(rows: list, ndim: int) -> Optional[np.ndarray]:
@@ -293,7 +293,8 @@ def _monomial_family(objs: list) -> tuple[MonomialMatrix, ...]:
     bad member; only members of different orders pass it, and the
     bundle's order checks refuse those.
     """
-    if objs and set(map(type, objs)) == {dict} and all(o.keys() == _MONOMIAL_KEYS for o in objs):
+    keys = set(_IMAGE_KEYS)
+    if objs and set(map(type, objs)) == {dict} and all(o.keys() == keys for o in objs):
         perm = _int_stack([o["perm"] for o in objs], 2)
         signs = _int_stack([o["signs"] for o in objs], 2)
         orders = [o["order"] for o in objs]
@@ -388,19 +389,15 @@ def wedderburn_to_dict(wt: WedderburnType) -> dict:
     }
 
 
-def _representation_tree(rep: Representation) -> dict:
+def representation_tree(rep: Representation) -> dict:
     blocks = rep.blocks()
-    images = [
-        {"order": rep.order,
-         "perm": _KronRow(None, [p[i] for p, _ in blocks]),
-         "signs": _KronRow(sign, [s[i] for _, s in blocks])}
-        for i, sign in enumerate(rep.sign.tolist())
-    ]
+    images = [_image_tree(rep.order, sign, [p[i] for p, _ in blocks], [s[i] for _, s in blocks])
+              for i, sign in enumerate(rep.sign.tolist())]
     return {"order": rep.order, "images": images, "character": list(rep.character)}
 
 
 def representation_to_dict(rep: Representation) -> dict:
-    return _plain(_representation_tree(rep))
+    return _plain(representation_tree(rep))
 
 
 # -- lambda patterns ---------------------------------------------------------
@@ -437,19 +434,19 @@ def lambda_from_dict(obj: dict) -> LambdaPattern:
     return LambdaPattern(n, row_masks(hit[1] | hit[1].T))
 
 
-def _solve_result_tree(lam: LambdaPattern, result: SolveResult) -> dict:
+def solve_result_tree(lam: LambdaPattern, result: SolveResult) -> dict:
     return {
         "lambda": lambda_to_dict(lam),
         "kappa": list(result.kappa),
         "presentation": presentation_to_dict(result.presentation),
         "wedderburn": wedderburn_to_dict(result.wedderburn),
         "b": result.b,
-        "D": _representation_tree(result.rep)["images"],
+        "D": representation_tree(result.rep)["images"],
     }
 
 
 def solve_result_to_dict(lam: LambdaPattern, result: SolveResult) -> dict:
-    return _plain(_solve_result_tree(lam, result))
+    return _plain(solve_result_tree(lam, result))
 
 
 # -- bundles ------------------------------------------------------------------
@@ -481,13 +478,13 @@ def report_from_dict(obj: dict) -> VerificationReport:
     )
 
 
-def _bundle_tree(bundle: HadamardBundle) -> dict:
+def bundle_tree(bundle: HadamardBundle) -> dict:
     return {
         "n": bundle.n,
         "b": bundle.b,
-        "A": [_monomial_tree(a) for a in bundle.A],
+        "A": [_image_tree(bundle.n, 1, [a.perm], [a.signs]) for a in bundle.A],
         "lambda": lambda_to_dict(bundle.lam),
-        "D": [_monomial_tree(d) for d in bundle.D],
+        "D": [_image_tree(bundle.b, 1, [d.perm], [d.signs]) for d in bundle.D],
         "S": dense_to_rows(bundle.S),
         "B": np.stack([x.array for x in bundle.B]).tolist(),
         "H": sign_text_rows(bundle.H),
@@ -496,7 +493,7 @@ def _bundle_tree(bundle: HadamardBundle) -> dict:
 
 
 def bundle_to_dict(bundle: HadamardBundle) -> dict:
-    return _plain(_bundle_tree(bundle))
+    return _plain(bundle_tree(bundle))
 
 
 def bundle_from_dict(obj: dict) -> HadamardBundle:
@@ -522,3 +519,225 @@ def bundle_from_dict(obj: dict) -> HadamardBundle:
     return HadamardBundle(
         n=obj["n"], b=obj["b"], A=A, lam=lam, D=D, S=S, B=B, H=H, report=report
     )
+
+
+# -- the JSON writer --------------------------------------------------------
+
+
+# Shortest integer array that _int_array_text formats: below it numpy's fixed
+# cost per array loses to one repr of the list.
+INT_ARRAY_KERNEL_MIN = 512
+
+
+def _digit_rows(values: np.ndarray, sep: bytes) -> np.ndarray:
+    """Row ``i`` of the result, one fixed-width void item, is ``values[i]``
+    as ``json.dumps`` writes it, followed by ``sep``.
+
+    Each entry is right-aligned in a zero-filled field as wide as the
+    widest entry.  The digits come column by column from ``//`` by 10; a
+    zero left of the leading digit is cleared, and the ``-`` of a
+    negative entry goes in the cleared cell next to it.  Dropping the zero
+    bytes of a row leaves its text.
+    """
+    n = len(values)
+    neg = values < 0
+    signed = bool(neg.any())
+    # abs(-2**63) wraps to -2**63, whose uint64 view is 2**63
+    mag = np.abs(values).view(np.uint64)
+    top = int(mag.max())
+    width = len(str(top)) + signed
+    if top < 1 << 32:
+        mag = mag.astype(np.uint32)  # divides faster
+    row = b"\0" * width + sep
+    block = np.frombuffer(bytearray(row * n), np.uint8).reshape(n, len(row))
+    shown = np.ones(n, dtype=bool)  # the units digit always shows
+    for col in range(width - 1, -1, -1):
+        rest = mag // 10
+        digit = (mag - rest * 10).astype(np.uint8) + np.uint8(ord("0"))
+        if col < width - 1:
+            lead = shown & (mag == 0)  # just left of the leading digit
+            shown = mag > 0
+            digit *= shown
+            if signed:
+                digit += (lead & neg).view(np.uint8) * np.uint8(ord("-"))
+        block[:, col] = digit
+        mag = rest
+    return block.view(np.dtype((np.void, len(row)))).ravel()
+
+
+def _int_array_text(arr: np.ndarray, indent: str, tables: dict) -> str:
+    """The text ``json.dumps(arr.tolist(), indent=2)`` gives at ``indent``,
+    without its brackets and their line breaks.
+
+    An array whose range ``max - min`` is below its length (every perm,
+    every sign array) is gathered from the digit rows of the whole range
+    ``[min, max]``.  Those rows are formed once per
+    :func:`write_json` call and kept in ``tables`` under
+    ``(min, max, indent)``, so every perm of one order shares the rows of
+    ``0 .. order - 1``.  Any other array is formatted row by row itself.
+    """
+    arr = np.asarray(arr, dtype=np.int64)
+    sep = (",\n" + indent + "  ").encode()
+    lo, hi = int(arr.min()), int(arr.max())
+    if hi - lo < len(arr):
+        key = (lo, hi, indent)
+        if key not in tables:
+            tables[key] = _digit_rows(np.arange(hi - lo + 1) + lo, sep)
+        rows = tables[key].take(arr - lo if lo else arr)
+    else:
+        rows = _digit_rows(arr, sep)
+    text = rows.view(np.uint8)
+    text[-len(sep):] = 0  # no separator after the last entry
+    return text.tobytes().replace(b"\0", b"").decode("ascii")
+
+
+def _kron_sign_text(sign: int, blocks: Sequence[np.ndarray], indent: str) -> str:
+    """The text :func:`_int_array_text` gives the signs ``sign * (x)_t blocks[t]``
+    of a Kronecker product, the first block most significant.
+
+    The entries of a product over blocks ``t..`` are those over ``t+1..``
+    times each entry of block ``t`` in turn, so its text joins the text of
+    the ``+`` or the ``-`` product over ``t+1..`` once per entry.  Both
+    texts are built from the innermost block out; the outermost block
+    takes ``sign`` and builds the one text asked for.
+    """
+    sep = ",\n" + indent + "  "
+    plus, minus = "1", "-1"
+    for block in reversed(blocks[1:]):
+        up = block.tolist()
+        plus, minus = (sep.join([plus if s > 0 else minus for s in up]),
+                       sep.join([minus if s > 0 else plus for s in up]))
+    return sep.join([plus if s > 0 else minus for s in (sign * blocks[0]).tolist()])
+
+
+def _int_list_depth(obj: list) -> int:
+    """The depth of ``obj`` as nested non-empty lists with ints at the
+    bottom (1 for a list of ints), or 0 if it is not one.
+
+    Types are compared exactly, so a bool (an int subclass) or a tuple
+    anywhere gives 0."""
+    depth, level = 1, obj
+    while True:
+        types = set(map(type, level))
+        if types == {int}:
+            return depth
+        if types != {list} or not all(level):
+            return 0
+        level = list(chain.from_iterable(level))
+        depth += 1
+
+
+@functools.lru_cache(maxsize=None)
+def _int_list_layout(depth: int, indent: str) -> tuple[str, tuple[tuple[str, str], ...], str]:
+    """The head, the ``(repr separator, JSON separator)`` pairs, widest
+    first, and the tail of :func:`_int_list_text`."""
+    pad = [indent + "  " * t for t in range(depth + 1)]
+    seps = tuple(
+        ("]" * k + ", " + "[" * k,
+         "".join("\n" + pad[t] + "]" for t in range(depth - 1, depth - 1 - k, -1)) + ","
+         + "".join("\n" + pad[t] + "[" for t in range(depth - k, depth)) + "\n" + pad[depth])
+        for k in range(depth - 1, -1, -1))
+    head = "[" + "".join("\n" + pad[t] + "[" for t in range(1, depth)) + "\n" + pad[depth]
+    return head, seps, "".join("\n" + pad[t] + "]" for t in range(depth - 1, -1, -1))
+
+
+def _int_list_text(obj: list, depth: int, indent: str) -> str:
+    """The text ``json.dumps`` gives nested int lists of ``depth`` levels
+    at ``indent``, from one ``repr``.
+
+    In the ``repr``, siblings whose subtrees have ``k`` levels of lists
+    are parted by ``k`` closing brackets, a ", " and ``k`` opening ones.
+    Each separator, the widest first, becomes the line breaks and indents
+    of the JSON layout, which hold no ", " for a narrower one to match.
+    """
+    head, seps, tail = _int_list_layout(depth, indent)
+    text = list.__repr__(obj)[depth:-depth]
+    for old, new in seps:
+        text = text.replace(old, new)
+    return head + text + tail
+
+
+def _encode(obj, indent: str, out: list[str], tables: dict) -> None:
+    """Append the text ``json.dumps`` gives ``obj`` at nesting ``indent``.
+
+    ``json.dumps`` with ``indent`` runs the standard library's pure-Python
+    encoder; this walk keeps its layout but formats the parts in C: keys
+    and strings by the same escaper, a list of strings (the rows of H) by
+    one join, and nested lists of plain ints (a lambda or delta table, the
+    rows of S and B) by one ``repr`` (:func:`_int_list_text`).  A
+    :class:`_KronRow` (nearly all of the bytes) is formatted by
+    :func:`_int_array_text` (``tables`` holds its digit rows) or
+    :func:`_kron_sign_text`, or written as its list below
+    ``INT_ARRAY_KERNEL_MIN`` entries.  Scalars other than str and int go
+    through ``json.dumps``, so floats read the same and a value it refuses
+    (a bare numpy array or integer too) raises the same ``TypeError``.
+    Keys must be str (every command's are); ``json.dumps`` would also
+    convert number, bool and None keys, which this refuses.
+    """
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _quote(key) + ": ")
+            _encode(value, inner, out, tables)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        if isinstance(obj, list):
+            # exact types, so bools (an int subclass) never take these paths
+            types = set(map(type, obj))
+            depth = 1 if types == {int} else types == {list} and _int_list_depth(obj)
+            if depth:
+                out.append(_int_list_text(obj, depth, indent))
+                return
+            if types == {str}:
+                out.append("[\n" + inner + (",\n" + inner).join(map(_quote, obj))
+                           + "\n" + indent + "]")
+                return
+        sep = "[\n" + inner
+        for value in obj:
+            out.append(sep)
+            _encode(value, inner, out, tables)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif type(obj) is _KronRow:
+        if obj.sign is not None and len(obj.blocks) > 1 and len(obj) >= INT_ARRAY_KERNEL_MIN:
+            text = _kron_sign_text(obj.sign, obj.blocks, indent)
+        else:
+            values = obj.array
+            if len(values) < INT_ARRAY_KERNEL_MIN:
+                values = values.tolist()
+                out.append(_int_list_text(values, 1, indent) if values else "[]")
+                return
+            text = _int_array_text(values, indent, tables)
+        out += ("[\n" + indent + "  ", text, "\n" + indent + "]")
+    elif isinstance(obj, int) and not isinstance(obj, bool):
+        out.append(int.__repr__(obj))
+    else:
+        out.append(json.dumps(obj))
+
+
+def write_json(fh, obj: dict) -> None:
+    """The one JSON format of every command: the bytes of
+    ``json.dumps(obj, indent=2)`` plus a final newline.
+
+    Every piece is formatted before the first is written, so nothing is
+    written if formatting raises; the pieces then go to ``fh`` as they
+    are, with no joined copy.  The digit rows :func:`_int_array_text`
+    gathers from are formed once per call.
+    """
+    out: list[str] = []
+    _encode(obj, "", out, {})
+    out.append("\n")
+    fh.writelines(out)

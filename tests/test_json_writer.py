@@ -1,13 +1,13 @@
 """The JSON writer against ``json.dumps(obj, indent=2) + "\\n"``.
 
-``cli._write_json`` formats every JSON result of the command line.  Its
-bytes must equal the standard library's indented encoding, on generated
-documents, on integer arrays given as ``serialize._IntArray`` (formatted
-from numpy from ``cli.INT_ARRAY_KERNEL_MIN`` entries on), on
-representations written from their Kronecker factors
-(``serialize._KronRow``) and on the output of every subcommand that
-writes JSON.  The public ``*_to_dict`` forms hold plain lists in place of
-those arrays.
+``serialize.write_json`` formats every JSON result of the command line.
+Its bytes must equal the standard library's indented encoding, on
+generated documents, on integer arrays given as one-block
+``serialize._KronRow`` rows (formatted from numpy from
+``serialize.INT_ARRAY_KERNEL_MIN`` entries on), on representations
+written from their Kronecker factors and on the output of every
+subcommand that writes JSON.  The public ``*_to_dict`` forms hold plain
+lists in place of those arrays.
 """
 
 from __future__ import annotations
@@ -20,18 +20,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcliff import cli, complete, minimal_images
-from qcliff.cli import INT_ARRAY_KERNEL_MIN, _write_json, main
+from qcliff import complete, minimal_images, serialize
+from qcliff.cli import main
 from qcliff.decompose import decompose
 from qcliff.represent import character_length
 from qcliff.serialize import (
-    _IntArray,
-    _representation_tree,
-    _solve_result_tree,
+    INT_ARRAY_KERNEL_MIN,
+    _KronRow,
     bundle_to_dict,
     presentation_from_dict,
     representation_to_dict,
+    representation_tree,
     solve_result_to_dict,
+    solve_result_tree,
+    write_json,
 )
 from qcliff.solve import solve
 from qcliff.structure import classify
@@ -41,7 +43,7 @@ from helpers import constant_pattern, fixed_type_presentation, quaternion_presen
 
 def written(obj) -> str:
     fh = io.StringIO()
-    _write_json(fh, obj)
+    write_json(fh, obj)
     return fh.getvalue()
 
 
@@ -134,7 +136,7 @@ def nest(leaf, depth: int):
 
 
 def matches_the_list(arr: np.ndarray, depth: int) -> bool:
-    return written(nest(_IntArray(arr), depth)) == reference(nest(arr.tolist(), depth))
+    return written(nest(_KronRow(None, [arr]), depth)) == reference(nest(arr.tolist(), depth))
 
 
 INT64 = np.iinfo(np.int64)
@@ -170,8 +172,8 @@ class TestIntArrays:
 
     def test_permutation_and_signs(self):
         rng = np.random.default_rng(5)
-        tree = {"perm": _IntArray(rng.permutation(4096)),
-                "signs": _IntArray(rng.choice([-1, 1], size=4096))}
+        tree = {"perm": _KronRow(None, [rng.permutation(4096)]),
+                "signs": _KronRow(None, [rng.choice([-1, 1], size=4096)])}
         plain = {name: value.array.tolist() for name, value in tree.items()}
         assert written([tree]) == reference([plain])
 
@@ -179,8 +181,8 @@ class TestIntArrays:
         # one range at two nestings in one write: the rows carry the indent
         rng = np.random.default_rng(9)
         perms = [rng.permutation(INT_ARRAY_KERNEL_MIN) for _ in range(3)]
-        tree = {"a": _IntArray(perms[0]), "b": [{"c": _IntArray(perms[1])}],
-                "d": _IntArray(perms[2])}
+        tree = {"a": _KronRow(None, [perms[0]]), "b": [{"c": _KronRow(None, [perms[1]])}],
+                "d": _KronRow(None, [perms[2]])}
         plain = {"a": perms[0].tolist(), "b": [{"c": perms[1].tolist()}],
                  "d": perms[2].tolist()}
         assert written(tree) == reference(plain)
@@ -226,7 +228,7 @@ class TestFactoredImages:
         assert (rep.sign < 0).any()  # both image signs reach the writer
         want = expanded_dict(rep)
         assert representation_to_dict(rep) == want
-        assert written(_representation_tree(rep)) == reference(want)
+        assert written(representation_tree(rep)) == reference(want)
 
     @pytest.mark.parametrize("n, value", [(2, 1), (4, -1), (13, -1), (18, -1)])
     def test_solve_result_matches_the_expanded_images(self, n, value):
@@ -237,7 +239,7 @@ class TestFactoredImages:
         want = solve_result_to_dict(lam, result)
         assert want["D"] == [{"order": result.b, "perm": d.perm.tolist(),
                               "signs": d.signs.tolist()} for d in result.D]
-        assert written(_solve_result_tree(lam, result)) == reference(want)
+        assert written(solve_result_tree(lam, result)) == reference(want)
 
 
 def assert_plain(tree) -> None:
@@ -320,8 +322,8 @@ def files(tmp_path_factory):
 ], ids=lambda argv: "-".join(a.strip("{}") for a in argv))
 def test_subcommand_json_matches_json_dumps(files, capsys, monkeypatch, argv):
     calls = []
-    kernel = cli._int_array_text
-    monkeypatch.setattr(cli, "_int_array_text", lambda *a: calls.append(1) or kernel(*a))
+    kernel = serialize._int_array_text
+    monkeypatch.setattr(serialize, "_int_array_text", lambda *a: calls.append(1) or kernel(*a))
     assert main([a.format(**files) for a in argv] + ["--format", "json"]) == 0
     # only the large irrep and the b = 512 family reach the numpy formatter
     assert bool(calls) == any(a in ("{pres20}", "{lam18}") for a in argv)
