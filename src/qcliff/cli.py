@@ -16,10 +16,11 @@ Resource caps can be overridden by flags or environment variables:
 ``QCLIFF_MAX_N`` (cap on the ``2**M`` outer matrices of ``hadamard``)
 and ``QCLIFF_MAX_ORDER`` (order cap of the irreducible that
 ``represent`` or ``solve`` builds, or, with a smaller default, of an
-assembled dense Hadamard matrix).  One cap is fixed, with no flag: a
-presentation file of more than ``MAX_M`` = 2048 generators, or a pattern
-file of more than 2048 matrices, is refused as it is read, before any
-m x m table is allocated.
+assembled dense Hadamard matrix).  A cap is an integer of 0 or more; a
+negative one, by flag or variable, is a usage error.  One cap is fixed,
+with no flag: a presentation file of more than ``MAX_M`` = 2048
+generators, or a pattern file of more than 2048 matrices, is refused as
+it is read, before any m x m table is allocated.
 """
 
 from __future__ import annotations
@@ -65,14 +66,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"environment variable {name} must be an integer") from exc
+def _env_cap(name: str, default: int) -> int:
+    raw = os.environ.get(name, str(default))
+    if not raw.isdecimal():  # the digits int() reads, and no sign
+        raise ValueError(f"environment variable {name} must be an integer >= 0, got {raw!r}")
+    return int(raw)
 
 
 def _load_json(path: str) -> dict:
@@ -167,8 +165,6 @@ def cmd_rho(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    if args.max_pq < 0:
-        raise ValueError(f"--max-pq must be >= 0, got {args.max_pq}")
     if args.max_pq > MAX_PQ_CAP:
         raise CapExceeded(f"p+q bound {args.max_pq} exceeds the cap {MAX_PQ_CAP}")
     half = args.max_pq // 2
@@ -253,14 +249,14 @@ def build_parser() -> _Parser:
     p.add_argument("--character", default=None,
                    help="0/1 bits choosing central signs (default: all zero)")
     p.add_argument("--max-order", type=int,
-                   default=_env_int("QCLIFF_MAX_ORDER", REPRESENT_ORDER_CAP))
+                   default=_env_cap("QCLIFF_MAX_ORDER", REPRESENT_ORDER_CAP))
     common(p)
     p.set_defaults(func=cmd_represent)
 
     p = sub.add_parser("solve", help="minimal monomial family for a lambda pattern file")
     p.add_argument("pattern")
     p.add_argument("--max-order", type=int,
-                   default=_env_int("QCLIFF_MAX_ORDER", REPRESENT_ORDER_CAP))
+                   default=_env_cap("QCLIFF_MAX_ORDER", REPRESENT_ORDER_CAP))
     common(p)
     p.set_defaults(func=cmd_solve)
 
@@ -271,9 +267,9 @@ def build_parser() -> _Parser:
     p.add_argument("--output", default=None, help="write the full bundle JSON here")
     p.add_argument("--text-output", default=None,
                    help="write the +/- text rows of the result here")
-    p.add_argument("--max-n", type=int, default=_env_int("QCLIFF_MAX_N", DEFAULT_MAX_N))
+    p.add_argument("--max-n", type=int, default=_env_cap("QCLIFF_MAX_N", DEFAULT_MAX_N))
     p.add_argument("--max-order", type=int,
-                   default=_env_int("QCLIFF_MAX_ORDER", DENSE_ORDER_CAP))
+                   default=_env_cap("QCLIFF_MAX_ORDER", DENSE_ORDER_CAP))
     common(p)
     p.set_defaults(func=cmd_hadamard)
 
@@ -310,6 +306,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         caps = (os.environ.get("QCLIFF_MAX_N"), os.environ.get("QCLIFF_MAX_ORDER"))
         args = _parser(caps).parse_args(argv)
+        for flag in ("max_n", "max_order", "max_pq"):
+            value = getattr(args, flag, 0)
+            if value < 0:
+                raise ValueError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

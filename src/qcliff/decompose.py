@@ -172,50 +172,50 @@ def symplectic_reduce(frows: tuple[int, ...], m: int, kneg: int = 0
     and the squares (+1 or -1) of the centrals and then of the pair
     members in order.
 
-    Each remaining ``w`` carries its row sum ``fw = w^T F`` and its square
-    bit ``q(w)``, starting from ``frows[i]`` and bit ``i`` of ``kneg`` for
-    ``w = e_i``, so that ``B(w, x)`` is the parity of ``fw & x`` and no
-    row sum is formed again.  Both follow ``w`` through its updates:
-    ``(w + x)^T F = fw + fx``, and ``q(w + x) = q(w) + q(x) + B(w, x)``,
-    since ``(XY)^2 = (-1)^B(w,x) X^2 Y^2`` for the monomials ``X``, ``Y``
-    of ``w``, ``x`` and the sign of a product cancels in its square.  So
-    ``w += u`` adds ``fu`` and ``q(u) + B(w, u)``; after it ``B(w, v)`` is
-    0, because ``B(u, v) = 1``, so ``w += v`` adds ``fv`` and ``q(v)``.
-    The three are packed in one int, ``w | fw << m | q(w) << 2m``, and
-    each update is one xor of packs.
+    Each vector carries its row sum ``fw = w^T F`` and its square bit
+    ``q(w)``, packed as ``w | fw << m | q(w) << 2m`` and starting from
+    ``frows[k]`` and bit ``k`` of ``kneg`` for ``w = e_k``.  Both follow
+    ``w``: ``(w + x)^T F = fw + fx``, and ``q(w + x) = q(w) + q(x) +
+    B(w, x)``, since ``(XY)^2 = (-1)^B(w,x) X^2 Y^2`` for the monomials
+    ``X``, ``Y`` of ``w``, ``x`` and the sign of a product cancels in its
+    square.
 
-    A pivot ``u`` is central exactly when ``fu == 0``.  Every remaining
-    vector is orthogonal to the pairs already extracted, and every
-    central so far has a zero row sum; so a pivot that pairs with no
-    remaining vector is orthogonal to all of those vectors, which with
-    the remaining ones span GF(2)^m.
+    Every pairing is a bit of the pivot pair's row sums.  The vector of
+    original index ``k`` is ``e_k`` plus a sum of the pair members already
+    extracted, which ``u`` and ``v`` are orthogonal to, so ``B(w, u) =
+    B(e_k, u)`` is bit ``k`` of ``fu`` and ``B(w, v)`` bit ``k`` of
+    ``fv``.  Bit ``k`` of ``fu`` is 0 for ``u``'s own index (F has a zero
+    diagonal) and for an extracted one (that vector is orthogonal to
+    ``u``; a central has a zero row sum).  So the partner is the lowest
+    set bit of ``fu``, and ``u`` is central exactly when ``fu`` is 0: it
+    pairs with no remaining or extracted vector, and those span GF(2)^m.
+    With ``bu``, ``bv`` those bits, ``w += u`` (when ``bv``) adds ``U``
+    and ``bu`` to ``q``, and leaves ``B(w, v)`` 0, as ``B(u, v) = 1``; so
+    ``w += v`` (when ``bu``) adds ``V`` alone.  One move of the pack,
+    ``(0, U, V, U ^ V ^ q)[2 bu + bv]``, covers the four cases.
     """
     low, q_bit = (1 << m) - 1, 1 << 2 * m
-    remaining = [1 << i | frows[i] << m | (kneg >> i & 1) << 2 * m for i in range(m)]
+    packs = [1 << k | frows[k] << m | (kneg >> k & 1) << 2 * m for k in range(m)]
+    remaining = list(range(m))
     centrals: list[int] = []
     pairs: list[tuple[int, int]] = []
     while remaining:
-        U = remaining.pop(0)
+        U = packs[remaining.pop(0)]
         fu = U >> m & low
         if not fu:
             centrals.append(U)
             continue
-        partner = next(k for k, V in enumerate(remaining) if (fu & V).bit_count() & 1)
-        V = remaining.pop(partner)
+        partner = (fu & -fu).bit_length() - 1
+        remaining.remove(partner)
+        V = packs[partner]
         fv = V >> m & low
         pairs.append((U, V))
-        fixed = []
-        for W in remaining:
-            bu = (fu & W).bit_count() & 1
-            if (fv & W).bit_count() & 1:
-                W ^= U ^ q_bit if bu else U
-            if bu:
-                W ^= V
-            fixed.append(W)
-        remaining = fixed
-    packs = centrals + [X for pair in pairs for X in pair]
+        moves = (0, U, V, U ^ V ^ q_bit)
+        for k in remaining:
+            packs[k] ^= moves[(fu >> k & 1) << 1 | fv >> k & 1]
+    ordered = centrals + [X for pair in pairs for X in pair]
     return ([X & low for X in centrals], [(U & low, V & low) for U, V in pairs],
-            tuple(-1 if X >> 2 * m else 1 for X in packs))
+            tuple(-1 if X >> 2 * m else 1 for X in ordered))
 
 
 def decompose(P: AlgebraPresentation) -> Decomposition:

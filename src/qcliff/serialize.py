@@ -70,9 +70,14 @@ def _int_array(values: Any, what: str) -> np.ndarray:
 
     NumPy reads a list mixing booleans with integers as int64, so the
     entries' types are also scanned, by ``map`` in C and not per entry in
-    Python: the bundle reader passes every dense row through here.
+    Python: the bundle reader passes every dense row through here.  A
+    ragged list, which numpy refuses with a message naming no field, is
+    refused naming ``what``.
     """
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        raise ValueError(f"{what} must be a rectangular array, got a ragged list") from None
     if arr.size and arr.dtype.kind != "i":
         raise ValueError(f"{what} must hold integers only, got {arr.dtype} entries")
     if arr.ndim in (1, 2):

@@ -337,11 +337,33 @@ class TestHadamard:
         assert main(["frobnicate"]) == 1
 
 
+class TestNegativeCapFlags:
+    # refused as the flags are parsed, before the (missing) file is read
+    @pytest.mark.parametrize("argv", [
+        ["represent", "x.json", "--max-order", "-5"],
+        ["solve", "x.json", "--max-order", "-5"],
+        ["hadamard", "1", "--max-n", "-3"],
+        ["hadamard", "1", "--max-order", "-1"],
+    ])
+    def test_negative_cap_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {argv[-2]} must be >= 0, got {argv[-1]}\n"
+
+    def test_zero_is_a_cap(self, capsys, monkeypatch):
+        assert main(["hadamard", "1", "--max-n", "0"]) == 2
+        assert main(["hadamard", "1", "--max-order", "0"]) == 2
+        monkeypatch.setenv("QCLIFF_MAX_N", "0")
+        assert main(["hadamard", "1"]) == 2
+
+
 class TestCapEnvironment:
     # the parser reads both caps when it is built, for every subcommand
     @pytest.mark.parametrize("name, value, argv", [
         ("QCLIFF_MAX_ORDER", "abc", ["rho", "4"]),
         ("QCLIFF_MAX_N", "1.5", ["classify", "x.json"]),
+        ("QCLIFF_MAX_ORDER", "-5", ["represent", "x.json"]),
+        ("QCLIFF_MAX_ORDER", "-5", ["solve", "x.json"]),
+        ("QCLIFF_MAX_N", "-3", ["hadamard", "1"]),
     ])
     def test_malformed_cap_variable_exits_1(self, capsys, monkeypatch, name, value, argv):
         monkeypatch.setenv(name, value)

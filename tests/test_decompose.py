@@ -12,12 +12,13 @@ from qcliff.decompose import (
     symplectic_reduce,
 )
 from qcliff.errors import CapExceeded
-from qcliff.gf2 import xor_rows
+from qcliff.gf2 import Gf2Matrix, row_masks, xor_rows
 
 from helpers import (
     all_presentations,
     clifford_presentation,
     commute_sign,
+    packed_reduce,
     quaternion_presentation,
     radical_dimension,
     random_presentation,
@@ -334,6 +335,51 @@ class TestSymplecticReduce:
                     assert (centrals, pairs) == reference_reduce(frows, m)
                     masks = (*centrals, *(g for pair in pairs for g in pair))
                     assert squares == tuple(square_sign(P, g) for g in masks)
+
+    @staticmethod
+    def reduced(P):
+        """``symplectic_reduce`` of ``P``, checked against the packed
+        reference, and against the set-bit one up to m = 40."""
+        frows = form_matrix(P).bits
+        got = symplectic_reduce(frows, P.m, P._kneg)
+        assert got == packed_reduce(frows, P.m, P._kneg)
+        if P.m <= 40:
+            assert got[:2] == reference_reduce(frows, P.m)
+        return got
+
+    @pytest.mark.parametrize("m", [40, 96])
+    def test_low_rank_forms(self, m):
+        # F = T^T H T for an invertible T and the hyperbolic H of the first
+        # 2 * planes coordinates, so r = m - 2 * planes exactly, 0 to m - 2
+        rng = np.random.default_rng(m)
+        T = rng.integers(0, 2, size=(m, m))
+        while Gf2Matrix(m, m, row_masks(T)).rank() < m:
+            T = rng.integers(0, 2, size=(m, m))
+        for planes in range(1, m // 2 + 1):
+            a, b = T[0:2 * planes:2], T[1:2 * planes:2]
+            F = (a.T @ b + b.T @ a) & 1
+            anti = [tuple(ij) for ij in np.argwhere(np.triu(F, 1)).tolist()]
+            P = AlgebraPresentation([int(k) for k in rng.choice([-1, 1], size=m)], anti)
+            centrals, pairs, _ = self.reduced(P)
+            assert (len(centrals), len(pairs)) == (m - 2 * planes, planes)
+
+    @pytest.mark.parametrize("m", [1, 2, 41, 100, 400])
+    def test_all_commuting_and_all_anticommuting(self, m):
+        kappa = [1, -1] * (m // 2) + [-1] * (m % 2)
+        centrals, pairs, squares = self.reduced(AlgebraPresentation(kappa))
+        assert centrals == [1 << i for i in range(m)] and not pairs
+        assert squares == tuple(kappa)
+        everything = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        centrals, pairs, _ = self.reduced(AlgebraPresentation(kappa, everything))
+        assert (len(centrals), len(pairs)) == (m % 2, m // 2)
+
+    @pytest.mark.parametrize("m", [100, 200, 400])
+    def test_seeded_forms(self, m):
+        rng = np.random.default_rng(m)
+        for density in (0.02, 0.5):
+            upper = np.triu(rng.random((m, m)) < density, 1)
+            anti = [tuple(ij) for ij in np.argwhere(upper).tolist()]
+            self.reduced(AlgebraPresentation([int(k) for k in rng.choice([-1, 1], size=m)], anti))
 
 
 class TestRadicalDimension:

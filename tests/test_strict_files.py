@@ -10,6 +10,7 @@ is malformed.
 
 from __future__ import annotations
 
+import copy
 import json
 import time
 
@@ -73,6 +74,24 @@ def test_ragged_sign_rows_fail_with_code_1(tmp_path, capsys, cut):
     path = write(tmp_path / "bad.json", {**BUNDLE, "H": rows})
     assert main(["verify", path]) == 1
     assert "sign rows must all have the same length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, index, key", [
+    ("A", 0, "perm"), ("A", -1, "signs"), ("D", -1, "perm"), ("D", 0, "signs"),
+    ("S", None, None), ("B", -1, None),
+])
+def test_ragged_array_names_the_field(tmp_path, capsys, field, index, key):
+    # numpy's own message for a ragged list names no field; a monomial
+    # member's reader names its key, a dense one's "sign matrix"
+    doc = copy.deepcopy(BUNDLE)
+    array = doc[field] if index is None else doc[field][index]
+    if key is None:
+        array[0].pop()
+    else:
+        array[key][0] = [array[key][0]]
+    assert main(["verify", write(tmp_path / "bad.json", doc)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {key or 'sign matrix'} must be a rectangular array, got a ragged list\n"
 
 
 def test_lambda_order_is_bounded_by_its_entries(tmp_path, capsys):
