@@ -83,6 +83,14 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _write_file(path: str, write) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            write(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+
+
 def _parse_character(raw: Optional[str], expected: int) -> tuple[int, ...]:
     if raw is None or raw == "":
         return (0,) * expected
@@ -173,11 +181,10 @@ def cmd_tables(args: argparse.Namespace) -> int:
         grid = classification_grid(half, half)
         sections.append("\n".join(" ".join(row) for row in grid) + "\n")
     if args.section in ("dims", "all"):
-        totals = tuple(t for t in (2, 4, 8) if t <= args.max_pq)
-        rows = irrep_dimension_rows(totals)
-        sections.append(
-            "\n".join(f"{p} {q} {label} {order}" for p, q, label, order in rows) + "\n"
-        )
+        # below p + q = 2 there are no rows, and the section is left out
+        rows = irrep_dimension_rows(tuple(t for t in (2, 4, 8) if t <= args.max_pq))
+        if rows:
+            sections.append("".join(f"{p} {q} {label} {order}\n" for p, q, label, order in rows))
     sys.stdout.write("\n".join(sections))
     return 0
 
@@ -197,11 +204,10 @@ def cmd_hadamard(args: argparse.Namespace) -> int:
         max_order=args.max_order,
     )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            write_json(fh, bundle_tree(bundle))
+        _write_file(args.output, lambda fh: write_json(fh, bundle_tree(bundle)))
     if args.text_output:
-        with open(args.text_output, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(sign_text_rows(bundle.H)) + "\n")
+        text = "\n".join(sign_text_rows(bundle.H)) + "\n"
+        _write_file(args.text_output, lambda fh: fh.write(text))
     return _emit_report(args, bundle, report_only=bool(args.output))
 
 

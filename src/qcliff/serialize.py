@@ -42,16 +42,17 @@ from .solve import LambdaPattern, SolveResult
 from .structure import WedderburnType, compact_label
 
 
-def _require_keys(obj: dict, required: Sequence[str], optional: Sequence[str] = ()) -> None:
+def _require_keys(obj: dict, what: str, required: Sequence[str],
+                  optional: Sequence[str] = ()) -> None:
     if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+        raise ValueError(f"{what}: expected a JSON object, got {type(obj).__name__}")
     keys = set(obj)
     missing = [k for k in required if k not in keys]
     if missing:
-        raise ValueError(f"missing required fields: {missing}")
+        raise ValueError(f"{what}: missing required fields: {missing}")
     unknown = keys - set(required) - set(optional)
     if unknown:
-        raise ValueError(f"unknown fields: {sorted(unknown)}")
+        raise ValueError(f"{what}: unknown fields: {sorted(unknown)}")
 
 
 def _is_int(v: Any) -> bool:
@@ -63,28 +64,6 @@ def _sign(v: Any, what: str) -> int:
     if not _is_int(v) or v not in (-1, 1):
         raise ValueError(f"{what} must be +1 or -1, got {v!r}")
     return v
-
-
-def _int_array(values: Any, what: str) -> np.ndarray:
-    """``values`` as an integer array; floats, bools and other kinds are refused.
-
-    NumPy reads a list mixing booleans with integers as int64, so the
-    entries' types are also scanned, by ``map`` in C and not per entry in
-    Python: the bundle reader passes every dense row through here.  A
-    ragged list, which numpy refuses with a message naming no field, is
-    refused naming ``what``.
-    """
-    try:
-        arr = np.asarray(values)
-    except ValueError:
-        raise ValueError(f"{what} must be a rectangular array, got a ragged list") from None
-    if arr.size and arr.dtype.kind != "i":
-        raise ValueError(f"{what} must hold integers only, got {arr.dtype} entries")
-    if arr.ndim in (1, 2):
-        flat = values if arr.ndim == 1 else chain.from_iterable(values)
-        if bool in map(type, flat):
-            raise ValueError(f"{what} must hold integers only, got a boolean entry")
-    return arr
 
 
 def _list(value: Any, what: str) -> list:
@@ -162,7 +141,7 @@ def presentation_to_dict(P: AlgebraPresentation) -> dict:
 
 
 def presentation_from_dict(obj: dict) -> AlgebraPresentation:
-    _require_keys(obj, ["m", "kappa"], ["delta"])
+    _require_keys(obj, "presentation", ["m", "kappa"], ["delta"])
     m = obj["m"]
     if not _is_int(m) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
@@ -257,81 +236,13 @@ def _image_tree(order: int, sign: int, perms: list[np.ndarray], signs: list[np.n
     return {"order": order, "perm": _KronRow(None, perms), "signs": _KronRow(sign, signs)}
 
 
-# The keys of every image dict, which its readers require: stated once, in
-# the dict display above, which is faster than a dict(zip(...)) per image.
+# The keys of every image dict, which the bundle reader requires: stated
+# once, in the dict display above, faster than a dict(zip(...)) per image.
 _IMAGE_KEYS = tuple(_image_tree(1, 1, [], []))
-
-
-def monomial_from_dict(obj: dict) -> MonomialMatrix:
-    _require_keys(obj, _IMAGE_KEYS)
-    if not _is_int(obj["order"]):
-        raise ValueError(f"order must be an integer, got {obj['order']!r}")
-    mat = MonomialMatrix(_int_array(obj["perm"], "perm"), _int_array(obj["signs"], "signs"))
-    if mat.order != obj["order"]:
-        raise ValueError(f"recorded order {obj['order']} does not match perm length")
-    return mat
-
-
-def _int_stack(rows: list, ndim: int) -> Optional[np.ndarray]:
-    """``rows`` as one int64 array of ``ndim`` dimensions, or None if they
-    are ragged or hold anything but integers, booleans included."""
-    try:
-        arr = np.array(rows)
-    except (ValueError, OverflowError):
-        return None
-    if arr.ndim != ndim or arr.dtype.kind != "i":
-        return None
-    flat = rows
-    for _ in range(ndim - 1):
-        flat = chain.from_iterable(flat)
-    if bool in map(type, flat):
-        return None
-    return arr.astype(np.int64, copy=False)
-
-
-def _monomial_family(objs: list) -> tuple[MonomialMatrix, ...]:
-    """The members of a list of monomial matrix objects, validated as one stack.
-
-    n well-formed members of one order are checked in one pass over their
-    ``(n, order)`` perm and sign arrays.  Any other list is read member by
-    member by :func:`monomial_from_dict`, which raises naming the first
-    bad member; only members of different orders pass it, and the
-    bundle's order checks refuse those.
-    """
-    keys = set(_IMAGE_KEYS)
-    if objs and set(map(type, objs)) == {dict} and all(o.keys() == keys for o in objs):
-        perm = _int_stack([o["perm"] for o in objs], 2)
-        signs = _int_stack([o["signs"] for o in objs], 2)
-        orders = [o["order"] for o in objs]
-        if (perm is not None and signs is not None and perm.shape == signs.shape
-                and perm.shape[1] and set(map(type, orders)) == {int}
-                and orders == [perm.shape[1]] * len(objs)
-                and (np.sort(perm, axis=1) == np.arange(perm.shape[1])).all()
-                and (np.abs(signs) == 1).all()):
-            return tuple(map(MonomialMatrix._closed, perm, signs))
-    return tuple(monomial_from_dict(obj) for obj in objs)
-
-
-def _dense_family(objs: list) -> tuple[DenseSignMatrix, ...]:
-    """The members of a list of dense sign matrices, validated as one
-    ``(n, b, b)`` stack.
-
-    Any other list is read member by member by :func:`dense_from_rows`,
-    which raises naming the first bad member; only members of different
-    orders pass it, and the bundle's order checks refuse those.
-    """
-    arr = _int_stack(objs, 3)
-    if arr is not None and arr.shape[1] == arr.shape[2] and (np.abs(arr) == 1).all():
-        return tuple(map(DenseSignMatrix._closed, arr))
-    return tuple(dense_from_rows(rows) for rows in objs)
 
 
 def dense_to_rows(mat: DenseSignMatrix) -> list[list[int]]:
     return mat.array.tolist()
-
-
-def dense_from_rows(rows: Any) -> DenseSignMatrix:
-    return DenseSignMatrix(_int_array(rows, "sign matrix"))
 
 
 def sign_text_rows(mat: DenseSignMatrix) -> list[str]:
@@ -415,7 +326,7 @@ def lambda_to_dict(lam: LambdaPattern) -> dict:
 
 
 def lambda_from_dict(obj: dict) -> LambdaPattern:
-    _require_keys(obj, ["n", "entries"])
+    _require_keys(obj, "lambda", ["n", "entries"])
     n = obj["n"]
     if not _is_int(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -468,10 +379,10 @@ def report_to_dict(report: VerificationReport) -> dict:
 
 
 def report_from_dict(obj: dict) -> VerificationReport:
-    _require_keys(obj, ["n", "b", "order", "checks", "passed"])
+    _require_keys(obj, "report", ["n", "b", "order", "checks", "passed"])
     _check_ints(obj, ("n", "b", "order"), "report")
     checks = obj["checks"]
-    _require_keys(checks, list(REPORT_CHECKS))
+    _require_keys(checks, "report checks", list(REPORT_CHECKS))
     for name, value in [*checks.items(), ("passed", obj["passed"])]:
         if not isinstance(value, bool):
             raise ValueError(f"report {name} must be true or false, got {value!r}")
@@ -501,29 +412,87 @@ def bundle_to_dict(bundle: HadamardBundle) -> dict:
     return _plain(bundle_tree(bundle))
 
 
+def _int_block(members: list, shape: tuple[int, ...], name: str,
+               valid: Callable[[np.ndarray], np.ndarray], rule: str) -> np.ndarray:
+    """``members``, each nested lists of JSON integers of ``shape``, as one
+    int64 array of shape ``(len(members), *shape)`` on which the mask
+    ``valid(block)`` holds.
+
+    List lengths are checked against ``shape`` level by level, before the
+    level is flattened, so nothing made here outgrows the input's lists,
+    whatever ``shape`` says.  An error names the first bad member ``k`` as
+    ``name.format(k)``; ``rule`` says what a False in the mask means.
+    """
+    level, width = members, 1  # width: the items of this level per member
+    for size in shape:
+        ok = [type(x) is list and len(x) == size for x in level]
+        if False in ok:
+            i = ok.index(False)
+            x = level[i]
+            got = f"a list of {len(x)}" if type(x) is list else type(x).__name__
+            raise ValueError(f"{name.format(i // width)} must have shape {shape}: "
+                             f"got {got} where a list of {size} belongs")
+        level = list(chain.from_iterable(level))
+        width *= size
+    flat, ok = _json_ints(level)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"{name.format(i // width)} must hold 64-bit integers only, "
+                         f"got {level[i]!r}")
+    block = flat.reshape(len(members), *shape)
+    bad = ~valid(block).reshape(len(members), -1).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{name.format(int(np.argmax(bad)))} {rule}")
+    return block
+
+
+# The mask and rule of _int_block for signs and for +-1 matrices.
+_SIGNS = (lambda block: np.abs(block) == 1, "must hold +1 or -1 only")
+
+
+def _members(obj: dict, family: str, n: int) -> list:
+    members = _list(obj[family], f"bundle {family}")
+    if len(members) != n:
+        raise ValueError(f"{family}_{min(len(members), n)} is "
+                         f"{'missing' if len(members) < n else 'extra'}: "
+                         f"bundle {family} has {len(members)} members, n = {n}")
+    return members
+
+
+def _monomial_family(obj: dict, family: str, n: int, order: int) -> tuple[MonomialMatrix, ...]:
+    """The n members ``{family}_k`` of order ``order``, read as one stack."""
+    members = _members(obj, family, n)
+    for k, o in enumerate(members):
+        _require_keys(o, f"{family}_{k}", _IMAGE_KEYS)
+        if type(o["order"]) is not int or o["order"] != order:
+            raise ValueError(f"{family}_{k} order must be {order}, got {o['order']!r}")
+    perm = _int_block([o["perm"] for o in members], (order,), family + "_{} perm",
+                      lambda p: np.sort(p, axis=1) == np.arange(order), "is not a permutation")
+    signs = _int_block([o["signs"] for o in members], (order,), family + "_{} signs", *_SIGNS)
+    return tuple(map(MonomialMatrix._closed, perm, signs))
+
+
 def bundle_from_dict(obj: dict) -> HadamardBundle:
-    _require_keys(obj, ["n", "b", "A", "lambda", "D", "S", "B", "H", "report"])
-    _check_ints(obj, ("n", "b"), "bundle")
-    A = _monomial_family(_list(obj["A"], "bundle A"))
+    """The bundle ``obj``, each family read as one stack of the shape that
+    the header's ``n`` and ``b`` give: A (n, n), D (n, b), S (b, b) and
+    B (n, b, b).  An error names the first bad member, 0-based."""
+    _require_keys(obj, "bundle", ["n", "b", "A", "lambda", "D", "S", "B", "H", "report"])
+    n, b = obj["n"], obj["b"]
+    if not (_is_int(n) and _is_int(b) and n >= 1 and b >= 1):
+        raise ValueError(f"bundle n and b must be positive integers, got n = {n!r}, b = {b!r}")
+    A = _monomial_family(obj, "A", n, n)
     lam = lambda_from_dict(obj["lambda"])
-    D = _monomial_family(_list(obj["D"], "bundle D"))
-    S = dense_from_rows(obj["S"])
-    B = _dense_family(_list(obj["B"], "bundle B"))
+    if lam.n != n:
+        raise ValueError(f"lambda has n = {lam.n}, the bundle n = {n}")
+    D = _monomial_family(obj, "D", n, b)
+    S = DenseSignMatrix._closed(_int_block([obj["S"]], (b, b), "S", *_SIGNS)[0])
+    B = tuple(map(DenseSignMatrix._closed,
+                  _int_block(_members(obj, "B", n), (b, b), "B_{}", *_SIGNS)))
     H = sign_matrix_from_text_rows(_list(obj["H"], "bundle H"))
-    report = report_from_dict(obj["report"])
-    if lam.n != obj["n"] or any(len(family) != obj["n"] for family in (A, D, B)):
-        raise ValueError("bundle family sizes do not match n")
-    if any(a.order != obj["n"] for a in A):
-        raise ValueError(f"bundle outer orders {[a.order for a in A]} do not match n")
-    if any(d.order != obj["b"] for d in D):
-        raise ValueError(f"bundle D orders {[d.order for d in D]} do not match b")
-    if S.order != obj["b"] or any(x.order != obj["b"] for x in B):
-        raise ValueError("bundle inner orders do not match b")
-    if H.order != obj["n"] * obj["b"]:
-        raise ValueError("bundle H order does not match n*b")
-    return HadamardBundle(
-        n=obj["n"], b=obj["b"], A=A, lam=lam, D=D, S=S, B=B, H=H, report=report
-    )
+    if H.order != n * b:
+        raise ValueError(f"H must have order n*b = {n * b}, got {H.order}")
+    return HadamardBundle(n=n, b=b, A=A, lam=lam, D=D, S=S, B=B, H=H,
+                          report=report_from_dict(obj["report"]))
 
 
 # -- the JSON writer --------------------------------------------------------

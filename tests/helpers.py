@@ -27,14 +27,13 @@ from qcliff.hadamard import HadamardBundle, TransversalSpec, VerificationReport
 from qcliff.matrices import DenseSignMatrix, pair_lambdas, sign_product
 from qcliff.represent import Representation, character_length
 from qcliff.serialize import (
+    _IMAGE_KEYS,
     _check_ints,
     _is_int,
     _list,
     _require_keys,
     _sign,
-    dense_from_rows,
     lambda_from_dict,
-    monomial_from_dict,
     report_from_dict,
     sign_matrix_from_text_rows,
 )
@@ -137,7 +136,7 @@ def reference_presentation_from_dict(obj: dict) -> AlgebraPresentation:
     Each triple is checked in order (shape, pair, bit, then conflict with
     an earlier triple), so the first offending one raises.
     """
-    _require_keys(obj, ["m", "kappa"], ["delta"])
+    _require_keys(obj, "presentation", ["m", "kappa"], ["delta"])
     m = obj["m"]
     if not _is_int(m) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
@@ -170,7 +169,7 @@ def reference_lambda_from_dict(obj: dict) -> LambdaPattern:
     with an earlier triple), so the first offending one raises; the pairs
     are then completed by :func:`pattern_from_pairs`.
     """
-    _require_keys(obj, ["n", "entries"])
+    _require_keys(obj, "lambda", ["n", "entries"])
     n = obj["n"]
     if not _is_int(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -719,9 +718,48 @@ def reference_verify_bundle(bundle):
     return replace(bundle, report=report)
 
 
+def _int_array(values, what: str) -> np.ndarray:
+    """``values`` as an integer array; floats, bools and other kinds are refused.
+
+    NumPy reads a list mixing booleans with integers as int64, so the
+    entries' types are also scanned.  A ragged list, which numpy refuses
+    with a message naming no field, is refused naming ``what``.
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        raise ValueError(f"{what} must be a rectangular array, got a ragged list") from None
+    if arr.size and arr.dtype.kind != "i":
+        raise ValueError(f"{what} must hold integers only, got {arr.dtype} entries")
+    if arr.ndim in (1, 2):
+        flat = values if arr.ndim == 1 else itertools.chain.from_iterable(values)
+        if bool in map(type, flat):
+            raise ValueError(f"{what} must hold integers only, got a boolean entry")
+    return arr
+
+
+def monomial_from_dict(obj: dict) -> MonomialMatrix:
+    """One monomial matrix object, read on its own: the reference for a
+    member of a bundle's A or D."""
+    _require_keys(obj, "monomial matrix", _IMAGE_KEYS)
+    if not _is_int(obj["order"]):
+        raise ValueError(f"order must be an integer, got {obj['order']!r}")
+    mat = MonomialMatrix(_int_array(obj["perm"], "perm"), _int_array(obj["signs"], "signs"))
+    if mat.order != obj["order"]:
+        raise ValueError(f"recorded order {obj['order']} does not match perm length")
+    return mat
+
+
+def dense_from_rows(rows) -> DenseSignMatrix:
+    """One sign matrix given as rows, read on its own: the reference for a
+    bundle's S or a member of its B."""
+    return DenseSignMatrix(_int_array(rows, "sign matrix"))
+
+
 def reference_bundle_from_dict(obj: dict):
-    """The bundle reader with every A, D and B member read on its own."""
-    _require_keys(obj, ["n", "b", "A", "lambda", "D", "S", "B", "H", "report"])
+    """The bundle reader with every A, D and B member read on its own and
+    the sizes checked after all of them are read."""
+    _require_keys(obj, "bundle", ["n", "b", "A", "lambda", "D", "S", "B", "H", "report"])
     _check_ints(obj, ("n", "b"), "bundle")
     A = tuple(monomial_from_dict(a) for a in _list(obj["A"], "bundle A"))
     lam = lambda_from_dict(obj["lambda"])

@@ -208,6 +208,18 @@ class TestTables:
         assert main(["tables", "--max-pq", "0"]) == 0
         assert capsys.readouterr().out.startswith("R\n")
 
+    @pytest.mark.parametrize("argv, out", [
+        (["--max-pq", "0"], "R\n"),
+        (["--max-pq", "1"], "R\n"),
+        (["--section", "dims", "--max-pq", "0"], ""),
+        (["--section", "dims", "--max-pq", "1"], ""),
+        (["--section", "grid", "--max-pq", "1"], "R\n"),
+        (["--section", "dims", "--max-pq", "2"], "2 0 R(2) 2\n1 1 \u00b2C 2\n0 2 H 4\n"),
+    ], ids=["all-0", "all-1", "dims-0", "dims-1", "grid-1", "dims-2"])
+    def test_sections_without_rows_are_left_out(self, capsys, argv, out):
+        assert main(["tables", *argv]) == 0
+        assert capsys.readouterr().out == out
+
     def test_format_is_a_usage_error(self, capsys):
         # the text is the fixed format; there is no JSON rendering to ask for
         assert main(["tables", "--format", "json"]) == 1
@@ -270,21 +282,21 @@ class TestHadamard:
         identity3 = {"order": 3, "perm": [0, 1, 2], "signs": [1, 1, 1]}
         path = write_json(tmp_path, "outer.json", {**d, "A": [identity3, identity3]})
         assert main(["verify", path]) == 1
-        assert "outer orders [3, 3]" in capsys.readouterr().err
+        assert "A_0 order must be 2, got 3" in capsys.readouterr().err
 
     def test_inner_member_of_wrong_order_fails_with_code_1(self, tmp_path, capsys):
         d = bundle_to_dict(complete(1))
         identity3 = {"order": 3, "perm": [0, 1, 2], "signs": [1, 1, 1]}
         path = write_json(tmp_path, "inner.json", {**d, "D": [d["D"][0], identity3]})
         assert main(["verify", path]) == 1
-        assert "D orders [2, 3]" in capsys.readouterr().err
+        assert "D_1 order must be 2, got 3" in capsys.readouterr().err
 
     def test_lambda_of_another_size_fails_with_code_1(self, tmp_path, capsys):
         d = bundle_to_dict(complete(1))
         lam3 = {"n": 3, "entries": [[1, 2, 1], [1, 3, 1], [2, 3, 1]]}
         path = write_json(tmp_path, "lam3.json", {**d, "lambda": lam3})
         assert main(["verify", path]) == 1
-        assert "family sizes do not match n" in capsys.readouterr().err
+        assert "lambda has n = 3, the bundle n = 2" in capsys.readouterr().err
 
     def test_malformed_bundle_header_fails_with_code_1(self, tmp_path, capsys):
         d = bundle_to_dict(complete(1))
@@ -306,6 +318,15 @@ class TestHadamard:
         lines = text_path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 4 and all(len(line) == 4 for line in lines)
         assert set("".join(lines)) <= {"+", "-"}
+
+    @pytest.mark.parametrize("flag", ["--output", "--text-output"])
+    def test_unwritable_output_path_fails_with_code_1(self, tmp_path, capsys, flag):
+        for path in (tmp_path / "missing" / "out", tmp_path):
+            assert main(["hadamard", "1", flag, str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: cannot write {path}: ")
+            assert "Traceback" not in captured.err
+        assert not (tmp_path / "missing").exists()
 
     def test_spec_strings(self, capsys):
         rc = main(["hadamard", "2", "--diag", "IZ", "--offdiag", "XY"])

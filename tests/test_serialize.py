@@ -1,19 +1,18 @@
 import copy
+import re
 
 import numpy as np
 import pytest
 
-from qcliff import AlgebraPresentation, LambdaPattern, MonomialMatrix, complete
+from qcliff import AlgebraPresentation, MonomialMatrix, complete, verify_bundle
 from qcliff import serialize
 from qcliff.matrices import DenseSignMatrix, sylvester
 from qcliff.serialize import (
     bundle_from_dict,
     bundle_to_dict,
-    dense_from_rows,
     dense_to_rows,
     lambda_from_dict,
     lambda_to_dict,
-    monomial_from_dict,
     presentation_from_dict,
     presentation_to_dict,
     sign_matrix_from_text_rows,
@@ -22,6 +21,8 @@ from qcliff.serialize import (
 
 from helpers import outcome as member_outcome
 from helpers import (
+    dense_from_rows,
+    monomial_from_dict,
     pattern_from_pairs,
     quaternion_presentation,
     reference_bundle_from_dict,
@@ -400,14 +401,14 @@ class TestBundleFormat:
     def test_inconsistent_sizes_rejected(self):
         bundle = complete(1)
         d = bundle_to_dict(bundle)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="A_2 is missing"):
             bundle_from_dict({**d, "n": 3})
-        with pytest.raises(ValueError, match="family sizes"):
+        with pytest.raises(ValueError, match="D_1 is missing"):
             bundle_from_dict({**d, "D": d["D"][:1]})
         wrong_order = {"order": 3, "perm": [0, 1, 2], "signs": [1, 1, 1]}
-        with pytest.raises(ValueError, match=r"outer orders \[2, 3\]"):
+        with pytest.raises(ValueError, match="A_1 order must be 2, got 3"):
             bundle_from_dict({**d, "A": [d["A"][0], wrong_order]})
-        with pytest.raises(ValueError, match=r"D orders \[2, 3\]"):
+        with pytest.raises(ValueError, match="D_1 order must be 2, got 3"):
             bundle_from_dict({**d, "D": [d["D"][0], wrong_order]})
 
 
@@ -417,7 +418,8 @@ def _set(key, i, value):
     return mutate
 
 
-# Mutations of one monomial member dict, each refused by monomial_from_dict.
+# Mutations of one monomial member dict, each refused by monomial_from_dict
+# and by bundle_from_dict.
 MONOMIAL_MUTATIONS = {
     "boolean perm entry": _set("perm", 0, True),
     "boolean sign": _set("signs", -1, True),
@@ -435,7 +437,8 @@ MONOMIAL_MUTATIONS = {
     "float order": lambda member: member.__setitem__("order", float(member["order"])),
 }
 
-# Mutations of one dense member (a list of rows), each refused by dense_from_rows.
+# Mutations of one dense member (a list of rows), each refused by
+# dense_from_rows and by bundle_from_dict.
 DENSE_MUTATIONS = {
     "boolean entry": lambda rows: rows[0].__setitem__(0, True),
     "float entry": lambda rows: rows[-1].__setitem__(-1, float(rows[-1][-1])),
@@ -447,22 +450,29 @@ DENSE_MUTATIONS = {
 
 
 class TestBundleFamilyReader:
-    """``bundle_from_dict`` validates A, D and B as stacks; a bad member
-    raises what the per-member reader raises for it."""
+    """``bundle_from_dict`` reads A, D, S and B each as one stack; a bad
+    member is refused by it and by the per-member reference, and its
+    message names the member, 0-based."""
 
     @pytest.fixture(scope="class")
     def good(self):
         return bundle_to_dict(complete(2))
 
+    def assert_refused(self, obj, member):
+        got = member_outcome(bundle_from_dict, obj)
+        ref = member_outcome(reference_bundle_from_dict, obj)
+        assert got[:2] == ref[:2] == ("raise", ValueError), (got, ref)
+        assert re.search(rf"\b{member}\b", got[2]), (member, got)
+
     def assert_parity(self, good, family, index, mutate, member_reader):
-        # index "all" mutates every member alike, so the family still stacks
+        # index "all" mutates every member alike, so the first one is named
         obj = copy.deepcopy(good)
         for member in obj[family] if index == "all" else [obj[family][index]]:
             mutate(member)
-        got = member_outcome(bundle_from_dict, obj)
-        assert got == member_outcome(reference_bundle_from_dict, obj)
-        assert got[0] == "raise"
-        assert got == member_outcome(member_reader, obj[family][0 if index == "all" else index])
+        k = 0 if index == "all" else index % good["n"]
+        self.assert_refused(obj, f"{family}_{k}")
+        with pytest.raises(ValueError):
+            member_reader(obj[family][k])
 
     @pytest.mark.parametrize("name", MONOMIAL_MUTATIONS)
     @pytest.mark.parametrize("family", ["A", "D"])
@@ -479,30 +489,47 @@ class TestBundleFamilyReader:
     def test_members_of_another_order(self, good, index):
         wide = {"order": 8, "perm": list(range(8)), "signs": [1] * 8}
         for family, member in (("A", wide), ("D", wide), ("B", dense_to_rows(sylvester(8)))):
-            def mutate(members, member=member):
-                members[index] = member
             obj = copy.deepcopy(good)
-            mutate(obj[family])
-            got = member_outcome(bundle_from_dict, obj)
-            assert got == member_outcome(reference_bundle_from_dict, obj)
-            assert got[0] == "raise" and "orders" in got[2], (family, got)
+            obj[family][index] = member
+            self.assert_refused(obj, f"{family}_{index % good['n']}")
 
     @pytest.mark.parametrize("family", ["A", "D", "B"])
     def test_members_that_are_not_objects_or_rows(self, good, family):
         for bad in ("perm", 3, None, [], {"perm": [0, 1]}):
             obj = copy.deepcopy(good)
             obj[family][-1] = bad
-            got = member_outcome(bundle_from_dict, obj)
-            assert got == member_outcome(reference_bundle_from_dict, obj)
-            assert got[0] == "raise"
+            self.assert_refused(obj, f"{family}_{good['n'] - 1}")
+
+    @pytest.mark.parametrize("family", ["A", "D", "B"])
+    def test_families_of_the_wrong_size(self, good, family):
+        n = good["n"]
+        obj = copy.deepcopy(good)
+        obj[family].pop()
+        self.assert_refused(obj, f"{family}_{n - 1}")
+        obj = copy.deepcopy(good)
+        obj[family].append(obj[family][0])
+        self.assert_refused(obj, f"{family}_{n}")
+
+    def test_lambda_of_another_n(self, good):
+        n = good["n"] + 1
+        lam = {"n": n, "entries": [[j, k, 1] for j in range(1, n + 1) for k in range(j + 1, n + 1)]}
+        self.assert_refused({**good, "lambda": lam}, "lambda")
+
+    @pytest.mark.parametrize("name", DENSE_MUTATIONS)
+    def test_s_mutations(self, good, name):
+        obj = copy.deepcopy(good)
+        DENSE_MUTATIONS[name](obj["S"])
+        self.assert_refused(obj, "S")
 
     def test_well_formed_bundles_read_no_member_alone(self, monkeypatch):
-        objs = [bundle_to_dict(complete(m)) for m in (1, 2, 3)]
+        objs = [bundle_to_dict(complete(m)) for m in (1, 2, 3, 4)]
         want = [reference_bundle_from_dict(obj) for obj in objs]
         calls = []
-        for name in ("monomial_from_dict", "dense_from_rows"):
-            real = getattr(serialize, name)
-            monkeypatch.setattr(serialize, name,
-                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
-        assert [bundle_from_dict(obj) for obj in objs] == want
-        assert calls == ["dense_from_rows"] * 3  # S, once per bundle
+        real = serialize._int_block
+        monkeypatch.setattr(serialize, "_int_block",
+                            lambda members, *a: calls.append(len(members)) or real(members, *a))
+        got = [bundle_from_dict(obj) for obj in objs]
+        assert got == want
+        assert all(verify_bundle(bundle).report.passed for bundle in got)
+        # A perm, A signs, D perm, D signs, S as one member, B
+        assert calls == [c for obj in objs for c in [obj["n"]] * 4 + [1, obj["n"]]]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import json
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,7 +23,7 @@ from qcliff import complete
 from qcliff.cli import main
 from qcliff.decompose import MAX_M
 from qcliff.hadamard import TransversalSpec, lambda_of_transversal, transversal
-from qcliff.serialize import bundle_to_dict, lambda_to_dict
+from qcliff.serialize import bundle_from_dict, bundle_to_dict, lambda_to_dict
 from qcliff.solve import _minimal_kappa
 
 PRESENTATION = {"m": 3, "kappa": [1, -1, -1], "delta": [[1, 2, 1], [1, 3, 1]]}
@@ -81,8 +82,8 @@ def test_ragged_sign_rows_fail_with_code_1(tmp_path, capsys, cut):
     ("S", None, None), ("B", -1, None),
 ])
 def test_ragged_array_names_the_field(tmp_path, capsys, field, index, key):
-    # numpy's own message for a ragged list names no field; a monomial
-    # member's reader names its key, a dense one's "sign matrix"
+    # numpy's own message for a ragged list names no field; the bundle
+    # reader names the member, 0-based, and a monomial member's key
     doc = copy.deepcopy(BUNDLE)
     array = doc[field] if index is None else doc[field][index]
     if key is None:
@@ -91,7 +92,28 @@ def test_ragged_array_names_the_field(tmp_path, capsys, field, index, key):
         array[key][0] = [array[key][0]]
     assert main(["verify", write(tmp_path / "bad.json", doc)]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {key or 'sign matrix'} must be a rectangular array, got a ragged list\n"
+    member = field if index is None else f"{field}_{index % BUNDLE['n']}"
+    if key is None:
+        want = "must have shape (2, 2): got a list of 1 where a list of 2 belongs"
+        assert err == f"error: {member} {want}\n"
+    else:
+        value = BUNDLE[field][index][key][0]
+        assert err == f"error: {member} {key} must hold 64-bit integers only, got [{value}]\n"
+
+
+@pytest.mark.parametrize("header", [{"b": 2**40}, {"n": 2048}], ids=["b", "n"])
+def test_bundle_header_sizes_allocate_nothing_the_file_does_not_hold(tmp_path, capsys, header):
+    doc = {**BUNDLE, **header}
+    assert main(["verify", write(tmp_path / "big.json", doc)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            bundle_from_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_lambda_order_is_bounded_by_its_entries(tmp_path, capsys):
