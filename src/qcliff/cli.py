@@ -30,6 +30,7 @@ import functools
 import json
 import os
 import sys
+from contextlib import suppress
 from typing import Optional, Sequence
 
 from .decompose import decompose
@@ -81,6 +82,17 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _check_output(path: str) -> bool:
+    """Refuse an output path that cannot be written, before any work is
+    done for it; True if the check made the file (empty)."""
+    made = not os.path.lexists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+    return made
 
 
 def _write_file(path: str, write) -> None:
@@ -197,17 +209,24 @@ def cmd_hadamard(args: argparse.Namespace) -> int:
         diag = args.diag or "I" * len(args.offdiag)
         offdiag = args.offdiag or "X" * len(args.diag)
         spec = TransversalSpec.from_strings(diag, offdiag)
-    bundle = complete(
-        args.depth,
-        spec,
-        max_n=args.max_n,
-        max_order=args.max_order,
-    )
-    if args.output:
-        _write_file(args.output, lambda fh: write_json(fh, bundle_tree(bundle)))
-    if args.text_output:
-        text = "\n".join(sign_text_rows(bundle.H)) + "\n"
-        _write_file(args.text_output, lambda fh: fh.write(text))
+    # both outputs are checked before any work; the files the check made
+    # are removed if the command fails
+    made = []
+    try:
+        for path in (args.output, args.text_output):
+            if path and _check_output(path):
+                made.append(path)
+        bundle = complete(args.depth, spec, max_n=args.max_n, max_order=args.max_order)
+        if args.output:
+            _write_file(args.output, lambda fh: write_json(fh, bundle_tree(bundle)))
+        if args.text_output:
+            _write_file(args.text_output,
+                        lambda fh: fh.write("\n".join(sign_text_rows(bundle.H)) + "\n"))
+    except BaseException:
+        for path in made:
+            with suppress(OSError):
+                os.remove(path)
+        raise
     return _emit_report(args, bundle, report_only=bool(args.output))
 
 

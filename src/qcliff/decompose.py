@@ -16,6 +16,7 @@ and its square, and the basis change is those masks stacked as rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -62,6 +63,16 @@ class Decomposition:
         """The new generators' exponent masks as the rows of an m x m matrix."""
         return Gf2Matrix(len(self.masks), self.presentation.m, self.masks)
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The product-sign Gram of the new generators,
+        ``product_sign_gram(presentation, masks)``, formed on first read and
+        read-only: :meth:`validate` and
+        :func:`~qcliff.represent.pushforward` both read it."""
+        Q = product_sign_gram(self.presentation, self.masks)
+        Q.setflags(write=False)
+        return Q
+
     def normal_presentation(self) -> AlgebraPresentation:
         """The presentation satisfied by the new generators.
 
@@ -80,7 +91,7 @@ class Decomposition:
         that (+1, x)(+1, y) has sign (-1)^(y^T M x).  M is read from the
         presentation, not from :func:`form_matrix`, so the check shares no
         step with :func:`decompose`.  The Gram matrix Q = G M G^T over
-        GF(2) (:func:`product_sign_gram`, exact at every m) then holds
+        GF(2) (:attr:`gram`, exact at every m) then holds
         every pair at once: Q[i, i] is the sign of g_i squared, and g_i and
         g_j anticommute exactly when Q[i, j] + Q[j, i] is odd (the
         diagonal of M adds 2 |g_i & g_j & kneg| to that sum).
@@ -111,7 +122,7 @@ class Decomposition:
             raise ValueError(f"r = {r} leaves no whole pairs among m = {m} generators")
         if min(masks) < 0 or max(masks) >> m:
             raise ValueError(f"a recorded mask is out of range for m = {m}")
-        Q = product_sign_gram(P, masks)
+        Q = self.gram
         bad = np.array(self.squares) != np.where(Q.diagonal(), -1, 1)
         if bad.any():
             raise ValueError(f"recorded square of generator {int(np.argmax(bad))} is wrong")

@@ -111,7 +111,7 @@ def lambda_of_transversal(A: Sequence[MonomialMatrix]) -> LambdaPattern:
 
     The "A" sign is the negated "B" table of :func:`pair_lambdas`.
     """
-    lam = -pair_lambdas(A)
+    lam = -pair_lambdas(np.array([a.perm for a in A]), np.array([a.signs for a in A]))
     bad = np.argwhere(np.triu(lam == 0, 1)).tolist()
     if bad:
         j, k = bad[0]
@@ -233,7 +233,7 @@ def run_checks(
         (back == np.arange(n)).all() and (signs * np.take_along_axis(signs, back, axis=1) == 1).all()
     )
     table = np.where(bit_table(lam.neg, lam.n), -1, 1)
-    a_lam = np.array_equal(np.triu(-pair_lambdas(A), 1), np.triu(table, 1))
+    a_lam = np.array_equal(np.triu(-pair_lambdas(perm, signs), 1), np.triu(table, 1))
 
     # B_j B_k^T for k > j0, a batch of rows j at a time (one batch at the
     # bench's size): B_k B_j^T is its transpose, and the cells with

@@ -12,18 +12,20 @@ Only the public constructors validate and copy their input (parsers,
 callers, ``identity``); ``@``, ``transpose``, negation and the stacked
 families built or read in one pass (``_closed``) are signed permutations
 or sign matrices by construction and skip the check.
-Amicability signs have one kernel, :func:`pair_lambdas`: it decides every
-pair of a family of n matrices of order b on the stacked ``perm`` /
-``signs`` arrays, many pairs per gather in at most n - 1 batches,
-O(n^2 b) integer work in all.
+Amicability signs have one kernel, :func:`pair_lambdas`: it takes a
+family of n matrices of order b as the ``(n, b)`` ``perm`` / ``signs``
+stacks its callers hold and decides every pair, many pairs per gather in
+at most n - 1 batches, O(n^2 b) integer work in all.
 Its table is the side "B" sign; the outer family's side "A" pattern is
 its negation (:func:`~qcliff.hadamard.lambda_of_transversal`).  Cut into
 block segments, it gives the signs of Kronecker products from their blocks.
 
-Kronecker products have one kernel too, :func:`stacked_kron`: a family of
-n matrices, each a sign times a Kronecker product of small blocks, is
-kept as one ``(n, size)`` perm/sign array pair per block and expanded to
-order b in one pass per block.  The convention is row-major blocks
+Kronecker products have one kernel too, :func:`kron_expand`, on block
+rows of any leading shape, one pass per block: :func:`stacked_kron` runs
+it on a family of n matrices, each a sign times a Kronecker product of
+small blocks kept as one ``(n, size)`` perm/sign array pair per block,
+and the JSON writer on one image row (it joins the text of a sign row of
+several blocks itself).  The convention is row-major blocks
 throughout the package, matching ``numpy.kron``: for ``X (x) Y``, entry
 ``[i1*Ny + i2, j1*Ny + j2]`` is ``X[i1,j1] * Y[i2,j2]``.
 """
@@ -186,9 +188,12 @@ def _pair_batches(n: int, cell: int, budget: int) -> list[tuple[int, int]]:
     return out
 
 
-def pair_lambdas(family: Sequence[MonomialMatrix],
+def pair_lambdas(perm: np.ndarray, signs: np.ndarray,
                  sizes: Optional[Sequence[int]] = None) -> np.ndarray:
-    """Side "B" amicability signs of every pair of an equal-order family.
+    """Side "B" amicability signs of every pair of a family of signed
+    permutations of order b, held as the ``(n, b)`` stacks ``perm`` and
+    ``signs``: row ``j`` is member ``X_j``, taken as a signed permutation
+    unchecked.
 
     Entry ``[j, k]`` is +1 where ``X_j X_k^T == X_k X_j^T``, -1 where
     ``X_j X_k^T == -X_k X_j^T`` and 0 where neither holds; the diagonal is
@@ -197,7 +202,7 @@ def pair_lambdas(family: Sequence[MonomialMatrix],
     Each batch of rows ``j`` (:func:`_pair_batches`) gathers the codes of
     ``X_j X_k^T`` and of ``X_k X_j^T`` for all ``k > j0`` from the tables
     of the transposes, two gathers in all, and xors them: all 0 is +1,
-    all 1 is -1.  At most ``n - 1`` batches, O(n^2 b) for order ``b``.
+    all 1 is -1.  At most ``n - 1`` batches, O(n^2 b).
 
     With ``sizes``, every member must be block diagonal with blocks of
     those sizes.  The xors are read per block, and the entry is the
@@ -205,17 +210,15 @@ def pair_lambdas(family: Sequence[MonomialMatrix],
     of the pair of Kronecker products of the blocks.  The default is one
     block, the whole matrix.
     """
-    if not family:
-        raise ValueError("empty family")
-    n, b = len(family), family[0].order
-    if any(x.order != b for x in family):
-        raise ValueError(f"order mismatch: {[x.order for x in family]}")
+    if perm.ndim != 2 or perm.shape != signs.shape or not perm.size:
+        raise ValueError(f"perm {perm.shape} and signs {signs.shape} are not one non-empty "
+                         "(n, b) stack")
+    n, b = perm.shape
     sizes = (b,) if sizes is None else tuple(sizes)
     if sum(sizes) != b or min(sizes) < 1:
         raise ValueError(f"segments {sizes} do not cut order {b}")
     starts = np.cumsum((0,) + sizes[:-1])
-    perm = np.array([x.perm for x in family])
-    neg = np.array([x.signs for x in family]) < 0
+    neg = signs < 0
     code = 2 * perm + neg
     transposed = np.empty((n, b), dtype=np.min_scalar_type(2 * b))
     transposed[np.arange(n)[:, None], perm] = 2 * np.arange(b) + neg
@@ -235,26 +238,40 @@ def pair_lambdas(family: Sequence[MonomialMatrix],
     return out + out.T
 
 
+def kron_expand(blocks: Sequence[np.ndarray],
+                sign: Union[int, np.ndarray, None] = None) -> np.ndarray:
+    """The int64 perm, or with ``sign`` the signs, of Kronecker products of
+    the rows ``blocks[t]``, each of shape ``(*lead, size_t)``, the first
+    most significant: entry ``i1 * N2 + i2`` of ``X (x) Y`` is ``px[i1] *
+    N2 + py[i2]``, or ``sign * sx[i1] * sy[i2]`` (``sign`` a scalar or of
+    shape ``lead``).  The blocks are taken from the last inward, so the
+    long axis stays innermost in every pass.
+    """
+    out = np.zeros(1, dtype=np.int64) if sign is None else np.array(sign, dtype=np.int64)[..., None]
+    size = 1
+    for block in reversed(blocks):
+        if sign is None:
+            out = block[..., :, None] * size + out[..., None, :]
+        else:
+            out = block[..., :, None] * out[..., None, :]
+        out = out.reshape(*block.shape[:-1], -1)
+        size *= block.shape[-1]
+    return out
+
+
 def stacked_kron(sign: np.ndarray,
                  blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """Perm and sign arrays of ``sign[i] * (X_i1 (x) X_i2 (x) ...)`` for every ``i``.
 
     ``blocks[t]`` stacks the ``t``-th Kronecker factor of all n members
     as ``(perm, signs)``, each of shape ``(n, size_t)``; the first block
-    is the most significant.  Returns read-only ``(n, b)`` int64 arrays,
-    ``b`` the product of the sizes (1 for no blocks); row ``i`` is the
-    ``i``-th member, ``MonomialMatrix._closed(perm[i], signs[i])``.  The
-    blocks are taken from the last inward, so the long axis stays
-    innermost in every pass.
+    is the most significant.  Returns read-only ``(n, b)`` int64 arrays
+    from :func:`kron_expand`, ``b`` the product of the sizes (1 for no
+    blocks); row ``i`` is the ``i``-th member,
+    ``MonomialMatrix._closed(perm[i], signs[i])``.
     """
-    n = len(sign)
-    perm = np.zeros((n, 1), dtype=np.int64)
-    signs = np.array(sign, dtype=np.int64).reshape(n, 1)
-    size = 1
-    for p, s in reversed(blocks):
-        perm = (p[:, :, None] * size + perm[:, None, :]).reshape(n, -1)
-        signs = (s[:, :, None] * signs[:, None, :]).reshape(n, -1)
-        size *= p.shape[1]
+    signs = kron_expand([s for _, s in blocks], sign)
+    perm = kron_expand([p for p, _ in blocks]) if blocks else np.zeros_like(signs)
     perm.setflags(write=False)
     signs.setflags(write=False)
     return perm, signs

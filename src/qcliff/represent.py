@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .decompose import Decomposition, product_sign_gram
+from .decompose import Decomposition
 from .errors import VerificationError
 from .gf2 import bit_table, gram_parity, row_masks
 from .matrices import MonomialMatrix, j2, pair_lambdas, stacked_kron, x2, z2
@@ -135,9 +135,8 @@ class Representation:
         if (np.any(np.sort(self.perm) != np.arange(width)) or np.any(block[self.perm] != block)
                 or np.any(abs(self.signs) != 1) or np.any(abs(self.sign) != 1)):
             raise VerificationError("the blocks are not signed permutations")
-        rows = [MonomialMatrix._closed(p, s) for p, s in zip(self.perm, self.signs)]
-        identity = MonomialMatrix._closed(np.arange(width), np.ones(width, dtype=np.int64))
-        table = pair_lambdas(rows + [identity], self.sizes)
+        table = pair_lambdas(np.vstack([self.perm, np.arange(width)]),
+                             np.vstack([self.signs, np.ones(width, dtype=np.int64)]), self.sizes)
         table.setflags(write=False)
         return table
 
@@ -267,22 +266,36 @@ def build_irrep(D: Decomposition, character: Sequence[int]) -> Representation:
     return rep
 
 
-def _push(R: Representation) -> Representation:
-    """Verified images of the original generators from the new ones, ``R``.
+def pushforward(R: Representation) -> Representation:
+    """Verified images of the original generators of ``R.decomposition``
+    from ``R``, images of its generators of order ``classify(D).irrep_order``
+    that need not be verified.
 
     Row ``S_i`` of the inverse basis change picks the new generators
     ``g_k1 ... g_kt`` (ascending) whose product is original generator
     ``i``; that the product's mask is bit ``i`` is checked as ``inv . G ==
-    I`` over GF(2).  Its sign is ``sum_{a<b} Q[k_b, k_a]`` for the product-
-    sign Gram ``Q`` of the new generators (:func:`product_sign_gram`).
+    I`` over GF(2).  The product is formed block by block on ``R``'s
+    Kronecker factors.  Its sign is ``sum_{a<b} Q[k_b, k_a]`` for the
+    product-sign Gram ``Q`` of the new generators (:attr:`Decomposition.gram`).
     The sign of ``(+1, x)(+1, y)`` is ``y^T M x``, bilinear in the masks,
     and the prefix ``g_k1 ... g_k(b-1)`` has mask ``sum_{a<b} g_ka``
     whatever its sign, so multiplying it by ``g_kb`` adds ``sum_{a<b}
     Q[k_b, k_a]``.  For all words at once that is ``S_i^T L S_i``, ``L``
     the strict lower triangle of ``Q``: one Gram product of the rows of
     ``S`` against those of ``L``, ANDed with ``S``.
+
+    The one :meth:`Representation.verify` at the end certifies every
+    square, the transpose law and every commutation relation of P for the
+    returned images, so they define a representation of the algebra of P.
+    Every representation is a sum of irreducibles, all of the order
+    checked here, so one of that order is irreducible.  No check pins
+    which irreducible (the character) it is.
     """
     D = R.decomposition
+    if R.presentation != D.normal_presentation():
+        raise ValueError("pushforward expects images of the decomposition generators")
+    if R.order != classify(D).irrep_order:
+        raise ValueError(f"pushforward expects an irreducible, not order {R.order}")
     P = D.presentation
     m = P.m
     inv = D.basis_change.inverse().bits
@@ -292,7 +305,7 @@ def _push(R: Representation) -> Representation:
     if wrong.any():
         raise VerificationError(
             f"basis change inversion failed for generator {int(np.argmax(wrong.any(axis=1)))}")
-    lower = row_masks(np.tril(product_sign_gram(P, D.masks), -1))
+    lower = row_masks(np.tril(D.gram, -1))
     odd = (gram_parity(inv, lower, m) & holds).sum(axis=1) & 1
     sign = np.where(odd, -1, 1) * np.where(holds, R.sign, 1).prod(axis=1)
     perm = np.tile(np.arange(R.perm.shape[1]), (m, 1))
@@ -306,33 +319,6 @@ def _push(R: Representation) -> Representation:
     rep = Representation(R.order, sign, perm, signs, R.sizes, R.character, D, P)
     rep.verify()
     return rep
-
-
-def pushforward(R: Representation) -> Representation:
-    """Verified images of the original generators of ``R.decomposition``.
-
-    Each original generator is a signed product of the decomposition
-    generators; the exponents come from inverting the basis change over
-    GF(2) and the sign from the presentation.  The product is formed
-    block by block on ``R``'s Kronecker factors; ``R`` itself need not be
-    verified, but its order must be ``classify(D).irrep_order``.
-
-    The one :meth:`Representation.verify` at the end covers everything the
-    returned object claims.  It certifies every square of P, the
-    transpose law and every commutation relation of P for the returned
-    images, so they define a representation of the algebra of P.  Its
-    order is ``R.order``, checked here to equal ``classify(D).irrep_order``.
-    Every irreducible of the algebra has that order, and every
-    representation is a sum of irreducibles, so a representation of that
-    order is irreducible.  No check pins which irreducible (the
-    character) it is.
-    """
-    D = R.decomposition
-    if R.presentation != D.normal_presentation():
-        raise ValueError("pushforward expects images of the decomposition generators")
-    if R.order != classify(D).irrep_order:
-        raise ValueError(f"pushforward expects an irreducible, not order {R.order}")
-    return _push(R)
 
 
 def minimal_images(P: AlgebraPresentation,
@@ -354,4 +340,4 @@ def minimal_images(P: AlgebraPresentation,
     else:
         raise ValueError("decomposition is not of the presentation P")
     character = zero_character(D) if character is None else _character(D, character)
-    return _push(_assemble(D, character))
+    return pushforward(_assemble(D, character))

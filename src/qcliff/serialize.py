@@ -35,7 +35,7 @@ from .decompose import MAX_M, Decomposition
 from .errors import CapExceeded
 from .gf2 import bit_table, row_masks
 from .hadamard import REPORT_CHECKS, HadamardBundle, VerificationReport
-from .matrices import DenseSignMatrix, MonomialMatrix
+from .matrices import DenseSignMatrix, MonomialMatrix, kron_expand
 from .presentation import AlgebraPresentation
 from .represent import Representation
 from .solve import LambdaPattern, SolveResult
@@ -84,10 +84,9 @@ class _KronRow:
     its JSON list in a built tree without being expanded.
 
     ``blocks`` are the image's block rows, the first most significant.  A
-    perm has ``sign`` None: entry ``i1 * N2 + i2`` of ``X (x) Y`` is
-    ``px[i1] * N2 + py[i2]``.  Signs have the image sign, which multiplies
-    the product of the block entries.  :attr:`array` expands the row; a
-    one-block perm, or one-block signs with sign 1, is the block itself.
+    perm has ``sign`` None; signs have the image sign.  :attr:`array`
+    expands the row by :func:`~qcliff.matrices.kron_expand`; a one-block
+    perm, or one-block signs with sign 1, is the block itself.
     """
 
     __slots__ = ("sign", "blocks")
@@ -102,17 +101,7 @@ class _KronRow:
     def array(self) -> np.ndarray:
         if len(self.blocks) == 1 and self.sign in (None, 1):
             return self.blocks[0]
-        # from the last block inward, so the long axis stays innermost
-        if self.sign is None:
-            out, size = np.zeros(1, dtype=np.int64), 1
-            for block in reversed(self.blocks):
-                out = (block[:, None] * size + out).ravel()
-                size *= len(block)
-        else:
-            out = np.full(1, self.sign, dtype=np.int64)
-            for block in reversed(self.blocks):
-                out = (block[:, None] * out).ravel()
-        return out
+        return kron_expand(self.blocks, self.sign)
 
 
 def _plain(tree):
@@ -253,6 +242,11 @@ def sign_text_rows(mat: DenseSignMatrix) -> list[str]:
 
 
 def sign_matrix_from_text_rows(rows: Sequence[str]) -> DenseSignMatrix:
+    return DenseSignMatrix(_sign_rows(rows))
+
+
+def _sign_rows(rows: Sequence[str]) -> np.ndarray:
+    """The int64 +-1 array of text rows of ``+`` and ``-``, all of one width."""
     for line in rows:
         if not isinstance(line, str):
             raise ValueError(f"sign row must be a string, got {type(line).__name__}")
@@ -265,7 +259,7 @@ def sign_matrix_from_text_rows(rows: Sequence[str]) -> DenseSignMatrix:
     width = len(rows[0]) if rows else 0
     if any(len(line) != width for line in rows):
         raise ValueError("sign rows must all have the same length")
-    return DenseSignMatrix(np.subtract(44, codes, dtype=np.int64).reshape(len(rows), width))
+    return np.subtract(44, codes, dtype=np.int64).reshape(len(rows), width)
 
 
 # -- monomials, decompositions, classifications -----------------------------
@@ -474,8 +468,9 @@ def _monomial_family(obj: dict, family: str, n: int, order: int) -> tuple[Monomi
 
 def bundle_from_dict(obj: dict) -> HadamardBundle:
     """The bundle ``obj``, each family read as one stack of the shape that
-    the header's ``n`` and ``b`` give: A (n, n), D (n, b), S (b, b) and
-    B (n, b, b).  An error names the first bad member, 0-based."""
+    the header's ``n`` and ``b`` give: A (n, n), D (n, b), S (b, b),
+    B (n, b, b) and H, n*b text rows of n*b characters.  An error names
+    the first bad member or row, 0-based."""
     _require_keys(obj, "bundle", ["n", "b", "A", "lambda", "D", "S", "B", "H", "report"])
     n, b = obj["n"], obj["b"]
     if not (_is_int(n) and _is_int(b) and n >= 1 and b >= 1):
@@ -488,9 +483,15 @@ def bundle_from_dict(obj: dict) -> HadamardBundle:
     S = DenseSignMatrix._closed(_int_block([obj["S"]], (b, b), "S", *_SIGNS)[0])
     B = tuple(map(DenseSignMatrix._closed,
                   _int_block(_members(obj, "B", n), (b, b), "B_{}", *_SIGNS)))
-    H = sign_matrix_from_text_rows(_list(obj["H"], "bundle H"))
-    if H.order != n * b:
-        raise ValueError(f"H must have order n*b = {n * b}, got {H.order}")
+    rows = _list(obj["H"], "bundle H")
+    if len(rows) != n * b:
+        raise ValueError(f"H must have n*b = {n * b} rows, got {len(rows)}")
+    # rows of one other width are refused before any array is built;
+    # ragged rows and bad characters keep _sign_rows' messages
+    widths = {len(line) for line in rows if isinstance(line, str)}
+    if len(widths) == 1 and widths != {n * b}:
+        raise ValueError(f"H rows must have n*b = {n * b} characters, got {widths.pop()}")
+    H = DenseSignMatrix._closed(_sign_rows(rows))
     return HadamardBundle(n=n, b=b, A=A, lam=lam, D=D, S=S, B=B, H=H,
                           report=report_from_dict(obj["report"]))
 
@@ -574,6 +575,13 @@ def _kron_sign_text(sign: int, blocks: Sequence[np.ndarray], indent: str) -> str
     the ``+`` or the ``-`` product over ``t+1..`` once per entry.  Both
     texts are built from the innermost block out; the outermost block
     takes ``sign`` and builds the one text asked for.
+
+    This is a second Kronecker expansion, on text, beside
+    :func:`~qcliff.matrices.kron_expand`.  Expanding these rows with that
+    and formatting them by :func:`_int_array_text` instead writes the same
+    bytes, but about doubles the time to write an m = 24 quaternion
+    ``represent`` output (4.3-5.9 ms to 7.4-11.6 ms, 2 cores), the request
+    that sets the ``algebra`` benchmark's 90th percentile.
     """
     sep = ",\n" + indent + "  "
     plus, minus = "1", "-1"

@@ -438,7 +438,8 @@ def random_block_word(rng: np.random.Generator, n: int) -> MonomialMatrix:
 def tensor(x: MonomialMatrix, y: MonomialMatrix) -> MonomialMatrix:
     """Reference row-major Kronecker product ``x (x) y``, like ``numpy.kron``.
 
-    Shares no code with ``qcliff.matrices.stacked_kron``.
+    Shares no code with ``qcliff.matrices.kron_expand``, the expansion of
+    ``stacked_kron`` and of the JSON writer.
     """
     n2 = y.order
     return MonomialMatrix((x.perm[:, None] * n2 + y.perm[None, :]).reshape(-1),
@@ -450,6 +451,12 @@ def dense(x: MonomialMatrix) -> np.ndarray:
     out = np.zeros((x.order, x.order), dtype=np.int64)
     out[np.arange(x.order), x.perm] = x.signs
     return out
+
+
+def stacked(family: Sequence[MonomialMatrix]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(n, b)`` perm and sign stacks of an equal-order ``family``, the
+    form ``qcliff.matrices.pair_lambdas`` takes."""
+    return np.stack([x.perm for x in family]), np.stack([x.signs for x in family])
 
 
 def popcount_gram(x: np.ndarray) -> np.ndarray:
@@ -562,7 +569,7 @@ def dense_verify(P: AlgebraPresentation, order: int, images: Sequence[MonomialMa
     want = np.outer(kappa, kappa)
     for i, j in P.anticommuting_pairs():
         want[i, j] = -want[i, j]
-    bad = np.argwhere(np.triu(pair_lambdas(images) != want, 1)).tolist()
+    bad = np.argwhere(np.triu(pair_lambdas(*stacked(images)) != want, 1)).tolist()
     if bad:
         i, j = bad[0]
         raise VerificationError(f"images {i},{j} break the commutation relation")
@@ -613,7 +620,7 @@ def check_hr_bound(family: Iterable[MonomialMatrix]) -> HurwitzRadonReport:
     mats = list(family)
     # -1 off the diagonal; pair_lambdas leaves the diagonal 0 and refuses
     # an empty family or mixed orders
-    anti = np.array_equal(pair_lambdas(mats), np.eye(len(mats), dtype=np.int64) - 1)
+    anti = np.array_equal(pair_lambdas(*stacked(mats)), np.eye(len(mats), dtype=np.int64) - 1)
     order = mats[0].order
     bound = rho(order)
     return HurwitzRadonReport(

@@ -328,6 +328,35 @@ class TestHadamard:
             assert "Traceback" not in captured.err
         assert not (tmp_path / "missing").exists()
 
+    def test_unwritable_output_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # a writable bundle path beside a text path that is a directory:
+        # exit 1 before complete runs, and no bundle file is left
+        def refuse(*args, **kwargs):
+            raise AssertionError("complete ran before the outputs were checked")
+
+        monkeypatch.setattr(cli, "complete", refuse)
+        bundle = tmp_path / "B.json"
+        assert main(["hadamard", "1", "--output", str(bundle), "--text-output", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+        assert not bundle.exists()
+
+    def test_failed_command_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        # a cap hit after the check, or a failing second write: the files
+        # the check made are removed
+        bundle, text = tmp_path / "B.json", tmp_path / "H.txt"
+        argv = ["hadamard", "1", "--output", str(bundle), "--text-output", str(text)]
+        assert main([*argv, "--max-order", "0"]) == 2
+        assert "exceeds the cap 0" in capsys.readouterr().err
+        assert not bundle.exists() and not text.exists()
+
+        def disk_full(H):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "sign_text_rows", disk_full)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {text}: ")
+        assert not bundle.exists() and not text.exists()
+
     def test_spec_strings(self, capsys):
         rc = main(["hadamard", "2", "--diag", "IZ", "--offdiag", "XY"])
         assert rc == 0

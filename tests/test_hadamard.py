@@ -30,6 +30,7 @@ from helpers import (
     reference_plug_in,
     reference_run_checks,
     reference_verify_bundle,
+    stacked,
     tensor,
     transversal_lambda,
 )
@@ -156,7 +157,7 @@ class TestComplete:
 
     def test_densified_family_keeps_the_pattern(self):
         bundle = complete(3)
-        got = pair_lambdas(bundle.D)
+        got = pair_lambdas(*stacked(bundle.D))
         for j in range(bundle.n):
             for k in range(j + 1, bundle.n):
                 lam_mono = got[j, k]

@@ -27,6 +27,7 @@ from helpers import (
     reference_sylvester,
     random_monomial_matrix,
     random_sym_or_skew_monomial,
+    stacked,
     tensor,
 )
 
@@ -138,10 +139,10 @@ class TestLambdaOfPair:
     side "A" sign is its negation in ``lambda_of_transversal``."""
 
     def test_identity_vs_rotation_b_side(self):
-        assert pair_lambdas([ident2(), j2()])[0, 1] == -1
+        assert pair_lambdas(*stacked([ident2(), j2()]))[0, 1] == -1
 
     def test_anticommuting_symmetric_pair_b_side(self):
-        assert pair_lambdas([z2(), x2()])[0, 1] == -1
+        assert pair_lambdas(*stacked([z2(), x2()]))[0, 1] == -1
 
     def test_identity_vs_swap_a_side(self):
         assert lambda_of_transversal([ident2(), x2()]).get(0, 1) == -1
@@ -151,7 +152,7 @@ class TestLambdaOfPair:
         for _ in range(100):
             n = int(rng.integers(1, 17))
             x, y = random_monomial_matrix(rng, n), random_monomial_matrix(rng, n)
-            b = pair_lambdas([x, y])[0, 1]
+            b = pair_lambdas(*stacked([x, y]))[0, 1]
             if b == 0:
                 with pytest.raises(ValueError, match="neither amicable nor anti-amicable"):
                     lambda_of_transversal([x, y])
@@ -160,7 +161,7 @@ class TestLambdaOfPair:
 
     def test_none_when_no_sign_fits(self):
         shift = MonomialMatrix([1, 2, 0], [1, 1, 1])
-        assert pair_lambdas([MonomialMatrix.identity(3), shift])[0, 1] == 0
+        assert pair_lambdas(*stacked([MonomialMatrix.identity(3), shift]))[0, 1] == 0
 
     def test_defined_for_sym_or_skew_pairs_that_commute_or_anticommute(self):
         # pairs drawn from the 2x2 blocks and their tensor squares always
@@ -175,14 +176,15 @@ class TestLambdaOfPair:
                     continue
                 xy, yx = dense(x @ y), dense(y @ x)
                 if np.array_equal(xy, yx) or np.array_equal(xy, -yx):
-                    assert pair_lambdas([x, y])[0, 1] != 0
+                    assert pair_lambdas(*stacked([x, y]))[0, 1] != 0
 
     def test_dense_and_monomial_paths_agree(self):
         rng = np.random.default_rng(59)
         for _ in range(50):
             n = int(rng.integers(1, 9))
             x, y = random_monomial_matrix(rng, n), random_monomial_matrix(rng, n)
-            assert (pair_lambdas([x, y])[0, 1] or None) == dense_lambda(dense(x), dense(y))
+            got = pair_lambdas(*stacked([x, y]))[0, 1]
+            assert (got or None) == dense_lambda(dense(x), dense(y))
         # seeded pairs from each sampler, in both orders; every outcome occurs
         seen = set()
         samplers = [random_monomial_matrix, random_sym_or_skew_monomial, random_block_word]
@@ -190,15 +192,21 @@ class TestLambdaOfPair:
             for _ in range(60):
                 n = 1 << int(rng.integers(0, 5))
                 x, y = sampler(rng, n), sampler(rng, n)
-                got = pair_lambdas([x, y])
+                got = pair_lambdas(*stacked([x, y]))
                 lam = dense_lambda(dense(x), dense(y))
                 assert got[0, 1] == got[1, 0] == (lam or 0)
                 seen.add(lam)
         assert seen == {1, -1, None}
 
     def test_order_mismatch_rejected(self):
+        # perm and signs of two orders are refused, and a family of mixed
+        # orders has no (n, b) stack
+        perm, _ = stacked([ident2(), ident2()])
+        _, signs = stacked([MonomialMatrix.identity(3)] * 2)
+        with pytest.raises(ValueError, match="not one"):
+            pair_lambdas(perm, signs)
         with pytest.raises(ValueError):
-            pair_lambdas([ident2(), MonomialMatrix.identity(3)])
+            stacked([ident2(), MonomialMatrix.identity(3)])
 
 
 class TestStackedKron:

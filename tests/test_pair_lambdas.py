@@ -27,6 +27,7 @@ from helpers import (
     random_monomial_matrix,
     random_presentation,
     random_sym_or_skew_monomial,
+    stacked,
     tensor,
     with_block,
 )
@@ -106,7 +107,7 @@ class TestKernel:
                 else:
                     b = int(rng.integers(1, 17))
                 family = [sampler(rng, b) for _ in range(n)]
-                got = pair_lambdas(family)
+                got = pair_lambdas(*stacked(family))
                 assert got.shape == (n, n) and got.dtype == np.int64
                 assert np.array_equal(got, dense_table(family))
                 seen.update(got[np.triu_indices(n, 1)].tolist())
@@ -118,7 +119,7 @@ class TestKernel:
         rng = np.random.default_rng(b)
         x = random_sym_or_skew_monomial(rng, b)
         family = [x, -x, x.transpose(), random_monomial_matrix(rng, b), x @ x]
-        got = pair_lambdas(family)
+        got = pair_lambdas(*stacked(family))
         for j in range(len(family)):
             for k in range(j + 1, len(family)):
                 assert got[j, k] == product_lambda(family[j], family[k])
@@ -132,14 +133,14 @@ class TestKernel:
         for _ in range(30):
             n, b = int(rng.integers(1, 13)), int(rng.integers(1, 17))
             family = [random_sym_or_skew_monomial(rng, b) for _ in range(n)]
-            assert np.array_equal(pair_lambdas(family), dense_table(family))
+            assert np.array_equal(pair_lambdas(*stacked(family)), dense_table(family))
             sizes = (1, b - 1) if b > 1 else (1,)
             blocks = [direct_sum([random_sym_or_skew_monomial(rng, s) for s in sizes])
                       for _ in range(n)]
             monkeypatch.setattr("qcliff.matrices._PAIR_BATCH", 1 << 16)
-            want = pair_lambdas(blocks, sizes)
+            want = pair_lambdas(*stacked(blocks), sizes)
             monkeypatch.setattr("qcliff.matrices._PAIR_BATCH", budget)
-            assert np.array_equal(pair_lambdas(blocks, sizes), want)
+            assert np.array_equal(pair_lambdas(*stacked(blocks), sizes), want)
 
     def test_batches_cover_the_rows_in_at_most_n_minus_1(self):
         for n in (1, 2, 3, 8, 100, 257, 2049):
@@ -159,16 +160,21 @@ class TestKernel:
         calls = []
         take = np.take
         monkeypatch.setattr(np, "take", lambda *a, **k: calls.append(1) or take(*a, **k))
-        pair_lambdas(A)
+        pair_lambdas(*stacked(A))
         assert 0 < len(calls) <= 2 * (len(A) - 1)
 
     def test_empty_and_mixed_families_rejected(self):
-        with pytest.raises(ValueError):
-            pair_lambdas([])
-        with pytest.raises(ValueError, match="order mismatch"):
-            pair_lambdas([z2(), MonomialMatrix.identity(3)])
+        perm, signs = stacked([z2(), z2()])
+        for empty in (np.zeros((0, 2), dtype=np.int64), np.zeros((2, 0), dtype=np.int64)):
+            with pytest.raises(ValueError, match="not one non-empty"):
+                pair_lambdas(empty, empty)
+        # perm and signs of different shapes, or not one 2-d stack
+        for p, s in ((perm, signs[:1]), (perm, signs[:, :1]), (perm[0], signs[0]),
+                     (perm[None], signs[None])):
+            with pytest.raises(ValueError, match="not one non-empty"):
+                pair_lambdas(p, s)
         with pytest.raises(ValueError, match="do not cut"):
-            pair_lambdas([z2(), z2()], (1, 2))
+            pair_lambdas(perm, signs, (1, 2))
 
     def test_segments_give_the_sign_of_the_kronecker_products(self):
         # members as their blocks side by side, one segment per block,
@@ -180,7 +186,7 @@ class TestKernel:
             sizes = tuple(int(s) for s in rng.integers(1, 5, size=rng.integers(1, 4)))
             sampler = random_sym_or_skew_monomial if rng.integers(4) else random_monomial_matrix
             members = [[sampler(rng, s) for s in sizes] for _ in range(n)]
-            got = pair_lambdas([direct_sum(blocks) for blocks in members], sizes)
+            got = pair_lambdas(*stacked([direct_sum(blocks) for blocks in members]), sizes)
             assert np.array_equal(got, dense_table([reduce(tensor, b) for b in members]))
             seen.update(got[np.triu_indices(n, 1)].tolist())
         assert seen == {1, -1, 0}

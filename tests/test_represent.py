@@ -9,11 +9,13 @@ from qcliff import (
     AlgebraPresentation,
     MonomialMatrix,
     VerificationError,
+    matrices,
     minimal_images,
     represent,
+    serialize,
 )
 from qcliff.cli import main
-from qcliff.decompose import decompose
+from qcliff.decompose import decompose, product_sign_gram
 from qcliff.gf2 import Gf2Matrix
 from qcliff.hadamard import TransversalSpec, complete, lambda_of_transversal, transversal
 from qcliff.matrices import j2, pair_lambdas, stacked_kron, x2, z2
@@ -32,7 +34,7 @@ from qcliff.represent import (
     pushforward,
     zero_character,
 )
-from qcliff.serialize import lambda_to_dict, presentation_to_dict
+from qcliff.serialize import INT_ARRAY_KERNEL_MIN, lambda_to_dict, presentation_to_dict
 from qcliff.solve import solve, verify_solution
 from qcliff.structure import classify, tensor_presentation
 
@@ -49,6 +51,7 @@ from helpers import (
     pushforward_by_products,
     quaternion_presentation,
     random_presentation,
+    stacked,
     tensor,
     tensor_with_identity,
     with_block,
@@ -245,9 +248,10 @@ class TestFactoredPath:
                 for rep in (build_irrep(D, zero_character(D)), minimal_images(P, None, D)):
                     lam = np.ones((m, m), dtype=np.int64)
                     for family in block_families(rep):
-                        lam *= pair_lambdas(family)
+                        lam *= pair_lambdas(*stacked(family))
                     upper = np.triu_indices(m, 1)
-                    assert np.array_equal(lam[upper], pair_lambdas(rep.generator_images)[upper])
+                    got = pair_lambdas(*stacked(rep.generator_images))
+                    assert np.array_equal(lam[upper], got[upper])
 
     def test_pushforward_refuses_a_representation_of_non_minimal_order(self):
         # the irreducibility argument of pushforward needs the minimal order
@@ -363,7 +367,7 @@ class TestSoundnessSweep:
     def test_anti_amicability_of_tensor_presentation_images(self):
         for p, q in [(2, 0), (1, 1), (0, 2), (3, 1), (2, 2), (1, 3), (4, 0)]:
             rep = minimal_images(tensor_presentation(p, q))
-            got = pair_lambdas(rep.generator_images)
+            got = pair_lambdas(*stacked(rep.generator_images))
             assert np.array_equal(got, np.eye(len(got), dtype=np.int64) - 1)
 
     def test_an_image_with_the_wrong_square_is_refused_by_name(self):
@@ -466,9 +470,9 @@ class TestOneVerification:
         """Families whose factored pair table ``Representation.pair_table`` forms."""
         calls = []
 
-        def counting(family, sizes=None):
-            calls.append(len(family))
-            return pair_lambdas(family, sizes)
+        def counting(perm, signs, sizes=None):
+            calls.append(len(perm))
+            return pair_lambdas(perm, signs, sizes)
 
         monkeypatch.setattr("qcliff.represent.pair_lambdas", counting)
         return calls
@@ -550,6 +554,38 @@ class TestOneDecomposition:
         assert result.kappa == (1,) * 13
         assert len(decomposed) == 2 and decomposed[0] is result.presentation
 
+    def test_minimal_images_pushes_through_pushforward(self, monkeypatch):
+        # the command line and the traced replay share one push and its checks
+        pushed = []
+
+        def counting(R):
+            pushed.append(R.presentation)
+            return pushforward(R)
+
+        monkeypatch.setattr("qcliff.represent.pushforward", counting)
+        D = decompose(RANDOM5)
+        minimal_images(RANDOM5, None, D)
+        assert pushed == [D.normal_presentation()]
+
+    def test_one_product_sign_gram_per_minimal_images(self, monkeypatch):
+        # validate and the push read the one Gram the decomposition keeps
+        grams = []
+
+        def counting(P, masks):
+            grams.append(P)
+            return product_sign_gram(P, masks)
+
+        for where in ("qcliff.decompose", "qcliff.represent"):
+            monkeypatch.setattr(f"{where}.product_sign_gram", counting, raising=False)
+        P = random_presentation(np.random.default_rng(31), 40)
+        minimal_images(P)
+        assert grams == [P]
+        D = decompose(P)
+        minimal_images(P, None, D)
+        minimal_images(P, None, D)
+        assert grams == [P, P]
+        assert not D.gram.flags.writeable
+
     def test_minimal_images_takes_the_decomposition(self):
         D = decompose(RANDOM5)
         rep = minimal_images(RANDOM5, decomposition=D)
@@ -617,6 +653,31 @@ class TestExpansion:
 
         monkeypatch.setattr("qcliff.represent.stacked_kron", counting)
         return calls
+
+    def test_images_and_written_perms_expand_through_kron_expand(self, monkeypatch, tmp_path,
+                                                                 capsys):
+        # the whole-family images and the JSON writer's perm rows share one
+        # expansion routine: with it refusing, neither can be formed (the
+        # writer's sign rows of several blocks are joined as text by
+        # serialize._kron_sign_text, a second expansion)
+        def refuse(blocks, sign=None):
+            raise AssertionError("an expansion outside kron_expand's callers")
+
+        assert serialize.kron_expand is matrices.kron_expand
+        P = fixed_type_presentation(np.random.default_rng(29), "real", 2, 9)
+        path = presentation_file(tmp_path, P)
+        for module in (matrices, serialize):
+            monkeypatch.setattr(module, "kron_expand", refuse)
+        R = minimal_images(P)
+        assert R.order == INT_ARRAY_KERNEL_MIN
+        with pytest.raises(AssertionError, match="outside kron_expand"):
+            R.generator_images
+        with pytest.raises(AssertionError, match="outside kron_expand"):
+            main(["represent", path, "--format", "json"])
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert main(["represent", path, "--format", "json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["images"][0]["perm"]) == R.order
 
     def test_factors_are_read_only(self):
         # generator_images is cached from them

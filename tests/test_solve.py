@@ -35,6 +35,7 @@ from helpers import (
     random_monomial_matrix,
     reference_lex_first,
     square_sign,
+    stacked,
     tensor_with_identity,
 )
 
@@ -124,7 +125,7 @@ class TestPresentationFrom:
                 for bits in range(1 << n):
                     kappa = tuple(1 if (bits >> i) & 1 == 0 else -1 for i in range(n))
                     rep = minimal_images(presentation_from(lam, kappa))
-                    got = pair_lambdas(rep.generator_images)
+                    got = pair_lambdas(*stacked(rep.generator_images))
                     for j in range(n):
                         for k in range(j + 1, n):
                             assert got[j, k] == lam.get(j, k)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qcliff import complete
+from qcliff import complete, serialize
 from qcliff.cli import main
 from qcliff.decompose import MAX_M
 from qcliff.hadamard import TransversalSpec, lambda_of_transversal, transversal
@@ -75,6 +75,24 @@ def test_ragged_sign_rows_fail_with_code_1(tmp_path, capsys, cut):
     path = write(tmp_path / "bad.json", {**BUNDLE, "H": rows})
     assert main(["verify", path]) == 1
     assert "sign rows must all have the same length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cut, message", [
+    ("column", "H rows must have n*b = 16 characters, got 15"),
+    ("long", "H rows must have n*b = 16 characters, got 17"),
+    ("row", "H must have n*b = 16 rows, got 15"),
+])
+def test_h_of_another_shape_names_h_and_the_order(tmp_path, capsys, monkeypatch, cut, message):
+    # a complete(2) bundle, n*b = 16, with one character cut from or added
+    # to every row of H, or with its last row cut; the shape is refused
+    # before the rows are read into an array
+    doc = bundle_to_dict(complete(2))
+    monkeypatch.setattr(serialize, "_sign_rows", None)
+    rows = {"column": [row[1:] for row in doc["H"]], "long": [row + "+" for row in doc["H"]],
+            "row": doc["H"][:-1]}[cut]
+    path = write(tmp_path / "bad.json", {**doc, "H": rows})
+    assert main(["verify", path]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("field, index, key", [
